@@ -117,7 +117,7 @@ def enumerate_language(source: TUnion[Regex, Nfa], max_len: int,
 
     # Distance from each state to the nearest accepting state (reverse BFS).
     k = len(sigma)
-    table = dfa._delta_array()
+    table = dfa.table
     INF = max_len + 1
     dist = [INF] * dfa.n_states
     frontier = list(dfa.finals)

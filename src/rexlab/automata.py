@@ -5,6 +5,19 @@ transition triples).  DFAs are NFAs whose transition relation is a partial
 function; a missing transition rejects.  The reported size of an automaton is
 the number of states plus the number of transitions.
 
+A DFA keeps one transition representation, ``Dfa.table``: a row-major
+``array('i')`` of ``n_states * len(alphabet)`` slots, where slot ``p * k + c``
+holds the target of state ``p`` on the ``c``-th symbol and -1 marks a missing
+edge.  A DFA built from triples fills the table while checking determinism;
+``determinize`` and ``complement_dfa`` write the table directly, and their
+``transitions`` is a read-only set view (:class:`TransitionTable`) over it.
+
+Subset construction walks the bits of each subset once and ORs one successor
+int per NFA state.  Glushkov automata are homogeneous (every state is entered
+on one symbol only), so a state's successor int holds all its targets and
+symbol ``c``'s successor set is that union masked by the states entered on
+``c``.  Other inputs pack symbol ``c``'s targets at bit offset ``c * n``.
+
 Conversions here: Glushkov position automaton, compilation of extended
 regexes (intersection via products, negation via determinise-and-complement),
 subset construction, DFA complement, product, Hopcroft minimisation with a
@@ -14,7 +27,9 @@ a plain regex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from collections.abc import Set
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -46,6 +61,7 @@ from .rex import (
 __all__ = [
     "Nfa",
     "Dfa",
+    "TransitionTable",
     "AlphabetMismatchError",
     "AutomatonFormatError",
     "glushkov",
@@ -80,15 +96,18 @@ class Nfa:
     transitions: frozenset[tuple[int, str, int]]
 
     def __post_init__(self):
-        if not (0 <= self.initial < self.n_states):
-            raise ValueError("initial state out of range")
-        if not all(0 <= q < self.n_states for q in self.finals):
-            raise ValueError("final state out of range")
+        self._check_states()
         for p, a, q in self.transitions:
             if not (0 <= p < self.n_states and 0 <= q < self.n_states):
                 raise ValueError(f"transition endpoint out of range: {(p, a, q)}")
             if a not in self.alphabet:
                 raise ValueError(f"transition symbol {a!r} not in alphabet")
+
+    def _check_states(self):
+        if not (0 <= self.initial < self.n_states):
+            raise ValueError("initial state out of range")
+        if self.finals and not (0 <= min(self.finals) and max(self.finals) < self.n_states):
+            raise ValueError("final state out of range")
 
     @property
     def size(self) -> int:
@@ -111,31 +130,99 @@ class Nfa:
         return all(len(v) <= 1 for v in self.moves.values())
 
 
+class TransitionTable(Set):
+    """Read-only set of ``(p, symbol, q)`` triples over a flat DFA table.
+
+    Slot ``p * k + c`` holds the target of state ``p`` on the ``c``-th symbol
+    of ``alphabet``, -1 when the edge is missing.  Equality and hash agree
+    with the frozenset of the same triples.
+    """
+
+    __slots__ = ("alphabet", "table")
+
+    def __init__(self, alphabet: Alphabet, table: Iterable[int]):
+        if not (isinstance(table, array) and table.typecode == "i"):
+            table = array("i", table)
+        self.alphabet = alphabet
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.table) - self.table.count(-1)
+
+    def __iter__(self):
+        names = self.alphabet.names
+        k = len(names)
+        for slot, q in enumerate(self.table):
+            if q >= 0:
+                yield slot // k, names[slot % k], q
+
+    def __contains__(self, item: object) -> bool:
+        try:
+            p, a, q = item  # type: ignore[misc]
+            c = self.alphabet.index.get(a)
+        except (TypeError, ValueError):
+            return False
+        if c is None or not isinstance(p, int) or p < 0 or q == -1:
+            return False
+        slot = p * len(self.alphabet) + c
+        return slot < len(self.table) and self.table[slot] == q
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, it):
+        # Set operators (|, &, -, ^) return plain frozensets.
+        return frozenset(it)
+
+    def __repr__(self) -> str:
+        return f"TransitionTable({sorted(self)!r})"
+
+
 @dataclass(frozen=True)
 class Dfa(Nfa):
+    """An NFA whose transitions form a partial function, kept in ``table``."""
+
+    table: array = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
-        super().__post_init__()
-        k = len(self.alphabet)
-        index = self.alphabet.index
-        flags = bytearray(self.n_states * k)
-        for p, a, _ in self.transitions:
-            slot = p * k + index[a]
-            if flags[slot]:
-                raise ValueError(f"multiple transitions from state {p} on {a!r}")
-            flags[slot] = 1
+        self._check_states()
+        n, k = self.n_states, len(self.alphabet)
+        trans = self.transitions
+        if isinstance(trans, TransitionTable):
+            table = trans.table
+            if trans.alphabet != self.alphabet:
+                raise ValueError("transition table alphabet differs from the automaton's")
+            if len(table) != n * k:
+                raise ValueError(f"transition table has {len(table)} slots, "
+                                 f"expected {n} states x {k} symbols")
+            if min(table) < -1 or max(table) >= n:
+                raise ValueError("transition table target out of range")
+        else:
+            index = self.alphabet.index
+            table = array("i", [-1]) * (n * k)
+            for p, a, q in trans:
+                if not (0 <= p < n and 0 <= q < n):
+                    raise ValueError(f"transition endpoint out of range: {(p, a, q)}")
+                c = index.get(a)
+                if c is None:
+                    raise ValueError(f"transition symbol {a!r} not in alphabet")
+                slot = p * k + c
+                if table[slot] >= 0:
+                    raise ValueError(f"multiple transitions from state {p} on {a!r}")
+                table[slot] = q
+        object.__setattr__(self, "table", table)
+
+    @classmethod
+    def from_table(cls, alphabet: Alphabet, n_states: int, initial: int,
+                   finals: frozenset[int], table: Iterable[int]) -> "Dfa":
+        return cls(alphabet, n_states, initial, finals, TransitionTable(alphabet, table))
+
+    def is_deterministic(self) -> bool:
+        return True
 
     @cached_property
     def delta(self) -> dict[tuple[int, str], int]:
         return {(p, a): q for p, a, q in self.transitions}
-
-    def _delta_array(self) -> list[int]:
-        """Flat transition table, -1 for missing; row-major by alphabet index."""
-        k = len(self.alphabet)
-        index = self.alphabet.index
-        table = [-1] * (self.n_states * k)
-        for p, a, q in self.transitions:
-            table[p * k + index[a]] = q
-        return table
 
 
 def accepts(a: Nfa, word: Iterable[str]) -> bool:
@@ -318,79 +405,98 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
 
     Subsets are kept as integer bitmasks; new states are numbered in BFS
     discovery order with symbols scanned in alphabet order, which makes the
-    output deterministic.
+    output deterministic.  Each subset's bits are walked once: the OR of its
+    states' successor ints is split per symbol by a ``(shift, mask)`` pair.
     """
-    move_mask: dict[tuple[int, str], int] = {}
-    for p, s, q in a.transitions:
-        move_mask[(p, s)] = move_mask.get((p, s), 0) | (1 << q)
+    n = a.n_states
+    k = len(a.alphabet)
+    index = a.alphabet.index
+    edges = [(p, index[s], q) for p, s, q in a.transitions]
+
+    # Homogeneous input: every state is entered on one symbol only.
+    entered_on = [-1] * n
+    homogeneous = True
+    for _, c, q in edges:
+        if entered_on[q] < 0:
+            entered_on[q] = c
+        elif entered_on[q] != c:
+            homogeneous = False
+            break
+
+    row = [0] * n
+    if homogeneous:
+        for p, _, q in edges:
+            row[p] |= 1 << q
+        into = [0] * k
+        for q, c in enumerate(entered_on):
+            if c >= 0:
+                into[c] |= 1 << q
+        pairs = [(0, sel) for sel in into]
+    else:
+        for p, c, q in edges:
+            row[p] |= 1 << (c * n + q)
+        full = (1 << n) - 1
+        pairs = [(c * n, full) for c in range(k)]
+    del edges, entered_on
     finals_mask = 0
     for q in a.finals:
         finals_mask |= 1 << q
 
-    # Per (position, symbol) successor bitmasks, as flat per-symbol arrays.
-    per_symbol: list[list[int]] = []
-    for s in a.alphabet:
-        row = [0] * a.n_states
-        for p in range(a.n_states):
-            row[p] = move_mask.get((p, s), 0)
-        per_symbol.append(row)
-
     start = 1 << a.initial
     ids: dict[int, int] = {start: 0}
     order = [start]
-    transitions: list[tuple[int, str, int]] = []
-    names = a.alphabet.names
+    table = array("i")
+    emit = table.append
     i = 0
     while i < len(order):
         budget.checkpoint()
-        mask = order[i]
-        src = ids[mask]
-        for ci, row in enumerate(per_symbol):
-            succ = 0
-            m = mask
-            while m:
-                low = m & -m
-                succ |= row[low.bit_length() - 1]
-                m ^= low
-            if not succ:
+        succ = 0
+        m = order[i]
+        while m:
+            low = m & -m
+            succ |= row[low.bit_length() - 1]
+            m ^= low
+        for shift, sel in pairs:
+            t = (succ >> shift) & sel
+            if not t:
+                emit(-1)
                 continue
-            dst = ids.get(succ)
+            dst = ids.get(t)
             if dst is None:
                 if len(ids) >= max_states:
                     raise budget.BudgetExceededError(
                         f"subset construction exceeds {max_states} states")
                 dst = len(ids)
-                ids[succ] = dst
-                order.append(succ)
-            transitions.append((src, names[ci], dst))
+                ids[t] = dst
+                order.append(t)
+            emit(dst)
         i += 1
-    finals = frozenset(ids[m] for m in order if m & finals_mask)
-    return Dfa(a.alphabet, len(ids), 0, finals, frozenset(transitions))
+    del ids
+    finals = frozenset(q for q, m in enumerate(order) if m & finals_mask)
+    return Dfa.from_table(a.alphabet, len(order), 0, finals, table)
 
 
-def _totalize(d: Dfa) -> Dfa:
-    k = len(d.alphabet)
-    index = d.alphabet.index
-    flags = bytearray(d.n_states * k)
-    for p, a, _ in d.transitions:
-        flags[p * k + index[a]] = 1
-    names = d.alphabet.names
-    missing = [(slot // k, names[slot % k])
-               for slot, present in enumerate(flags) if not present]
-    if not missing:
-        return d
-    sink = d.n_states
-    trans = list(d.transitions)
-    trans.extend((q, s, sink) for q, s in missing)
-    trans.extend((sink, s, sink) for s in d.alphabet)
-    return Dfa(d.alphabet, d.n_states + 1, d.initial, d.finals, frozenset(trans))
+def _fill_missing(table: array, target: int) -> array:
+    """Copy of ``table`` with every -1 slot pointing at ``target``."""
+    out = array("i", table)
+    slot = 0
+    try:
+        while True:
+            slot = out.index(-1, slot)
+            out[slot] = target
+    except ValueError:
+        return out
 
 
 def complement_dfa(d: Dfa) -> Dfa:
     """Accept exactly the words the input rejects: totalise, then swap finals."""
-    total = _totalize(d)
-    finals = frozenset(range(total.n_states)) - total.finals
-    return Dfa(total.alphabet, total.n_states, total.initial, finals, total.transitions)
+    n, table = d.n_states, d.table
+    if -1 in table:
+        table = _fill_missing(table, n)
+        table.extend([n] * len(d.alphabet))
+        n += 1
+    finals = frozenset(range(n)) - d.finals
+    return Dfa.from_table(d.alphabet, n, d.initial, finals, table)
 
 
 def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
@@ -443,7 +549,7 @@ def minimize(d: Dfa) -> Dfa:
     """
     sigma = list(d.alphabet)
     k = len(sigma)
-    table = d._delta_array()
+    table = d.table
 
     # Reachable restriction.
     mark = bytearray(d.n_states)
@@ -637,6 +743,9 @@ def shortest_divergence(a: Nfa, b: Nfa,
     _require_same_alphabet(a, b)
     da = a if isinstance(a, Dfa) else determinize(a, max_states=max_states)
     db = b if isinstance(b, Dfa) else determinize(b, max_states=max_states)
+    names = a.alphabet.names
+    k = len(names)
+    ta, tb = da.table, db.table
     dead = (-1, -1)
     start = (da.initial, db.initial)
     seen = {start}
@@ -649,14 +758,14 @@ def shortest_divergence(a: Nfa, b: Nfa,
         in_b = q >= 0 and q in db.finals
         if in_a != in_b:
             return word
-        for s in a.alphabet:
-            p2 = da.delta.get((p, s), -1) if p >= 0 else -1
-            q2 = db.delta.get((q, s), -1) if q >= 0 else -1
+        for c in range(k):
+            p2 = ta[p * k + c] if p >= 0 else -1
+            q2 = tb[q * k + c] if q >= 0 else -1
             key = (p2, q2)
             if key == dead or key in seen:
                 continue
             seen.add(key)
-            queue.append((key, word + (s,)))
+            queue.append((key, word + (names[c],)))
         i += 1
     return None
 

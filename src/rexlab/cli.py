@@ -77,7 +77,8 @@ def _get_alphabet(args) -> Alphabet:
 def _read_text(spec: Optional[str]) -> str:
     if spec is None or spec == "-":
         return sys.stdin.read()
-    return open(spec, encoding="utf-8").read()
+    with open(spec, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _read_regex(args, alphabet: Alphabet) -> Regex:
@@ -387,7 +388,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyboardInterrupt:
         sys.stderr.write("rexlab: interrupted\n")
         return BUDGET_ERROR
-    except RexlabError as exc:
+    except (RexlabError, ValueError) as exc:
         sys.stderr.write(f"rexlab: error: {exc}\n")
         return USAGE_ERROR
     except OSError as exc:

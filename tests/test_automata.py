@@ -8,6 +8,7 @@ from rexlab.automata import (
     AlphabetMismatchError,
     Dfa,
     Nfa,
+    TransitionTable,
     accepts,
     complement_dfa,
     determinize,
@@ -139,6 +140,56 @@ class TestDeterminize:
         assert d.is_deterministic()
         assert d.n_states <= 2 ** nfa.n_states
         assert slice_of(d, 5) == slice_of(nfa, 5)
+
+    def test_non_homogeneous_input(self):
+        # State 1 is entered on both a and b, so the successor ints use one
+        # bit block per symbol instead of the Glushkov masks.
+        nfa = Nfa(AB, 3, 0, frozenset([2]),
+                  frozenset([(0, "a", 1), (0, "b", 1), (1, "a", 1), (1, "b", 2),
+                             (1, "b", 0), (2, "a", 0), (2, "a", 2)]))
+        d = determinize(nfa)
+        # Subsets in BFS order: {0}, {1}, {0,2}, {0,1,2}.
+        assert d.n_states == 4 and d.finals == {2, 3}
+        assert d.transitions == {(0, "a", 1), (0, "b", 1), (1, "a", 1), (1, "b", 2),
+                                 (2, "a", 3), (2, "b", 1), (3, "a", 3), (3, "b", 3)}
+        assert slice_of(d, 6) == slice_of(nfa, 6)
+
+
+class TestTableCore:
+    def test_table_built_equals_triples_built(self):
+        d = determinize(glushkov(parse("ab|a*b*", AB), AB))
+        assert isinstance(d.transitions, TransitionTable) and -1 in d.table
+        triples = frozenset(d.transitions)
+        rebuilt = Dfa(AB, d.n_states, d.initial, d.finals, triples)
+        assert rebuilt == d and d == rebuilt
+        assert hash(rebuilt) == hash(d)
+        assert d.transitions == triples and hash(d.transitions) == hash(triples)
+        assert len(d.transitions) == len(triples)
+        assert rebuilt.table == d.table
+        assert all(t in d.transitions for t in triples)
+        assert (0, "c", 1) not in d.transitions
+        assert (d.n_states, "a", 0) not in d.transitions
+
+    def test_complement_shares_total_table(self):
+        d = determinize(glushkov(parse("(a|b)*abb", AB), AB))
+        assert -1 not in d.table
+        c = complement_dfa(d)
+        assert c.n_states == d.n_states and c.table == d.table
+        assert c.finals == frozenset(range(d.n_states)) - d.finals
+
+    @pytest.mark.parametrize("table, alphabet", [
+        ([0, 1, 1], AB),       # 3 slots for 2 states x 2 symbols
+        ([0, 1, 1, 2], AB),    # target 2 >= n_states
+        ([0, 1, 1, -2], AB),   # target below -1
+        ([0, 1, 1, 1], A),     # table over another alphabet
+    ])
+    def test_bad_table_rejected(self, table, alphabet):
+        with pytest.raises(ValueError):
+            Dfa(AB, 2, 0, frozenset([1]), TransitionTable(alphabet, table))
+
+    def test_duplicate_triple_edge_rejected(self):
+        with pytest.raises(ValueError, match="multiple transitions"):
+            Dfa(AB, 2, 0, frozenset(), frozenset([(0, "a", 0), (0, "a", 1)]))
 
 
 class TestComplement:

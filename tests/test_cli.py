@@ -180,6 +180,23 @@ class TestBenchAndBudget:
         assert log["found"] is False and log["examined"] > 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--accepts", "zz", "{k2}"),
+    ("size", "--alphabet", "a b", "a"),
+    ("witness", "--family", "k-dfa", "--n", "1"),
+    ("bench", "--family", "k-dfa", "--pipeline", "complement-naive", "--n-range", "x"),
+])
+def test_library_value_error_is_usage_error(capsys, tmp_path, argv):
+    # Exit 1 means a negative verification, so a bad argument that the
+    # library rejects with ValueError must exit 2 with a one-line message.
+    _, aut, _ = run_cli(capsys, "witness", "--family", "k-dfa", "--n", "2")
+    k2 = tmp_path / "k2.aut"
+    k2.write_text(aut)
+    code, out, err = run_cli(capsys, *(a.format(k2=k2) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("rexlab: error: ") and err.count("\n") == 1
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("parse", "--alphabet", "abc", "(a|b)*a|bc"),
