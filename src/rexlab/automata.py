@@ -21,8 +21,8 @@ symbol ``c``'s successor set is that union masked by the states entered on
 Conversions here: Glushkov position automaton, compilation of extended
 regexes (intersection via products, negation via determinise-and-complement),
 subset construction, DFA complement, product, Hopcroft minimisation with a
-canonical serialisation, language equivalence, and state elimination back to
-a plain regex.
+canonical serialisation, Hopcroft–Karp language equivalence, and state
+elimination back to a plain regex.
 """
 
 from __future__ import annotations
@@ -488,13 +488,23 @@ def _fill_missing(table: array, target: int) -> array:
         return out
 
 
-def complement_dfa(d: Dfa) -> Dfa:
-    """Accept exactly the words the input rejects: totalise, then swap finals."""
+def _totalized(d: Dfa) -> tuple[array, int]:
+    """``d``'s table and state count with every -1 slot sent to a sink.
+
+    The sink is state ``d.n_states``: non-final, looping to itself, and
+    added only when the table has a missing edge (a total table is shared).
+    """
     n, table = d.n_states, d.table
     if -1 in table:
         table = _fill_missing(table, n)
         table.extend([n] * len(d.alphabet))
         n += 1
+    return table, n
+
+
+def complement_dfa(d: Dfa) -> Dfa:
+    """Accept exactly the words the input rejects: totalise, then swap finals."""
+    table, n = _totalized(d)
     finals = frozenset(range(n)) - d.finals
     return Dfa.from_table(d.alphabet, n, d.initial, finals, table)
 
@@ -728,44 +738,101 @@ def parse_automaton(text: str) -> Nfa:
     return nfa
 
 
-def equivalent(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> bool:
-    """Language equality via identical canonical minimised serialisations."""
+def _total_pair(a: Nfa, b: Nfa, max_states: int
+                ) -> list[tuple[array, int, frozenset[int], int]]:
+    """Both inputs as total DFA tables, each as ``(table, initial, finals, sink)``.
+
+    NFA inputs are determinised under ``max_states``; a -1 slot steps to the
+    side's sink, state ``n_states``, which is non-final and loops to itself.
+    """
     _require_same_alphabet(a, b)
-    da = a if isinstance(a, Dfa) else determinize(a, max_states=max_states)
-    db = b if isinstance(b, Dfa) else determinize(b, max_states=max_states)
-    return serialize(minimize(da)) == serialize(minimize(db))
+    sides = []
+    for x in (a, b):
+        d = x if isinstance(x, Dfa) else determinize(x, max_states=max_states)
+        sides.append((_totalized(d)[0], d.initial, d.finals, d.n_states))
+    return sides
+
+
+def equivalent(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> bool:
+    """Language equality by the Hopcroft–Karp union-find pair walk (1971).
+
+    NFA inputs are determinised first.  The states of both DFAs live in one
+    disjoint index space: the smaller DFA's states, its sink, the other DFA's
+    states, its sink.  A -1 slot of ``Dfa.table`` steps to its side's sink,
+    which is non-final and loops to itself.  Starting from the merged initial
+    states, each popped pair merges the classes of its successors on every
+    symbol; the languages differ exactly when two states of different
+    finality would be merged.  No minimisation is needed.
+    """
+    # Class roots come from the smaller DFA, so a state of the larger one
+    # joins its class in a step or two.
+    sides = sorted(_total_pair(a, b, max_states), key=lambda side: side[3])
+    (ta, ia, fa, sa), (tb, ib, fb, sb) = sides
+    if (ia in fa) != (ib in fb):
+        return False
+    k = len(a.alphabet)
+    off = sa + 1
+    parent = array("i", range(off + sb + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    parent[ib + off] = ia
+    stack = [(ia, ib)]
+    while stack:
+        budget.checkpoint()
+        p, q = stack.pop()
+        rp, rq = p * k, q * k
+        for c in range(k):
+            p2, q2 = ta[rp + c], tb[rq + c]
+            x, y = find(p2), find(q2 + off)
+            if x == y:
+                continue
+            if (p2 in fa) != (q2 in fb):
+                return False
+            parent[y] = x
+            stack.append((p2, q2))
+    return True
 
 
 def shortest_divergence(a: Nfa, b: Nfa,
                         max_states: int = budget.DEFAULT_MAX_STATES
                         ) -> Optional[tuple[str, ...]]:
-    """Length-lex least word accepted by exactly one automaton, if any."""
-    _require_same_alphabet(a, b)
-    da = a if isinstance(a, Dfa) else determinize(a, max_states=max_states)
-    db = b if isinstance(b, Dfa) else determinize(b, max_states=max_states)
+    """Length-lex least word accepted by exactly one automaton, if any.
+
+    Breadth-first over pairs of states with symbols in alphabet order; each
+    entry keeps its parent's index and its symbol, and the word is rebuilt
+    only for the first pair whose finality differs.
+    """
+    (ta, ia, fa, _), (tb, ib, fb, sb) = _total_pair(a, b, max_states)
     names = a.alphabet.names
     k = len(names)
-    ta, tb = da.table, db.table
-    dead = (-1, -1)
-    start = (da.initial, db.initial)
+    width = sb + 1
+    start = ia * width + ib
     seen = {start}
-    queue: list[tuple[tuple[int, int], tuple[str, ...]]] = [(start, ())]
+    queue = [start]
+    back = [-1]
+    via = [-1]
     i = 0
     while i < len(queue):
         budget.checkpoint()
-        (p, q), word = queue[i]
-        in_a = p >= 0 and p in da.finals
-        in_b = q >= 0 and q in db.finals
-        if in_a != in_b:
-            return word
+        p, q = divmod(queue[i], width)
+        if (p in fa) != (q in fb):
+            word = []
+            while i:
+                word.append(names[via[i]])
+                i = back[i]
+            return tuple(reversed(word))
+        rp, rq = p * k, q * k
         for c in range(k):
-            p2 = ta[p * k + c] if p >= 0 else -1
-            q2 = tb[q * k + c] if q >= 0 else -1
-            key = (p2, q2)
-            if key == dead or key in seen:
-                continue
-            seen.add(key)
-            queue.append((key, word + (names[c],)))
+            key = ta[rp + c] * width + tb[rq + c]
+            if key not in seen:
+                seen.add(key)
+                queue.append(key)
+                back.append(i)
+                via.append(c)
         i += 1
     return None
 

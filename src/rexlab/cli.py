@@ -365,21 +365,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _deadline_ms() -> Optional[float]:
+    """The wall-clock budget from ``REXLAB_BUDGET_MS``, if it is set."""
+    text = os.environ.get("REXLAB_BUDGET_MS")
+    if not text:
+        return None
+    try:
+        value = float(text)
+        if value >= 0:  # also rejects NaN, which would never expire
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"REXLAB_BUDGET_MS must be a non-negative number of "
+                     f"milliseconds, not {text!r}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    deadline_env = os.environ.get("REXLAB_BUDGET_MS")
-    deadline = float(deadline_env) if deadline_env else None
-    token = budget.CancelToken(deadline_ms=deadline)
-
     previous = None
     try:
-        previous = signal.signal(signal.SIGINT, lambda *_: token.cancel())
-    except ValueError:
-        pass  # not in the main thread; cooperative deadline still applies
-
-    try:
+        token = budget.CancelToken(deadline_ms=_deadline_ms())
+        try:
+            previous = signal.signal(signal.SIGINT, lambda *_: token.cancel())
+        except ValueError:
+            pass  # not in the main thread; cooperative deadline still applies
         with budget.active(token):
             return args.fn(args)
     except budget.BudgetExceededError as exc:

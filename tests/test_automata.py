@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rexlab.automata import (
@@ -22,7 +22,8 @@ from rexlab.automata import (
     serialize,
     shortest_divergence,
 )
-from rexlab.budget import BudgetExceededError
+from rexlab import budget
+from rexlab.budget import BudgetExceededError, CancelToken
 from rexlab.rex import (
     EMPTY,
     EPSILON,
@@ -39,7 +40,7 @@ from rexlab.rex import (
 from rexlab.witnesses import k_dfa, z_dfa
 
 from conftest import regexes
-from corpus import random_dfa, random_nfa
+from corpus import random_dfa, random_nfa, random_plain_regex
 from oracles import nfa_slice as slice_of
 from oracles import regex_slice, words_upto
 
@@ -329,6 +330,73 @@ class TestEquivalent:
         b = glushkov(parse("a|ab", AB), AB)
         assert shortest_divergence(a, a) is None
         assert shortest_divergence(a, b) == ("a", "b")
+
+    def test_partial_against_totalised(self):
+        partial = Dfa(AB, 2, 0, frozenset([1]), frozenset([(0, "a", 1)]))
+        total = Dfa(AB, 3, 0, frozenset([1]), frozenset(
+            [(0, "a", 1), (0, "b", 2), (1, "a", 2), (1, "b", 2), (2, "a", 2), (2, "b", 2)]))
+        assert equivalent(partial, total) and equivalent(total, partial)
+
+    def test_empty_against_dead_states(self):
+        empty = Dfa(AB, 1, 0, frozenset(), frozenset())
+        # State 2 is final but unreachable; 0 and 1 never reach a final state.
+        dead = Dfa(AB, 3, 0, frozenset([2]), frozenset(
+            [(0, "a", 1), (1, "a", 1), (1, "b", 0), (2, "a", 2)]))
+        assert equivalent(empty, dead) and equivalent(dead, empty)
+
+    def test_difference_past_a_missing_edge(self):
+        a_star = Dfa(A, 1, 0, frozenset([0]), frozenset([(0, "a", 0)]))
+        # Accepts up to two a's; "aaa" leaves the table at state 2.
+        short = Dfa(A, 3, 0, frozenset([0, 1, 2]), frozenset([(0, "a", 1), (1, "a", 2)]))
+        assert not equivalent(a_star, short) and not equivalent(short, a_star)
+        assert shortest_divergence(a_star, short) == ("a", "a", "a")
+
+    def test_alphabet_mismatch(self):
+        with pytest.raises(AlphabetMismatchError):
+            equivalent(glushkov(parse("a", A), A), glushkov(parse("a", AB), AB))
+
+    def test_cancelled_walk(self):
+        d = k_dfa(2)
+        token = CancelToken()
+        token.cancel()
+        with budget.active(token):
+            with pytest.raises(BudgetExceededError):
+                equivalent(d, d)
+
+    def test_nfa_input_budget(self):
+        nfa = glushkov(parse("(a|b)*a(a|b)(a|b)", AB), AB)
+        n = determinize(nfa).n_states
+        assert equivalent(nfa, nfa, max_states=n)
+        with pytest.raises(BudgetExceededError):
+            equivalent(nfa, nfa, max_states=n - 1)
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 10_000), st.sampled_from(["independent", "complement", "minimal"]))
+    @example(seed=12, kind="complement")  # a partial 5-state DFA against 6 states
+    def test_matches_minimised_comparison(self, seed, kind):
+        rng = random.Random(seed)
+        sigma = rng.choice([A, AB])
+
+        def side():
+            roll = rng.random()
+            if roll < 0.4:
+                return random_dfa(rng, sigma, rng.randint(1, 5))  # usually partial
+            if roll < 0.7:
+                return complement_dfa(random_dfa(rng, sigma, rng.randint(1, 4)))
+            return glushkov(random_plain_regex(rng, sigma.names, rng.randint(1, 8)), sigma)
+
+        a = side()
+        if kind == "independent":
+            b = side()
+        else:
+            d = determinize(a)
+            # Same language, usually another state count: complementing a
+            # partial DFA twice adds a sink, minimising drops states.
+            b = complement_dfa(complement_dfa(d)) if kind == "complement" else minimize(d)
+        want = (serialize(minimize(determinize(a)))
+                == serialize(minimize(determinize(b))))
+        assert equivalent(a, b) == want == equivalent(b, a)
+        assert (shortest_divergence(a, b) is None) == want
 
 
 class TestEliminateStates:

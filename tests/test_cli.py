@@ -197,6 +197,16 @@ def test_library_value_error_is_usage_error(capsys, tmp_path, argv):
     assert err.startswith("rexlab: error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "nan"])
+def test_bad_budget_env_is_usage_error(capsys, monkeypatch, value):
+    # The variable is read after argument parsing; a value that is not a
+    # non-negative number must not escape as a traceback with exit 1.
+    monkeypatch.setenv("REXLAB_BUDGET_MS", value)
+    code, out, err = run_cli(capsys, "size", "--alphabet", "a", "a")
+    assert code == 2 and out == ""
+    assert err.startswith("rexlab: error: REXLAB_BUDGET_MS") and err.count("\n") == 1
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("parse", "--alphabet", "abc", "(a|b)*a|bc"),
