@@ -18,6 +18,18 @@ on one symbol only), so a state's successor int holds all its targets and
 symbol ``c``'s successor set is that union masked by the states entered on
 ``c``.  Other inputs pack symbol ``c``'s targets at bit offset ``c * n``.
 
+The Glushkov construction makes one iterative post-order walk over the
+unmarked tree (``rex._position_masks``).  It numbers the symbol leaves 1..n
+as it meets them, keeps each node's first and last sets as int bitmasks, and
+ORs follow contributions into one int row per position: a ``Concat`` adds
+its right child's first set to the rows of its left child's last positions,
+a ``Star`` or ``Plus`` adds its own first set to the rows of its last
+positions, and a ``Concat`` denoting the empty language clears the rows of
+its positions.  No node copies a follow set.  The rows are read once: while
+no two targets of a row share a symbol they are written straight into
+``Dfa.table``, otherwise they become the triples of an ``Nfa``.  The product
+of two DFAs likewise walks both tables and writes its own.
+
 Conversions here: Glushkov position automaton, compilation of extended
 regexes (intersection via products, negation via determinise-and-complement),
 subset construction, DFA complement, product, Hopcroft minimisation with a
@@ -42,6 +54,7 @@ from .rex import (
     Empty,
     Epsilon,
     Intersect,
+    MarkedSymbol,
     Negate,
     Plus,
     Regex,
@@ -49,9 +62,9 @@ from .rex import (
     Star,
     Sym,
     Union,
-    glushkov_sets,
+    _position_masks,
+    iter_bits,
     iter_postorder,
-    mark,
     sconcat,
     sstar,
     sunion,
@@ -97,10 +110,11 @@ class Nfa:
 
     def __post_init__(self):
         self._check_states()
+        n, index = self.n_states, self.alphabet.index
         for p, a, q in self.transitions:
-            if not (0 <= p < self.n_states and 0 <= q < self.n_states):
+            if not (0 <= p < n and 0 <= q < n):
                 raise ValueError(f"transition endpoint out of range: {(p, a, q)}")
-            if a not in self.alphabet:
+            if a not in index:
                 raise ValueError(f"transition symbol {a!r} not in alphabet")
 
     def _check_states(self):
@@ -243,10 +257,10 @@ def _require_same_alphabet(a: Nfa, b: Nfa):
             f"alphabets differ: {list(a.alphabet)} vs {list(b.alphabet)}")
 
 
-def _derived_alphabet(r: Regex, alphabet: Optional[Alphabet]) -> Alphabet:
+def _derived_alphabet(symbols: Iterable[str], alphabet: Optional[Alphabet]) -> Alphabet:
     if alphabet is not None:
         return alphabet
-    names = sorted(set(symbols_of(r)))
+    names = sorted(set(symbols))
     if not names:
         raise ValueError("cannot derive an alphabet from a symbol-free expression; "
                          "pass one explicitly")
@@ -263,23 +277,36 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
     States are the occurrence subscripts, the initial state is 0; the result
     therefore has exactly (number of occurrences) + 1 states.
     """
-    marked = mark(r)  # rejects extended operators
-    sets = glushkov_sets(marked)
-    sigma = _derived_alphabet(r, alphabet)
-    for name in symbols_of(r):
-        if name not in sigma:
+    # Row p of ``rows`` holds the targets of state p: first for 0, follow[p] else.
+    syms, nullable, first, last, rows = _position_masks(r)  # rejects extended operators
+    if any(isinstance(s, MarkedSymbol) for s in syms):
+        raise ValueError("expression is already marked")
+    sigma = _derived_alphabet(syms, alphabet)
+    index = sigma.index
+    codes = [-1]  # codes[q]: alphabet index of the symbol that enters state q
+    for name in syms:
+        c = index.get(name)
+        if c is None:
             raise ValueError(f"symbol {name!r} not in the declared alphabet")
-    transitions = set()
-    for x in sets.first:
-        transitions.add((0, x.base, x.occurrence))
-    for x, y in sets.follow:
-        transitions.add((x.occurrence, y.base, y.occurrence))
-    finals = {x.occurrence for x in sets.last}
-    if sets.nullable:
-        finals.add(0)
-    n = len(marked.positions) + 1
-    nfa = Nfa(sigma, n, 0, frozenset(finals), frozenset(transitions))
-    return Dfa(sigma, n, 0, nfa.finals, nfa.transitions) if nfa.is_deterministic() else nfa
+        codes.append(c)
+    rows[0] = first
+    finals = frozenset(iter_bits((last | 1) if nullable else last))  # bit 0: state 0
+    n = len(rows)
+    k = len(sigma)
+    table = array("i", [-1]) * (n * k)
+    for p, row in enumerate(rows):
+        base = p * k
+        for q in iter_bits(row):
+            slot = base + codes[q]
+            if table[slot] >= 0:
+                # Two targets of one state share a symbol: an NFA.
+                names = sigma.names
+                transitions = frozenset((src, names[codes[dst]], dst)
+                                        for src, targets in enumerate(rows)
+                                        for dst in iter_bits(targets))
+                return Nfa(sigma, n, 0, finals, transitions)
+            table[slot] = q
+    return Dfa.from_table(sigma, n, 0, finals, table)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +385,7 @@ def extended_to_nfa(r: Regex, alphabet: Optional[Alphabet] = None,
     if alphabet is None:
         if any(isinstance(n, Negate) for n in iter_postorder(r)):
             raise ValueError("negation needs an explicit alphabet")
-        alphabet = _derived_alphabet(r, None)
+        alphabet = _derived_alphabet(symbols_of(r), None)
     sigma = alphabet
 
     values: list[Nfa] = []
@@ -510,8 +537,15 @@ def complement_dfa(d: Dfa) -> Dfa:
 
 
 def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
-    """Reachable pairwise product; accepts the intersection of the languages."""
+    """Reachable pairwise product; accepts the intersection of the languages.
+
+    Pairs are numbered in BFS discovery order with symbols scanned in
+    alphabet order.  Two DFAs are walked through their tables, and the pair
+    ``(p, q)`` is coded as ``p * b.n_states + q``.
+    """
     _require_same_alphabet(a, b)
+    if isinstance(a, Dfa) and isinstance(b, Dfa):
+        return _dfa_product(a, b, max_states)
     ids: dict[tuple[int, int], int] = {(a.initial, b.initial): 0}
     order = [(a.initial, b.initial)]
     transitions = set()
@@ -541,6 +575,41 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
     deterministic = a.is_deterministic() and b.is_deterministic()
     cls = Dfa if deterministic else Nfa
     return cls(a.alphabet, len(ids), 0, finals, frozenset(transitions))
+
+
+def _dfa_product(a: Dfa, b: Dfa, max_states: int) -> Dfa:
+    k = len(a.alphabet)
+    ta, tb, width = a.table, b.table, b.n_states
+    start = a.initial * width + b.initial
+    ids = {start: 0}
+    order = [start]
+    table = array("i")
+    emit = table.append
+    i = 0
+    while i < len(order):
+        budget.checkpoint()
+        p, q = divmod(order[i], width)
+        rp, rq = p * k, q * k
+        for c in range(k):
+            p2, q2 = ta[rp + c], tb[rq + c]
+            if p2 < 0 or q2 < 0:
+                emit(-1)
+                continue
+            key = p2 * width + q2
+            dst = ids.get(key)
+            if dst is None:
+                if len(ids) >= max_states:
+                    raise budget.BudgetExceededError(f"product exceeds {max_states} states")
+                dst = len(ids)
+                ids[key] = dst
+                order.append(key)
+            emit(dst)
+        i += 1
+    del ids
+    fa, fb = a.finals, b.finals
+    finals = frozenset(i for i, key in enumerate(order)
+                       if key // width in fa and key % width in fb)
+    return Dfa.from_table(a.alphabet, len(order), 0, finals, table)
 
 
 # ---------------------------------------------------------------------------

@@ -527,7 +527,12 @@ class _Parser:
 
 def parse(text: str, alphabet: Alphabet) -> Regex:
     """Parse regex text over the given alphabet; inverse of :func:`format_regex`."""
-    return _Parser(text, alphabet).parse()
+    parser = _Parser(text, alphabet)
+    try:
+        return parser.parse()
+    except RecursionError:
+        # The parser recurses a few frames per nesting level.
+        raise RegexSyntaxError("nesting too deep", parser.i) from None
 
 
 # Precedence levels used by the printer; higher binds tighter.
@@ -673,7 +678,115 @@ class PositionSets:
     follow: frozenset[tuple[MarkedSymbol, MarkedSymbol]]
 
 
-_EMPTY_FS: frozenset = frozenset()
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a non-negative int, lowest first."""
+    if not mask:
+        return
+    # Shifting the lowest bit to 0 first keeps the loop on a small int when
+    # the bits lie close together, as the position sets of one subtree do.
+    base = (mask & -mask).bit_length() - 1
+    mask >>= base
+    while mask:
+        low = mask & -mask
+        yield base + low.bit_length() - 1
+        mask ^= low
+
+
+def _add_follow(follow: list[int], sources: int, targets: int):
+    """OR ``targets`` into the follow row of every position in ``sources``."""
+    if targets:
+        for x in iter_bits(sources):
+            follow[x] |= targets
+
+
+def _position_masks(root: Regex) -> tuple[list, bool, int, int, list[int]]:
+    """Glushkov position data of a plain regex by one iterative post-order walk.
+
+    Symbol leaves are numbered 1..n left to right, the order :func:`mark`
+    uses.  Returns ``(syms, nullable, first, last, follow)``: ``syms[i - 1]``
+    is the symbol of position ``i`` as written in the tree (marked or not),
+    ``first`` and ``last`` are int bitmasks over bits 1..n, and ``follow[x]``
+    is the bitmask of the positions that may follow position ``x``
+    (``follow[0]`` is 0).  A subexpression denoting the empty language
+    contributes nothing, so the data describe the language exactly.
+    """
+    syms: list = []
+    follow = [0]
+    # One entry per finished node: (nullable, first, last), or, for a node
+    # denoting the empty language, the range of its positions.  Such a node
+    # holds no follow bits in its rows; an empty Concat clears the rows of
+    # its non-empty child to keep that so.
+    values: list = []
+    stack: list[tuple[Regex, int]] = [(root, -1)]
+    while stack:
+        node, start = stack.pop()
+        if start < 0:
+            if isinstance(node, Sym):
+                syms.append(node.sym)
+                follow.append(0)
+                bit = 1 << len(syms)
+                values.append((False, bit, bit))
+            elif isinstance(node, Epsilon):
+                values.append((True, 0, 0))
+            elif isinstance(node, Empty):
+                values.append(range(len(syms) + 1, len(syms) + 1))
+            elif isinstance(node, (Concat, Union)):
+                stack.append((node, len(syms)))
+                stack.append((node.right, -1))
+                stack.append((node.left, -1))
+            elif isinstance(node, (Star, Plus)):
+                stack.append((node, len(syms)))
+                stack.append((node.inner, -1))
+            elif isinstance(node, (Intersect, Negate)):
+                raise ExtendedOperatorError(
+                    "position sets are defined for plain regexes only")
+            else:
+                raise TypeError(f"unknown node {node!r}")
+            continue
+        if isinstance(node, Concat):
+            right = values.pop()
+            left = values[-1]
+            if isinstance(left, range) or isinstance(right, range):
+                # Only a child that is not empty itself has rows to clear.
+                if not isinstance(left, range):
+                    live = range(start + 1, right.start)
+                elif not isinstance(right, range):
+                    live = range(left.stop, len(syms) + 1)
+                else:
+                    live = range(0)
+                for x in live:
+                    follow[x] = 0
+                values[-1] = range(start + 1, len(syms) + 1)
+                continue
+            n1, f1, l1 = left
+            n2, f2, l2 = right
+            _add_follow(follow, l1, f2)
+            values[-1] = (n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2)
+        elif isinstance(node, Union):
+            right = values.pop()
+            left = values[-1]
+            if isinstance(right, range):
+                if isinstance(left, range):
+                    values[-1] = range(start + 1, len(syms) + 1)
+            elif isinstance(left, range):
+                values[-1] = right
+            else:
+                values[-1] = (left[0] or right[0], left[1] | right[1], left[2] | right[2])
+        else:  # Star or Plus
+            inner = values[-1]
+            if isinstance(inner, range):
+                # r* with empty body denotes {eps}; r+ the empty language.
+                if isinstance(node, Star):
+                    values[-1] = (True, 0, 0)
+                continue
+            n1, f1, l1 = inner
+            _add_follow(follow, l1, f1)
+            if isinstance(node, Star) and not n1:
+                values[-1] = (True, f1, l1)
+    value = values[0]
+    if isinstance(value, range):
+        return syms, False, 0, 0, follow
+    return (syms, *value, follow)
 
 
 def glushkov_sets(m: MarkedRegex) -> PositionSets:
@@ -682,43 +795,10 @@ def glushkov_sets(m: MarkedRegex) -> PositionSets:
     One-or-more repetition contributes like ``rr*``: same sets, nullability
     inherited from the body.
     """
-    # Tuple layout: (is_empty_language, nullable, first, last, follow)
-    def leaf(node: Regex):
-        if isinstance(node, Empty):
-            return (True, False, _EMPTY_FS, _EMPTY_FS, _EMPTY_FS)
-        if isinstance(node, Epsilon):
-            return (False, True, _EMPTY_FS, _EMPTY_FS, _EMPTY_FS)
-        s = node.sym  # type: ignore[union-attr]
-        fs = frozenset([s])
-        return (False, False, fs, fs, _EMPTY_FS)
-
-    def combine(node: Regex, kids: list):
-        if isinstance(node, Concat):
-            (e1, n1, f1, l1, w1), (e2, n2, f2, l2, w2) = kids
-            if e1 or e2:
-                return (True, False, _EMPTY_FS, _EMPTY_FS, _EMPTY_FS)
-            first = f1 | f2 if n1 else f1
-            last = l1 | l2 if n2 else l2
-            follow = w1 | w2 | frozenset((x, y) for x in l1 for y in f2)
-            return (False, n1 and n2, first, last, follow)
-        if isinstance(node, Union):
-            (e1, n1, f1, l1, w1), (e2, n2, f2, l2, w2) = kids
-            if e1:
-                return kids[1]
-            if e2:
-                return kids[0]
-            return (False, n1 or n2, f1 | f2, l1 | l2, w1 | w2)
-        if isinstance(node, (Star, Plus)):
-            (e1, n1, f1, l1, w1) = kids[0]
-            if e1:
-                # r* with empty body denotes {eps}; r+ the empty language.
-                if isinstance(node, Star):
-                    return (False, True, _EMPTY_FS, _EMPTY_FS, _EMPTY_FS)
-                return (True, False, _EMPTY_FS, _EMPTY_FS, _EMPTY_FS)
-            nullable = True if isinstance(node, Star) else n1
-            follow = w1 | frozenset((x, y) for x in l1 for y in f1)
-            return (False, nullable, f1, l1, follow)
-        raise ExtendedOperatorError("position sets are defined for plain regexes only")
-
-    _, nullable, first, last, follow = _fold(m.root, leaf, combine)
-    return PositionSets(nullable, first, last, follow)
+    syms, nullable, first, last, follow = _position_masks(m.root)
+    return PositionSets(
+        nullable,
+        frozenset(syms[x - 1] for x in iter_bits(first)),
+        frozenset(syms[x - 1] for x in iter_bits(last)),
+        frozenset((syms[x - 1], syms[y - 1])
+                  for x in range(1, len(follow)) for y in iter_bits(follow[x])))

@@ -11,10 +11,13 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Optional
 
+from rexlab.automata import Dfa, Nfa
 from rexlab.rex import (
+    Alphabet,
     Concat,
     Empty,
     Epsilon,
+    ExtendedOperatorError,
     Intersect,
     Negate,
     Plus,
@@ -22,6 +25,8 @@ from rexlab.rex import (
     Star,
     Sym,
     Union,
+    mark,
+    symbols_of,
 )
 from rexlab.witnesses import PathWord, enc_width
 
@@ -120,6 +125,80 @@ def unambiguity_violation(marked_words: frozenset[Word]) -> Optional[tuple]:
                 return (u, by_base[m.base], m)
             by_base[m.base] = m
     return None
+
+
+# ---------------------------------------------------------------------------
+# Glushkov automaton by marking and frozen position sets
+# ---------------------------------------------------------------------------
+
+def marked_position_sets(root: Regex) -> tuple[bool, frozenset, frozenset, frozenset]:
+    """(nullable, first, last, follow) of a marked tree, as frozensets.
+
+    Each node's sets are built from its children's by the textbook rules; a
+    subexpression denoting the empty language contributes nothing.
+    """
+    nothing: frozenset = frozenset()
+    dead = (True, False, nothing, nothing, nothing)
+
+    # Tuple layout: (is_empty_language, nullable, first, last, follow)
+    def go(node: Regex):
+        if isinstance(node, Empty):
+            return dead
+        if isinstance(node, Epsilon):
+            return (False, True, nothing, nothing, nothing)
+        if isinstance(node, Sym):
+            one = frozenset([node.sym])
+            return (False, False, one, one, nothing)
+        if isinstance(node, Union):
+            left, right = go(node.left), go(node.right)
+            if left[0]:
+                return right
+            if right[0]:
+                return left
+            return (False,) + tuple(x | y for x, y in zip(left[1:], right[1:]))
+        if isinstance(node, Concat):
+            (e1, n1, f1, l1, w1), (e2, n2, f2, l2, w2) = go(node.left), go(node.right)
+            if e1 or e2:
+                return dead
+            return (False, n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2,
+                    w1 | w2 | frozenset((x, y) for x in l1 for y in f2))
+        if isinstance(node, (Star, Plus)):
+            e1, n1, f1, l1, w1 = go(node.inner)
+            if e1:
+                return (False, True, nothing, nothing, nothing) if isinstance(node, Star) else dead
+            return (False, n1 or isinstance(node, Star), f1, l1,
+                    w1 | frozenset((x, y) for x in l1 for y in f1))
+        raise ExtendedOperatorError("position sets are defined for plain regexes only")
+
+    _, nullable, first, last, follow = go(root)
+    return nullable, first, last, follow
+
+
+def glushkov_by_marking(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
+    """Position automaton from :func:`mark` and frozen position sets.
+
+    A :class:`Dfa` when no state has two successors on one symbol.  Raises
+    what ``glushkov`` raises, in the same order: extended operators, marked
+    input, then a missing alphabet or a symbol outside it.
+    """
+    marked = mark(r)
+    nullable, first, last, follow = marked_position_sets(marked.root)
+    if alphabet is None:
+        names = sorted(set(symbols_of(r)))
+        if not names:
+            raise ValueError("cannot derive an alphabet from a symbol-free expression")
+        alphabet = Alphabet(tuple(names))
+    for name in symbols_of(r):
+        if name not in alphabet:
+            raise ValueError(f"symbol {name!r} not in the declared alphabet")
+    transitions = {(0, y.base, y.occurrence) for y in first}
+    transitions |= {(x.occurrence, y.base, y.occurrence) for x, y in follow}
+    finals = frozenset({x.occurrence for x in last} | ({0} if nullable else set()))
+    n = len(marked.positions) + 1
+    nfa = Nfa(alphabet, n, 0, finals, frozenset(transitions))
+    if nfa.is_deterministic():
+        return Dfa(alphabet, n, 0, finals, nfa.transitions)
+    return nfa
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,16 @@ from rexlab.rex import (
     EMPTY,
     EPSILON,
     Alphabet,
+    Concat,
     ExtendedOperatorError,
+    Intersect,
     Negate,
     Plus,
+    Star,
     Sym,
+    glushkov_sets,
     has_extended,
+    mark,
     occurrence_count,
     parse,
     size,
@@ -41,6 +46,7 @@ from rexlab.witnesses import k_dfa, z_dfa
 
 from conftest import regexes
 from corpus import random_dfa, random_nfa, random_plain_regex
+from oracles import glushkov_by_marking, marked_position_sets
 from oracles import nfa_slice as slice_of
 from oracles import regex_slice, words_upto
 
@@ -74,6 +80,94 @@ class TestGlushkov:
         g = glushkov(r, AB)
         assert g.n_states == occurrence_count(r) + 1
         assert slice_of(g, 5) == regex_slice(r, "ab", 5)
+
+
+class TestGlushkovAgainstMarking:
+    """``glushkov`` against the mark-and-frozenset route of ``oracles``."""
+
+    @staticmethod
+    def check(r, sigma):
+        got, want = glushkov(r, sigma), glushkov_by_marking(r, sigma)
+        assert type(got) is type(want)
+        assert serialize(got) == serialize(want)
+
+    def test_seeded_corpus(self):
+        rng = random.Random(4051)
+        for _ in range(1500):
+            syms = rng.choice(["ab", "abc", "abcd"])
+            r = random_plain_regex(rng, syms, rng.randint(1, 40))
+            self.check(r, Alphabet.from_chars(syms))
+
+    @pytest.mark.parametrize("text", [
+        "a%0", "%0a", "a%0b", "(a%0)b", "a(b%0)", "((ab)%0)*c", "a(%0b)*c",
+        "a|%0", "%0|ab", "(a%0|b)(a|%0)", "(%0|%0)a", "%0*", "%0+", "(%0)*a",
+        "a(b%0)+", "(a%0)+|b", "%e", "a%e", "(%e)*", "%e+", "(a|%e)+b", "a+",
+        "(ab+)+", "(a*b*)+a", "(a%0b|c)*a", "((a%0)*b%0)*c",
+    ])
+    def test_empty_epsilon_and_plus(self, text):
+        self.check(parse(text, ABC), ABC)
+
+    def test_derived_alphabet(self):
+        for text in ["ca*b", "(b|a)+b", "a%0c"]:
+            r = parse(text, ABC)
+            self.check(r, None)
+        with pytest.raises(ValueError):
+            glushkov(parse("%e|%0*", A))
+
+    def test_position_sets(self):
+        rng = random.Random(4052)
+        for _ in range(500):
+            r = random_plain_regex(rng, "abc", rng.randint(1, 30))
+            m = mark(r)
+            sets = glushkov_sets(m)
+            assert (sets.nullable, sets.first, sets.last, sets.follow) == \
+                marked_position_sets(m.root)
+
+    def test_error_order(self):
+        # Extended operators first, even with an unknown symbol in the tree.
+        with pytest.raises(ExtendedOperatorError):
+            glushkov(Intersect(Sym("z"), Sym("a")), A)
+        with pytest.raises(ExtendedOperatorError):
+            glushkov(Concat(mark(parse("ab", AB)).root, Negate(Sym("a"))), AB)
+        # Then marked input, before the alphabet is looked at.
+        for sigma in (AB, A, None):
+            with pytest.raises(ValueError, match="already marked"):
+                glushkov(mark(parse("ab", AB)).root, sigma)
+        with pytest.raises(ValueError, match="not in the declared alphabet"):
+            glushkov(parse("ab", AB), A)
+
+
+class TestDeepInput:
+    DEPTH = 10_000
+
+    def test_left_nested_concat(self):
+        r = Sym("a")
+        for _ in range(self.DEPTH):
+            r = Concat(r, Sym("b"))
+        g = glushkov(r, AB)
+        assert isinstance(g, Dfa) and g.n_states == self.DEPTH + 2
+        assert g.finals == {self.DEPTH + 1} and len(g.transitions) == self.DEPTH + 1
+        sets = glushkov_sets(mark(r))
+        assert len(sets.follow) == self.DEPTH and len(sets.last) == 1
+
+    def test_right_nested_concat(self):
+        r = Sym("a")
+        for _ in range(self.DEPTH):
+            r = Concat(Sym("b"), r)
+        g = glushkov(r, AB)
+        assert isinstance(g, Dfa) and g.n_states == self.DEPTH + 2
+        assert (0, "b", 1) in g.transitions and g.finals == {self.DEPTH + 1}
+        sets = glushkov_sets(mark(r))
+        assert len(sets.follow) == self.DEPTH and len(sets.first) == 1
+
+    def test_star_nest(self):
+        r = Sym("a")
+        for _ in range(self.DEPTH):
+            r = Star(r)
+        g = glushkov(r, A)
+        assert g.transitions == {(0, "a", 1), (1, "a", 1)} and g.finals == {0, 1}
+        sets = glushkov_sets(mark(r))
+        assert sets.nullable and len(sets.follow) == 1
 
 
 class TestExtended:
@@ -238,6 +332,30 @@ class TestProduct:
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
             product(glushkov(parse("a", A)), glushkov(parse("b", Alphabet.of("b"))))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dfa_table_walk_matches_nfa_route(self, seed):
+        # Nfa copies of the same DFAs go through the ``moves`` route; the
+        # numbering, the output and the budget error point must agree.
+        rng = random.Random(seed)
+        for _ in range(150):
+            sigma = rng.choice([AB, ABC])
+            pair = []
+            for _ in range(2):
+                d = random_dfa(rng, sigma, rng.randint(1, 7))
+                pair.append(complement_dfa(d) if rng.random() < 0.3 else d)
+            a, b = pair
+            a_nfa = Nfa(sigma, a.n_states, a.initial, a.finals, frozenset(a.transitions))
+            b_nfa = Nfa(sigma, b.n_states, b.initial, b.finals, frozenset(b.transitions))
+            limit = rng.choice([1, 3, 8, budget.DEFAULT_MAX_STATES])
+            try:
+                want = serialize(product(a_nfa, b_nfa, max_states=limit))
+            except BudgetExceededError:
+                with pytest.raises(BudgetExceededError):
+                    product(a, b, max_states=limit)
+                continue
+            got = product(a, b, max_states=limit)
+            assert isinstance(got, Dfa) and serialize(got) == want
 
     @given(st.integers(0, 10_000))
     def test_and_property(self, seed):

@@ -207,6 +207,15 @@ def test_bad_budget_env_is_usage_error(capsys, monkeypatch, value):
     assert err.startswith("rexlab: error: REXLAB_BUDGET_MS") and err.count("\n") == 1
 
 
+def test_deep_nesting_is_usage_error(capsys):
+    # The parser recurses per nesting level; running out of stack must end
+    # as a syntax error with exit 2, not a RecursionError traceback.
+    text = "(" * 600 + "a" + ")" * 600
+    code, out, err = run_cli(capsys, "size", "--alphabet", "a", text)
+    assert code == 2 and out == ""
+    assert err.startswith("rexlab: error: nesting too deep") and err.count("\n") == 1
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("parse", "--alphabet", "abc", "(a|b)*a|bc"),
