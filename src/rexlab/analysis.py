@@ -11,7 +11,8 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union as TUnion
+from graphlib import CycleError, TopologicalSorter
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union as TUnion
 
 from . import budget
 from .automata import (
@@ -62,6 +63,7 @@ __all__ = [
 ]
 
 Word = tuple[str, ...]
+T = TypeVar("T")
 
 DEFAULT_MAX_LEN = 16
 DEFAULT_MAX_WORDS = 500_000
@@ -198,6 +200,29 @@ def equal_upto(a: TUnion[Regex, Nfa], b: TUnion[Regex, Nfa], max_len: int,
 # Cover and repetition index
 # ---------------------------------------------------------------------------
 
+def _reach(starts: Iterable[T], succ: Callable[[T], Iterable[T]]) -> set[T]:
+    """The nodes reachable from ``starts`` (included) along ``succ``."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for node in succ(stack.pop()):
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return seen
+
+
+def _successors_on(a: Nfa, codes: Iterable[int]) -> Callable[[int], list[int]]:
+    """The successors of a state of ``a`` on the symbols numbered in ``codes``."""
+    return lambda p: [q for c in codes for q in a.successors(p, c)]
+
+
+def _check_word(word: Word, alphabet: Alphabet):
+    for s in word:
+        if s not in alphabet:
+            raise ValueError(f"symbol {s!r} not in alphabet")
+
+
 def _factor_nfa(word: Word, alphabet: Alphabet) -> Nfa:
     """Sigma* word Sigma* as a (k+1)-state NFA."""
     k = len(word)
@@ -223,20 +248,10 @@ def covers(r: Regex, word: Sequence[str], alphabet: Optional[Alphabet] = None) -
             names = ["a"]  # symbol-free expression: emptiness is all that matters
         sigma = Alphabet(tuple(names))
     nfa = extended_to_nfa(r, sigma)
+    _check_word(w, sigma)
     prod = product(nfa, _factor_nfa(w, sigma))
-    # Emptiness: is any accepting state reachable?
-    seen = {prod.initial}
-    stack = [prod.initial]
-    while stack:
-        p = stack.pop()
-        if p in prod.finals:
-            return True
-        for s in sigma:
-            for q in prod.moves.get((p, s), ()):
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-    return False
+    reached = _reach([prod.initial], _successors_on(prod, range(len(sigma))))
+    return not reached.isdisjoint(prod.finals)
 
 
 @dataclass(frozen=True)
@@ -278,83 +293,41 @@ def word_index(r: Regex, word: Sequence[str],
         names = sorted(set(symbols_of(r)) | set(w))
         sigma = Alphabet(tuple(names))
     nfa = extended_to_nfa(r, sigma)
-
-    reach = set()
-    stack = [nfa.initial]
-    reach.add(nfa.initial)
-    while stack:
-        p = stack.pop()
-        for s in sigma:
-            for q in nfa.moves.get((p, s), ()):
-                if q not in reach:
-                    reach.add(q)
-                    stack.append(q)
-    co: set[int] = set(nfa.finals)
-    rev: dict[int, set[int]] = {}
-    for p, s, q in nfa.transitions:
-        rev.setdefault(q, set()).add(p)
-    stack = list(co)
-    while stack:
-        q = stack.pop()
-        for p in rev.get(q, ()):
-            if p not in co:
-                co.add(p)
-                stack.append(p)
+    _check_word(w, sigma)
+    succ = _successors_on(nfa, range(len(sigma)))
+    reach = _reach([nfa.initial], succ)
+    rev: list[list[int]] = [[] for _ in range(nfa.n_states)]
+    for p in range(nfa.n_states):
+        for q in succ(p):
+            rev[q].append(p)
+    co = _reach(nfa.finals, rev.__getitem__)
 
     L = len(w)
+    codes = [sigma.index[s] for s in w]
+
     # Nodes (q, pos); edge (q,pos) -> (q', pos+1 mod L) on symbol w[pos].
     def succs(node: tuple[int, int]) -> Iterator[tuple[tuple[int, int], int]]:
         q, pos = node
-        for q2 in nfa.moves.get((q, w[pos]), ()):
+        for q2 in nfa.successors(q, codes[pos]):
             yield (q2, (pos + 1) % L), 1 if pos + 1 == L else 0
 
     starts = {(q, 0) for q in reach}
-    # Forward set from the starts.
-    desc: set[tuple[int, int]] = set(starts)
-    stack2 = list(starts)
-    while stack2:
-        node = stack2.pop()
-        for nxt, _ in succs(node):
-            if nxt not in desc:
-                desc.add(nxt)
-                stack2.append(nxt)
-    useful = {node for node in desc if node[0] in co}
-    if not useful:
+    desc = _reach(starts, lambda node: [nxt for nxt, _ in succs(node)])
+    # The useful part: nodes whose state still reaches a final state.  A path
+    # from a start to a useful node stays inside it, because those states are
+    # closed under predecessors.
+    nodes = {node for node in desc if node[0] in co}
+    if not nodes:
         return FINITE(0)  # empty language covers nothing; degenerate by convention
-    # Ancestors of useful nodes, within desc.
-    rev2: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for node in desc:
-        for nxt, _ in succs(node):
-            if nxt in desc:
-                rev2.setdefault(nxt, []).append(node)
-    anc: set[tuple[int, int]] = set(useful)
-    stack3 = list(useful)
-    while stack3:
-        node = stack3.pop()
-        for p in rev2.get(node, ()):
-            if p not in anc:
-                anc.add(p)
-                stack3.append(p)
-    nodes = desc & anc
-
-    # Cycle check via Kahn; any cycle inside the useful part pumps.
-    indeg = {node: 0 for node in nodes}
+    preds: dict[tuple[int, int], list[tuple[int, int]]] = {node: [] for node in nodes}
     for node in nodes:
         for nxt, _ in succs(node):
             if nxt in nodes:
-                indeg[nxt] += 1
-    queue = [node for node, d in indeg.items() if d == 0]
-    topo = []
-    while queue:
-        node = queue.pop()
-        topo.append(node)
-        for nxt, _ in succs(node):
-            if nxt in nodes:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    queue.append(nxt)
-    if len(topo) < len(nodes):
-        return INFINITE
+                preds[nxt].append(node)
+    try:
+        topo = list(TopologicalSorter(preds).static_order())
+    except CycleError:
+        return INFINITE  # any cycle inside the useful part pumps
 
     best = {node: (0 if node in starts and node[0] in reach else None)
             for node in nodes}
@@ -400,31 +373,15 @@ def sidekicks(r: Regex, alphabet: Optional[Alphabet] = None) -> frozenset[int]:
         if not names:
             return frozenset()
         sigma = Alphabet(tuple(names))
-    indices: set[int] = set()
-    edges = {}
-    for name in sigma:
-        i, j = _edge_indices(name)
-        indices.update((i, j))
-        edges[name] = (i, j)
+    edges = [_edge_indices(name) for name in sigma]
+    indices = {i for edge in edges for i in edge}
     nfa = extended_to_nfa(r, sigma)
 
     out = set()
     for v in sorted(indices):
-        allowed = {name for name, (i, j) in edges.items() if v not in (i, j)}
+        succ = _successors_on(nfa, [c for c, edge in enumerate(edges) if v not in edge])
         # States reachable through at least one allowed edge.
-        first = set()
-        for s in allowed:
-            first |= nfa.moves.get((nfa.initial, s), frozenset())
-        seen = set(first)
-        stack = list(first)
-        while stack:
-            p = stack.pop()
-            for s in allowed:
-                for q in nfa.moves.get((p, s), ()):
-                    if q not in seen:
-                        seen.add(q)
-                        stack.append(q)
-        if not (seen & nfa.finals):
+        if _reach(succ(nfa.initial), succ).isdisjoint(nfa.finals):
             out.add(v)
     return frozenset(out)
 

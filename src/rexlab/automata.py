@@ -5,16 +5,20 @@ transition triples).  DFAs are NFAs whose transition relation is a partial
 function; a missing transition rejects.  The reported size of an automaton is
 the number of states plus the number of transitions.
 
-A DFA keeps one transition representation, ``Dfa.table``: a row-major
-``array('i')`` of ``n_states * len(alphabet)`` slots, where slot ``p * k + c``
-holds the target of state ``p`` on the ``c``-th symbol and -1 marks a missing
-edge.  A DFA built from triples fills the table while checking determinism;
-``determinize`` and ``complement_dfa`` write the table directly, and their
-``transitions`` is a read-only set view (:class:`TransitionTable`) over it.
+Every automaton indexes its successors by slot ``p * k + c``, state ``p`` on
+the ``c``-th of ``k`` symbols, and :meth:`Nfa.successors` reads one slot.  A
+DFA keeps ``Dfa.table``, a row-major ``array('i')`` with one target per slot
+and -1 for a missing edge.  An NFA keeps ``Nfa.index``, two ``array('i')``s
+in compressed sparse row form: slot ``s`` holds the ascending targets
+``targets[starts[s]:starts[s + 1]]``.  An automaton built from triples keeps
+the frozenset it was given; a DFA fills its table while checking them, an
+NFA builds its index on first use.  The constructions write a table or an
+index directly, and their ``transitions`` is a read-only set view over it
+(:class:`TransitionTable`, :class:`TransitionIndex`).
 
-Subset construction walks the bits of each subset once and ORs one successor
-int per NFA state.  Glushkov automata are homogeneous (every state is entered
-on one symbol only), so a state's successor int holds all its targets and
+Subset construction reads the index into one successor int per NFA state,
+then walks the bits of each subset once and ORs those ints.  Glushkov
+automata are homogeneous (every state is entered on one symbol only), so
 symbol ``c``'s successor set is that union masked by the states entered on
 ``c``.  Other inputs pack symbol ``c``'s targets at bit offset ``c * n``.
 
@@ -27,8 +31,9 @@ a ``Star`` or ``Plus`` adds its own first set to the rows of its last
 positions, and a ``Concat`` denoting the empty language clears the rows of
 its positions.  No node copies a follow set.  The rows are read once: while
 no two targets of a row share a symbol they are written straight into
-``Dfa.table``, otherwise they become the triples of an ``Nfa``.  The product
-of two DFAs likewise walks both tables and writes its own.
+``Dfa.table``, otherwise into an NFA index.  The product of two DFAs likewise
+walks both tables and writes its own; any other product walks the slots of
+both inputs and writes an index.
 
 Conversions here: Glushkov position automaton, compilation of extended
 regexes (intersection via products, negation via determinise-and-complement),
@@ -43,6 +48,8 @@ from array import array
 from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, compress, islice
+from operator import le, ne, sub
 from typing import Iterable, Optional
 
 from . import budget
@@ -75,6 +82,7 @@ __all__ = [
     "Nfa",
     "Dfa",
     "TransitionTable",
+    "TransitionIndex",
     "AlphabetMismatchError",
     "AutomatonFormatError",
     "glushkov",
@@ -102,6 +110,8 @@ class AutomatonFormatError(RexlabError):
 
 @dataclass(frozen=True)
 class Nfa:
+    """An automaton whose successors are indexed by slot ``p * k + c``."""
+
     alphabet: Alphabet
     n_states: int
     initial: int
@@ -110,12 +120,30 @@ class Nfa:
 
     def __post_init__(self):
         self._check_states()
-        n, index = self.n_states, self.alphabet.index
-        for p, a, q in self.transitions:
-            if not (0 <= p < n and 0 <= q < n):
-                raise ValueError(f"transition endpoint out of range: {(p, a, q)}")
-            if a not in index:
-                raise ValueError(f"transition symbol {a!r} not in alphabet")
+        n = self.n_states
+        trans = self.transitions
+        # An exact type test: isinstance against an ABC would cost more than
+        # validating a small NFA.
+        if type(trans) is TransitionIndex:
+            k = len(self.alphabet)
+            starts, targets = trans.starts, trans.targets
+            if trans.alphabet != self.alphabet:
+                raise ValueError("transition index alphabet differs from the automaton's")
+            if len(starts) != n * k + 1 or starts[0] != 0 or starts[-1] != len(targets):
+                raise ValueError(f"transition index of {len(starts)} slot starts and "
+                                 f"{len(targets)} targets does not fit {n} states x {k} symbols")
+            if not all(map(le, starts, islice(starts, 1, None))):
+                raise ValueError("transition index slot starts decrease")
+            if targets and (min(targets) < 0 or max(targets) >= n):
+                raise ValueError("transition index target out of range")
+            object.__setattr__(self, "index", trans)
+        else:
+            index = self.alphabet.index
+            for p, a, q in trans:
+                if not (0 <= p < n and 0 <= q < n):
+                    raise ValueError(f"transition endpoint out of range: {(p, a, q)}")
+                if a not in index:
+                    raise ValueError(f"transition symbol {a!r} not in alphabet")
 
     def _check_states(self):
         if not (0 <= self.initial < self.n_states):
@@ -128,23 +156,60 @@ class Nfa:
         return self.n_states + len(self.transitions)
 
     @cached_property
-    def moves(self) -> dict[tuple[int, str], frozenset[int]]:
-        table: dict[tuple[int, str], set[int]] = {}
-        for p, a, q in self.transitions:
-            table.setdefault((p, a), set()).add(q)
-        return {k: frozenset(v) for k, v in table.items()}
+    def index(self) -> TransitionIndex:
+        """The transitions as a slot index: the one given, or one built from
+        the triples on first use."""
+        n, k, code = self.n_states, len(self.alphabet), self.alphabet.index
+        keys = [(p * k + code[a]) * n + q for p, a, q in self.transitions]
+        return _slot_index(self.alphabet, n, keys)
+
+    def successors(self, p: int, c: int):
+        """Targets of state ``p`` on the ``c``-th alphabet symbol, ascending."""
+        index = self.index
+        slot = p * len(self.alphabet.names) + c
+        return index.targets[index.starts[slot]:index.starts[slot + 1]]
 
     def step(self, states: frozenset[int], symbol: str) -> frozenset[int]:
-        out: set[int] = set()
-        for q in states:
-            out |= self.moves.get((q, symbol), frozenset())
-        return frozenset(out)
+        c = self.alphabet.index.get(symbol)
+        if c is None:
+            return frozenset()
+        return frozenset(q for p in states for q in self.successors(p, c))
 
     def is_deterministic(self) -> bool:
-        return all(len(v) <= 1 for v in self.moves.values())
+        starts = self.index.starts
+        return max(map(sub, islice(starts, 1, None), starts)) <= 1
 
 
-class TransitionTable(Set):
+class _TripleView(Set):
+    """Read-only set of ``(p, symbol, q)`` triples over a slot index.
+
+    Subclasses keep ``alphabet`` and read one slot in ``_slot_targets``.
+    Set operators (|, &, -, ^) return plain frozensets.
+    """
+
+    __slots__ = ()
+
+    def __contains__(self, item: object) -> bool:
+        try:
+            p, a, q = item  # type: ignore[misc]
+            c = self.alphabet.index.get(a)  # type: ignore[attr-defined]
+        except (TypeError, ValueError):
+            return False
+        if c is None or not isinstance(p, int) or p < 0:
+            return False
+        return q in self._slot_targets(p * len(self.alphabet) + c)  # type: ignore[attr-defined]
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({sorted(self)!r})"
+
+
+class TransitionTable(_TripleView):
     """Read-only set of ``(p, symbol, q)`` triples over a flat DFA table.
 
     Slot ``p * k + c`` holds the target of state ``p`` on the ``c``-th symbol
@@ -170,26 +235,52 @@ class TransitionTable(Set):
             if q >= 0:
                 yield slot // k, names[slot % k], q
 
-    def __contains__(self, item: object) -> bool:
-        try:
-            p, a, q = item  # type: ignore[misc]
-            c = self.alphabet.index.get(a)
-        except (TypeError, ValueError):
-            return False
-        if c is None or not isinstance(p, int) or p < 0 or q == -1:
-            return False
-        slot = p * len(self.alphabet) + c
-        return slot < len(self.table) and self.table[slot] == q
+    def _slot_targets(self, slot: int):
+        table = self.table
+        return (table[slot],) if slot < len(table) and table[slot] >= 0 else ()
 
-    __hash__ = Set._hash
 
-    @classmethod
-    def _from_iterable(cls, it):
-        # Set operators (|, &, -, ^) return plain frozensets.
-        return frozenset(it)
+class TransitionIndex(_TripleView):
+    """Read-only set of ``(p, symbol, q)`` triples over an NFA's slot index.
 
-    def __repr__(self) -> str:
-        return f"TransitionTable({sorted(self)!r})"
+    The targets of state ``p`` on the ``c``-th symbol of ``alphabet`` are
+    ``targets[starts[p * k + c]:starts[p * k + c + 1]]``, ascending and
+    distinct.  Equality and hash agree with the frozenset of the same
+    triples.
+    """
+
+    __slots__ = ("alphabet", "starts", "targets")
+
+    def __init__(self, alphabet: Alphabet, starts: Iterable[int], targets: Iterable[int]):
+        self.alphabet = alphabet
+        self.starts = array("i", starts)
+        self.targets = array("i", targets)
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __iter__(self):
+        names = self.alphabet.names
+        k = len(names)
+        starts, targets = self.starts, self.targets
+        for slot in range(len(starts) - 1):
+            for q in targets[starts[slot]:starts[slot + 1]]:
+                yield slot // k, names[slot % k], q
+
+    def _slot_targets(self, slot: int):
+        starts = self.starts
+        if slot + 1 >= len(starts):
+            return ()
+        return self.targets[starts[slot]:starts[slot + 1]]
+
+
+def _slot_index(alphabet: Alphabet, n_states: int, keys: list[int]) -> TransitionIndex:
+    """Index of distinct edges coded as ``slot * n_states + target``, in any order."""
+    keys.sort()  # slots in order, and each slot's targets ascending
+    counts = [0] * (n_states * len(alphabet) + 1)
+    for key in keys:
+        counts[key // n_states + 1] += 1
+    return TransitionIndex(alphabet, accumulate(counts), [key % n_states for key in keys])
 
 
 @dataclass(frozen=True)
@@ -231,11 +322,23 @@ class Dfa(Nfa):
                    finals: frozenset[int], table: Iterable[int]) -> "Dfa":
         return cls(alphabet, n_states, initial, finals, TransitionTable(alphabet, table))
 
+    @cached_property
+    def index(self) -> TransitionIndex:
+        """``table`` as a slot index."""
+        has_target = list(map((-1).__lt__, self.table))
+        return TransitionIndex(self.alphabet, accumulate(has_target, initial=0),
+                               compress(self.table, has_target))
+
+    def successors(self, p: int, c: int):
+        q = self.table[p * len(self.alphabet.names) + c]
+        return (q,) if q >= 0 else ()
+
     def is_deterministic(self) -> bool:
         return True
 
     @cached_property
     def delta(self) -> dict[tuple[int, str], int]:
+        """``{(p, symbol): q}`` copy of ``table`` for tests; library code reads ``table``."""
         return {(p, a): q for p, a, q in self.transitions}
 
 
@@ -300,11 +403,9 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
             slot = base + codes[q]
             if table[slot] >= 0:
                 # Two targets of one state share a symbol: an NFA.
-                names = sigma.names
-                transitions = frozenset((src, names[codes[dst]], dst)
-                                        for src, targets in enumerate(rows)
-                                        for dst in iter_bits(targets))
-                return Nfa(sigma, n, 0, finals, transitions)
+                keys = [(src * k + codes[dst]) * n + dst
+                        for src, targets in enumerate(rows) for dst in iter_bits(targets)]
+                return Nfa(sigma, n, 0, finals, _slot_index(sigma, n, keys))
             table[slot] = q
     return Dfa.from_table(sigma, n, 0, finals, table)
 
@@ -437,34 +538,39 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     """
     n = a.n_states
     k = len(a.alphabet)
-    index = a.alphabet.index
-    edges = [(p, index[s], q) for p, s, q in a.transitions]
+    starts, targets = a.index.starts, a.index.targets
+    # Only the slots that hold targets are read, so the walk follows the
+    # transitions even when most slots are empty (large alphabets).
+    filled = list(compress(range(n * k), map(ne, starts, islice(starts, 1, None))))
 
     # Homogeneous input: every state is entered on one symbol only.
     entered_on = [-1] * n
     homogeneous = True
-    for _, c, q in edges:
-        if entered_on[q] < 0:
-            entered_on[q] = c
-        elif entered_on[q] != c:
-            homogeneous = False
-            break
-
     row = [0] * n
-    if homogeneous:
-        for p, _, q in edges:
+    for slot in filled:
+        p, c = divmod(slot, k)
+        for q in targets[starts[slot]:starts[slot + 1]]:
             row[p] |= 1 << q
+            if entered_on[q] < 0:
+                entered_on[q] = c
+            elif entered_on[q] != c:
+                homogeneous = False
+    if homogeneous:
         into = [0] * k
         for q, c in enumerate(entered_on):
             if c >= 0:
                 into[c] |= 1 << q
         pairs = [(0, sel) for sel in into]
     else:
-        for p, c, q in edges:
-            row[p] |= 1 << (c * n + q)
+        # Symbol c's targets go to bit offset c * n instead.
+        row = [0] * n
+        for slot in filled:
+            p, c = divmod(slot, k)
+            for q in targets[starts[slot]:starts[slot + 1]]:
+                row[p] |= 1 << (c * n + q)
         full = (1 << n) - 1
         pairs = [(c * n, full) for c in range(k)]
-    del edges, entered_on
+    del entered_on, filled
     finals_mask = 0
     for q in a.finals:
         finals_mask |= 1 << q
@@ -540,41 +646,50 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
     """Reachable pairwise product; accepts the intersection of the languages.
 
     Pairs are numbered in BFS discovery order with symbols scanned in
-    alphabet order.  Two DFAs are walked through their tables, and the pair
-    ``(p, q)`` is coded as ``p * b.n_states + q``.
+    alphabet order and each side's targets in ascending order; the pair
+    ``(p, q)`` is coded as ``p * b.n_states + q``.  Two DFAs are walked
+    through their tables, any other inputs through their slots.
     """
     _require_same_alphabet(a, b)
     if isinstance(a, Dfa) and isinstance(b, Dfa):
         return _dfa_product(a, b, max_states)
-    ids: dict[tuple[int, int], int] = {(a.initial, b.initial): 0}
-    order = [(a.initial, b.initial)]
-    transitions = set()
+    k = len(a.alphabet)
+    width = b.n_states
+    start = a.initial * width + b.initial
+    ids = {start: 0}
+    order = [start]
+    starts, targets = array("i", [0]), array("i")
+    succ_a, succ_b = a.successors, b.successors
     i = 0
     while i < len(order):
         budget.checkpoint()
-        p, q = order[i]
-        for s in a.alphabet:
-            pa = a.moves.get((p, s))
-            if not pa:
-                continue
-            pb = b.moves.get((q, s))
-            if not pb:
-                continue
+        p, q = divmod(order[i], width)
+        for c in range(k):
+            pa = succ_a(p, c)
+            pb = succ_b(q, c) if pa else ()
+            lo = len(targets)
             for p2 in pa:
                 for q2 in pb:
-                    key = (p2, q2)
-                    if key not in ids:
+                    key = p2 * width + q2
+                    dst = ids.get(key)
+                    if dst is None:
                         if len(ids) >= max_states:
                             raise budget.BudgetExceededError(
                                 f"product exceeds {max_states} states")
-                        ids[key] = len(ids)
+                        dst = len(ids)
+                        ids[key] = dst
                         order.append(key)
-                    transitions.add((ids[(p, q)], s, ids[key]))
+                    targets.append(dst)
+            if len(targets) - lo > 1:
+                targets[lo:] = array("i", sorted(targets[lo:]))
+            starts.append(len(targets))
         i += 1
-    finals = frozenset(ids[(p, q)] for p, q in order if p in a.finals and q in b.finals)
-    deterministic = a.is_deterministic() and b.is_deterministic()
-    cls = Dfa if deterministic else Nfa
-    return cls(a.alphabet, len(ids), 0, finals, frozenset(transitions))
+    del ids
+    fa, fb = a.finals, b.finals
+    finals = frozenset(i for i, key in enumerate(order)
+                       if key // width in fa and key % width in fb)
+    cls = Dfa if a.is_deterministic() and b.is_deterministic() else Nfa
+    return cls(a.alphabet, len(order), 0, finals, TransitionIndex(a.alphabet, starts, targets))
 
 
 def _dfa_product(a: Dfa, b: Dfa, max_states: int) -> Dfa:
@@ -788,6 +903,8 @@ def parse_automaton(text: str) -> Nfa:
     try:
         alphabet = Alphabet(tuple(field(1, "alphabet").split()))
         n_states = int(field(2, "states"))
+        if n_states > 2 ** 31 - 1:  # state numbers live in array('i') slots
+            raise AutomatonFormatError(f"states: {n_states} is above 2**31 - 1")
         initial = int(field(3, "initial"))
         finals_text = field(4, "finals")
         finals = frozenset(int(t) for t in finals_text.split()) if finals_text else frozenset()

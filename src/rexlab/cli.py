@@ -399,6 +399,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyboardInterrupt:
         sys.stderr.write("rexlab: interrupted\n")
         return BUDGET_ERROR
+    except MemoryError:
+        sys.stderr.write("rexlab: budget exceeded: out of memory\n")
+        return BUDGET_ERROR
     except (RexlabError, ValueError) as exc:
         sys.stderr.write(f"rexlab: error: {exc}\n")
         return USAGE_ERROR

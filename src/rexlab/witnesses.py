@@ -23,6 +23,7 @@ trailing ``*`` inside the pair, e.g. ``a(2,4*)``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Union as TUnion
 
@@ -295,27 +296,34 @@ def l_dfa(n: int) -> Dfa:
     """Direct acceptor: the block acceptor, restricted to an even number of
     blocks, followed by the end marker."""
     base = k_dfa(n)
+    k = len(SIGMA_K)  # SIGMA_L is SIGMA_K plus the end marker, last
+    hash_code = SIGMA_K.index["#"]
     ids: dict[tuple[int, int], int] = {(base.initial, 0): 0}
     order = [(base.initial, 0)]
-    transitions = set()
+    table = array("i")
     i = 0
     while i < len(order):
         q, parity = order[i]
-        for s in SIGMA_K:
-            t = base.delta.get((q, s))
-            if t is None:
+        for c in range(k):
+            t = base.table[q * k + c]
+            if t < 0:
+                table.append(-1)
                 continue
-            key = (t, parity ^ (1 if s == "#" else 0))
-            if key not in ids:
-                ids[key] = len(ids)
+            key = (t, parity ^ (c == hash_code))
+            dst = ids.get(key)
+            if dst is None:
+                dst = len(ids)
+                ids[key] = dst
                 order.append(key)
-            transitions.add((ids[(q, parity)], s, ids[key]))
+            table.append(dst)
+        table.append(-1)  # the end marker, filled in below
         i += 1
-    accept = len(ids)
-    for (q, parity), sid in list(ids.items()):
+    accept = len(order)
+    for sid, (q, parity) in enumerate(order):
         if parity == 0 and q in base.finals:
-            transitions.add((sid, END_MARKER, accept))
-    return Dfa(SIGMA_L, accept + 1, 0, frozenset([accept]), frozenset(transitions))
+            table[sid * (k + 1) + k] = accept
+    table.extend([-1] * (k + 1))
+    return Dfa.from_table(SIGMA_L, accept + 1, 0, frozenset([accept]), table)
 
 
 def unamb_family(n: int) -> list[Regex]:

@@ -21,7 +21,11 @@ from rexlab.budget import BudgetExceededError
 from rexlab.rex import (
     EMPTY,
     Alphabet,
+    Concat,
+    Plus,
     Star,
+    Sym,
+    Union,
     parse,
     size,
 )
@@ -33,6 +37,17 @@ from oracles import path_words, regex_slice
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
+
+
+def without(r, names):
+    """``r`` with every symbol in ``names`` replaced by the empty language."""
+    if isinstance(r, Sym):
+        return EMPTY if r.sym in names else r
+    if isinstance(r, (Star, Plus)):
+        return type(r)(without(r.inner, names))
+    if isinstance(r, (Concat, Union)):
+        return type(r)(without(r.left, names), without(r.right, names))
+    return r
 
 
 class TestEnumerate:
@@ -131,6 +146,13 @@ class TestWordIndex:
         with pytest.raises(ValueError):
             word_index(parse("a", A), ())
 
+    def test_foreign_symbol_rejected_like_covers(self):
+        with pytest.raises(ValueError) as index_error:
+            word_index(parse("a*", AB), ("c",), AB)
+        with pytest.raises(ValueError) as covers_error:
+            covers(parse("a*", AB), ("c",), AB)
+        assert str(index_error.value) == str(covers_error.value)
+
     @settings(max_examples=60)
     @given(st.integers(0, 100_000))
     def test_consistent_with_covers(self, seed):
@@ -175,6 +197,24 @@ class TestSidekicks:
     def test_wrong_alphabet(self):
         with pytest.raises(ValueError):
             sidekicks(parse("a", A), A)
+
+    @settings(max_examples=80)
+    @given(st.integers(0, 100_000))
+    def test_matches_avoiding_slice(self, seed):
+        # v is a sidekick iff no non-empty word avoiding v is in the language.
+        # A shortest such word visits no state twice, so words up to the
+        # Glushkov state count decide it.
+        rng = random.Random(seed)
+        n = rng.choice([2, 3])
+        sigma = z_alphabet(n)
+        r = random_plain_regex(rng, sigma.names, rng.randint(1, 12))
+        bound = glushkov(r, sigma).n_states
+        got = sidekicks(r, sigma)
+        for v in range(n):
+            touching = {f"a({i},{j})" for i in range(n) for j in range(n) if v in (i, j)}
+            kept = [name for name in sigma.names if name not in touching]
+            avoiding = regex_slice(without(r, touching), kept, bound)
+            assert (v in got) == (avoiding <= {()})
 
 
 class TestStarredSubexpressions:

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,8 +7,10 @@ from hypothesis import strategies as st
 
 from rexlab.automata import (
     AlphabetMismatchError,
+    AutomatonFormatError,
     Dfa,
     Nfa,
+    TransitionIndex,
     TransitionTable,
     accepts,
     complement_dfa,
@@ -287,6 +290,82 @@ class TestTableCore:
             Dfa(AB, 2, 0, frozenset(), frozenset([(0, "a", 0), (0, "a", 1)]))
 
 
+class TestIndexCore:
+    """``TransitionIndex`` against the frozenset of the same triples."""
+
+    @staticmethod
+    def indexed_automata():
+        rng = random.Random(6061)
+        out = []
+        for _ in range(60):
+            sigma = rng.choice([AB, ABC])
+            g = glushkov(random_plain_regex(rng, sigma.names, rng.randint(4, 30)), sigma)
+            if not isinstance(g, Dfa):
+                out.append(g)
+            a = random_nfa(rng, sigma, rng.randint(1, 6))
+            b = random_nfa(rng, sigma, rng.randint(1, 6))
+            for p in (product(a, b), product(a, random_dfa(rng, sigma, rng.randint(1, 5)))):
+                if not isinstance(p, Dfa):
+                    out.append(p)
+            # A random NFA's index, given back to the constructor as a view.
+            out.append(Nfa(sigma, a.n_states, a.initial, a.finals,
+                           TransitionIndex(sigma, a.index.starts, a.index.targets)))
+        return out
+
+    def test_view_matches_triples_built_copy(self):
+        autos = self.indexed_automata()
+        assert len(autos) > 100
+        for a in autos:
+            sigma = a.alphabet
+            assert isinstance(a.transitions, TransitionIndex)
+            triples = frozenset(a.transitions)
+            rebuilt = Nfa(sigma, a.n_states, a.initial, a.finals, triples)
+            assert rebuilt == a and a == rebuilt and hash(rebuilt) == hash(a)
+            assert a.transitions == triples and triples == a.transitions
+            assert hash(a.transitions) == hash(triples)
+            assert len(a.transitions) == len(triples) == len(a.index.targets)
+            assert all(t in a.transitions for t in triples)
+            assert (0, "d", 0) not in a.transitions
+            assert (a.n_states, "a", 0) not in a.transitions
+            assert (0, "a", -1) not in a.transitions and "abc" not in a.transitions
+            assert type(a.transitions | frozenset()) is frozenset
+            assert rebuilt.index.starts == a.index.starts
+            assert rebuilt.index.targets == a.index.targets
+            assert rebuilt.is_deterministic() == a.is_deterministic()
+            everything = frozenset(range(a.n_states))
+            for s in sigma:
+                assert a.step(everything, s) == rebuilt.step(everything, s)
+                for p in range(a.n_states):
+                    assert a.step(frozenset([p]), s) == frozenset(
+                        q for (p2, s2, q) in triples if (p2, s2) == (p, s))
+
+    def test_slot_targets_ascending(self):
+        for a in self.indexed_automata():
+            k = len(a.alphabet)
+            for p in range(a.n_states):
+                for c in range(k):
+                    targets = list(a.successors(p, c))
+                    assert targets == sorted(set(targets))
+
+    @pytest.mark.parametrize("starts, targets, alphabet", [
+        ([0, 1, 1, 2], [1, 0], AB),        # 4 starts for 2 states x 2 symbols
+        ([1, 1, 1, 1, 2], [1, 0], AB),     # does not start at 0
+        ([0, 1, 1, 1, 1], [1, 0], AB),     # does not end at the target count
+        ([0, 2, 1, 2, 2], [1, 0], AB),     # starts decrease
+        ([0, 1, 1, 1, 2], [1, 2], AB),     # target 2 >= n_states
+        ([0, 1, 1, 1, 2], [1, -1], AB),    # target below 0
+        ([0, 1, 2], [1, 0], A),            # index over another alphabet
+    ])
+    def test_bad_index_rejected(self, starts, targets, alphabet):
+        with pytest.raises(ValueError):
+            Nfa(AB, 2, 0, frozenset([1]), TransitionIndex(alphabet, starts, targets))
+
+    def test_well_formed_index_accepted(self):
+        a = Nfa(AB, 2, 0, frozenset([1]), TransitionIndex(AB, [0, 1, 1, 1, 2], [1, 0]))
+        assert a.transitions == {(0, "a", 1), (1, "b", 0)}
+        assert a.successors(0, 0) == array("i", [1]) and not a.successors(0, 1)
+
+
 class TestComplement:
     def test_sigma_star(self):
         everything = determinize(glushkov(parse("(a|b)*", AB)))
@@ -356,6 +435,15 @@ class TestProduct:
                 continue
             got = product(a, b, max_states=limit)
             assert isinstance(got, Dfa) and serialize(got) == want
+
+    def test_nfa_targets_walked_in_ascending_order(self):
+        # State 0 enters 1 and 8 on "a", and a frozenset of the two iterates
+        # 8 first.  Pairs are numbered in ascending target order, so the pair
+        # of state 1 is state 1 whatever the hash seed.
+        a = Nfa(A, 9, 0, frozenset([1]), frozenset([(0, "a", 1), (0, "a", 8)]))
+        loop = Dfa(A, 1, 0, frozenset([0]), frozenset([(0, "a", 0)]))
+        p = product(a, loop)
+        assert p.transitions == {(0, "a", 1), (0, "a", 2)} and p.finals == {1}
 
     @given(st.integers(0, 10_000))
     def test_and_property(self, seed):
@@ -580,6 +668,13 @@ class TestSerialization:
     def test_empty_finals_line(self):
         d = Dfa(A, 1, 0, frozenset(), frozenset())
         assert "finals:\n" in serialize(d)
+
+    @pytest.mark.parametrize("count", [10 ** 15, 10 ** 20])
+    def test_huge_state_count_rejected(self, count):
+        # Above 2**31 - 1 the states cannot be numbered in an array('i').
+        text = f"automaton v1\nalphabet: a\nstates: {count}\ninitial: 0\nfinals:\n"
+        with pytest.raises(AutomatonFormatError, match="states"):
+            parse_automaton(text)
 
     @given(st.integers(0, 10_000))
     def test_round_trip(self, seed):

@@ -216,6 +216,34 @@ def test_deep_nesting_is_usage_error(capsys):
     assert err.startswith("rexlab: error: nesting too deep") and err.count("\n") == 1
 
 
+def test_index_foreign_symbol_is_usage_error(capsys):
+    # A word symbol outside the declared alphabet is a usage error, as it is
+    # for covers, not a repetition index of 0.
+    code, out, err = run_cli(capsys, "index", "--alphabet", "ab", "--word", "c", "a*")
+    assert code == 2 and out == ""
+    assert err.startswith("rexlab: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("count", [10 ** 15, 10 ** 20])
+def test_huge_state_count_is_usage_error(capsys, tmp_path, count):
+    # Such a count must be refused before any table or index is allocated.
+    f = tmp_path / "huge.aut"
+    f.write_text(f"automaton v1\nalphabet: a\nstates: {count}\ninitial: 0\nfinals:\n")
+    code, out, err = run_cli(capsys, "to-dfa", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("rexlab: error: ") and err.count("\n") == 1
+
+
+def test_memory_error_is_budget_exit(capsys, monkeypatch):
+    def exhausted(_):
+        raise MemoryError
+
+    monkeypatch.setattr("rexlab.cli.size", exhausted)
+    code, out, err = run_cli(capsys, "size", "--alphabet", "a", "a")
+    assert code == 3 and out == ""
+    assert err.startswith("rexlab: budget exceeded: ") and err.count("\n") == 1
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("parse", "--alphabet", "abc", "(a|b)*a|bc"),
