@@ -155,3 +155,25 @@ def random_dfa(rng: random.Random, alphabet: Alphabet, n_states: int) -> Dfa:
                 transitions.add((p, s, rng.randrange(n_states)))
     finals = frozenset(q for q in range(n_states) if rng.random() < 0.4)
     return Dfa(alphabet, n_states, 0, finals, frozenset(transitions))
+
+
+def random_layered_nfa(rng: random.Random, alphabet: Alphabet, n_states: int,
+                       width: int, density: float = 0.5) -> Nfa:
+    """Random NFA whose edges go from one layer of ``width`` states to the next.
+
+    Every reachable subset lies inside one layer, so there are few of them,
+    but the states are numbered in a shuffled order, so a subset's bits
+    spread over the whole range.  A state is usually entered on several
+    symbols.
+    """
+    state = list(range(n_states))
+    rng.shuffle(state)  # state[i]: the state at layer-major position i
+    transitions = set()
+    for i in range(n_states):
+        layer_end = (i // width + 1) * width
+        for s in alphabet:
+            for j in range(layer_end, min(layer_end + width, n_states)):
+                if rng.random() < density:
+                    transitions.add((state[i], s, state[j]))
+    finals = frozenset(q for q in range(n_states) if rng.random() < 0.4)
+    return Nfa(alphabet, n_states, state[0], finals, frozenset(transitions))

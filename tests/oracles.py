@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Optional
 
+from rexlab import budget
 from rexlab.automata import Dfa, Nfa
 from rexlab.rex import (
     Alphabet,
@@ -199,6 +200,43 @@ def glushkov_by_marking(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
     if nfa.is_deterministic():
         return Dfa(alphabet, n, 0, finals, nfa.transitions)
     return nfa
+
+
+# ---------------------------------------------------------------------------
+# Subset construction over frozensets
+# ---------------------------------------------------------------------------
+
+def subset_construction(nfa: Nfa, max_states: int) -> tuple[list[frozenset[int]], Dfa]:
+    """Reachable subsets and the subset DFA, read off the transition triples.
+
+    Subsets are frozensets numbered in BFS discovery order with symbols
+    scanned in alphabet order; the budget is polled once per subset, and
+    discovering a subset beyond ``max_states`` raises ``BudgetExceededError``.
+    """
+    succ: dict[tuple[int, str], set[int]] = {}
+    for p, a, q in nfa.transitions:
+        succ.setdefault((p, a), set()).add(q)
+    nothing: frozenset[int] = frozenset()
+    start = frozenset([nfa.initial])
+    ids = {start: 0}
+    subsets = [start]
+    triples = set()
+    i = 0
+    while i < len(subsets):
+        budget.checkpoint()
+        for a in nfa.alphabet.names:
+            target = nothing.union(*(succ.get((p, a), ()) for p in subsets[i]))
+            if not target:
+                continue
+            if target not in ids:
+                if len(ids) >= max_states:
+                    raise budget.BudgetExceededError(f"more than {max_states} subsets")
+                ids[target] = len(subsets)
+                subsets.append(target)
+            triples.add((i, a, ids[target]))
+        i += 1
+    finals = frozenset(i for i, subset in enumerate(subsets) if subset & nfa.finals)
+    return subsets, Dfa(nfa.alphabet, len(subsets), 0, finals, frozenset(triples))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -45,13 +46,13 @@ from rexlab.rex import (
     parse,
     size,
 )
-from rexlab.witnesses import k_dfa, z_dfa
+from rexlab.witnesses import SIGMA_K, complement_witness, k_dfa, z_dfa
 
 from conftest import regexes
-from corpus import random_dfa, random_nfa, random_plain_regex
+from corpus import random_dfa, random_layered_nfa, random_nfa, random_plain_regex
 from oracles import glushkov_by_marking, marked_position_sets
 from oracles import nfa_slice as slice_of
-from oracles import regex_slice, words_upto
+from oracles import regex_slice, subset_construction, words_upto
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
@@ -211,6 +212,45 @@ class TestExtended:
         assert slice_of(nfa, 4) == regex_slice(r, "ab", 4)
 
 
+class _CountingToken(CancelToken):
+    """A token that counts the checkpoints polled under it."""
+
+    def __init__(self):
+        super().__init__()
+        self.polls = 0
+
+    def check(self):
+        self.polls += 1
+        super().check()
+
+
+def _subset_outcome(construct, nfa: Nfa, max_states: int):
+    """(serialisation or None on a budget error, checkpoints polled)."""
+    token = _CountingToken()
+    with budget.active(token):
+        try:
+            return serialize(construct(nfa, max_states)), token.polls
+        except BudgetExceededError:
+            return None, token.polls
+
+
+def _oracle_subsets(nfa: Nfa, max_states: int) -> Dfa:
+    return subset_construction(nfa, max_states)[1]
+
+
+def _differential_input(kind: str, rng: random.Random) -> Nfa:
+    sigma = rng.choice([AB, ABC])
+    if kind == "dense":
+        return random_nfa(rng, sigma, rng.randint(40, 300), density=rng.uniform(0.05, 0.3))
+    if kind == "layered":  # non-homogeneous, a few thousand subsets at most
+        return random_layered_nfa(rng, sigma, rng.randint(40, 300), rng.randint(2, 5),
+                                  density=rng.uniform(0.3, 0.7))
+    # "glushkov": a suffix family with 2^(k+1) subsets, or a random expression
+    if rng.random() < 0.3:
+        return glushkov(parse("(a|b)*a" + "(a|b)" * rng.randint(2, 8), sigma))
+    return glushkov(random_plain_regex(rng, sigma.names, rng.randint(10, 120)), sigma)
+
+
 class TestDeterminize:
     def test_already_deterministic_subsets_are_singletons(self):
         d = determinize(glushkov(parse("aa*", A)))
@@ -251,6 +291,36 @@ class TestDeterminize:
         assert d.transitions == {(0, "a", 1), (0, "b", 1), (1, "a", 1), (1, "b", 2),
                                  (2, "a", 3), (2, "b", 1), (3, "a", 3), (3, "b", 3)}
         assert slice_of(d, 6) == slice_of(nfa, 6)
+
+    # Differential checks against the frozenset subset construction in
+    # tests/oracles.py, on inputs whose subsets span several slices.
+    @settings(max_examples=90)
+    @given(st.sampled_from(["dense", "layered", "glushkov"]), st.integers(0, 10_000),
+           st.one_of(st.integers(1, 10), st.just(budget.DEFAULT_MAX_STATES)))
+    def test_matches_frozenset_construction(self, kind, seed, max_states):
+        nfa = _differential_input(kind, random.Random(seed))
+        want = _subset_outcome(_oracle_subsets, nfa, max_states)
+        assert _subset_outcome(determinize, nfa, max_states) == want
+
+    def test_memo_cap_reached(self):
+        # Few subsets, each spread over all four slices: there are more
+        # distinct slice values of two or more bits than subsets, so the
+        # memo stops storing misses part of the way through.
+        nfa = random_nfa(random.Random(7), ABC, 200, density=0.08)
+        subsets, want = subset_construction(nfa, budget.DEFAULT_MAX_STATES)
+        width = -(-nfa.n_states // 4)
+        parts = {frozenset(q for q in subset if lo <= q < lo + width)
+                 for subset in subsets for lo in range(0, nfa.n_states, width)}
+        assert sum(len(part) > 1 for part in parts) > len(subsets) > 10
+        assert serialize(determinize(nfa)) == serialize(want)
+        for cap in (len(subsets) - 1, len(subsets)):
+            assert (_subset_outcome(determinize, nfa, cap)
+                    == _subset_outcome(_oracle_subsets, nfa, cap))
+
+    def test_complement_witness_n1_shape(self):
+        # Criterion 1's n=1 subset DFA, as the benchmark records it.
+        d = determinize(glushkov(complement_witness(1), SIGMA_K))
+        assert (d.n_states, len(d.transitions), len(d.finals)) == (63_993, 255_972, 63_991)
 
 
 class TestTableCore:
@@ -675,6 +745,27 @@ class TestSerialization:
         text = f"automaton v1\nalphabet: a\nstates: {count}\ninitial: 0\nfinals:\n"
         with pytest.raises(AutomatonFormatError, match="states"):
             parse_automaton(text)
+
+    def test_huge_state_count_allocates_only_the_table(self):
+        # Determinism is read off the triples, so the only allocation that
+        # grows with ``states:`` is the Dfa table: 4 bytes per slot.
+        n = 1_000_000
+        text = f"automaton v1\nalphabet: a\nstates: {n}\ninitial: 0\nfinals:\n"
+        tracemalloc.start()
+        try:
+            d = parse_automaton(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(d, Dfa) and d.n_states == n
+        assert peak < 6 * n
+
+    def test_deterministic_iff_no_shared_head(self):
+        head = "automaton v1\nalphabet: a b\nstates: 2\ninitial: 0\nfinals: 1\n"
+        d = parse_automaton(head + "trans: 0 a 1\ntrans: 0 b 1\ntrans: 1 a 1\n")
+        nfa = parse_automaton(head + "trans: 0 a 1\ntrans: 0 a 0\n")
+        assert isinstance(d, Dfa) and d.delta == {(0, "a"): 1, (0, "b"): 1, (1, "a"): 1}
+        assert type(nfa) is Nfa and nfa.successors(0, 0) == array("i", [0, 1])
 
     @given(st.integers(0, 10_000))
     def test_round_trip(self, seed):
