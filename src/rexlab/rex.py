@@ -163,57 +163,87 @@ class MarkedSymbol:
 # ---------------------------------------------------------------------------
 
 class Regex:
-    """Base class of all expression nodes. Instances are immutable."""
+    """Base class of all expression nodes. Instances are immutable.
+
+    Equality and hashing are structural and walk the tree with an explicit
+    stack, so arbitrarily deep trees compare and hash without recursion.
+    """
 
     __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Regex):
+            return NotImplemented
+        stack: list[tuple[Regex, Regex]] = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if isinstance(a, Sym):
+                if a.sym != b.sym:
+                    return False
+            elif isinstance(a, _BINARY):
+                stack.append((a.right, b.right))
+                stack.append((a.left, b.left))
+            elif isinstance(a, _UNARY):
+                stack.append((a.inner, b.inner))
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return _shared_fold(self, lambda node, kids: hash(
+            (node.__class__, getattr(node, "sym", None), *kids)))
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Empty(Regex):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Epsilon(Regex):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Sym(Regex):
     sym: TUnion[str, MarkedSymbol]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Concat(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Union(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Star(Regex):
     inner: Regex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Plus(Regex):
     """One-or-more repetition, the single-occurrence shorthand for ``rr*``."""
 
     inner: Regex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Intersect(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Negate(Regex):
     inner: Regex
 
@@ -278,21 +308,30 @@ def size(r: Regex) -> int:
     Works on heavily shared trees in time proportional to the number of
     distinct nodes.
     """
-    memo: dict[int, int] = {}
-    stack: list[tuple[Regex, bool]] = [(r, False)]
+    return _shared_fold(r, lambda node, kids: 1 + sum(kids))
+
+
+def _shared_fold(root: Regex, combine: Callable):
+    """Bottom-up ``combine(node, child_values)`` over the distinct nodes of ``root``.
+
+    Values are memoised by node identity, so a shared subtree is evaluated
+    once; the explicit stack keeps deep trees off the call stack.
+    """
+    memo: dict[int, object] = {}
+    stack: list[tuple[Regex, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if id(node) in memo:
             continue
         kids = children(node)
         if expanded or not kids:
-            memo[id(node)] = 1 + sum(memo[id(c)] for c in kids)
+            memo[id(node)] = combine(node, [memo[id(c)] for c in kids])
         else:
             stack.append((node, True))
             for c in kids:
                 if id(c) not in memo:
                     stack.append((c, False))
-    return memo[id(r)]
+    return memo[id(root)]
 
 
 def symbols_of(r: Regex) -> list[str]:

@@ -16,31 +16,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from . import budget
 from .automata import Dfa, eliminate_states
 from .rex import (
     EMPTY,
     EPSILON,
     Alphabet,
     Concat,
-    MarkedRegex,
+    ExtendedOperatorError,
     MarkedSymbol,
     Plus,
-    PositionSets,
     Regex,
     RexlabError,
     Star,
     Sym,
     Union,
+    _position_masks,
     format_regex,
-    glushkov_sets,
     has_extended,
-    mark,
+    iter_bits,
     sconcat,
     set_expr,
-    subexpressions,
     sunion,
     symbols_of,
-    unmark,
 )
 
 __all__ = [
@@ -94,9 +92,53 @@ class LocalProfile:
     follow: frozenset[tuple[str, str]]
 
 
-def _marked_sets(r: Regex) -> tuple[MarkedRegex, PositionSets]:
-    marked = mark(r)  # rejects extended operators
-    return marked, glushkov_sets(marked)
+def _masks(r: Regex) -> tuple[list[str], bool, int, int, list[int]]:
+    """``rex._position_masks`` of ``r``, raising what ``rex.mark`` raises.
+
+    Positions are numbered as ``mark`` numbers them; position ``x`` stands for
+    ``MarkedSymbol(syms[x - 1], x)``, built only for results that hold one.
+    """
+    try:
+        masks = _position_masks(r)
+    except ExtendedOperatorError:
+        raise ExtendedOperatorError("marking is defined for plain regexes only") from None
+    if any(isinstance(s, MarkedSymbol) for s in masks[0]):
+        raise ValueError("expression is already marked")
+    return masks
+
+
+def _position_of(syms: list[str], x: MarkedSymbol) -> int:
+    if (isinstance(x, MarkedSymbol) and isinstance(x.occurrence, int)
+            and 0 < x.occurrence <= len(syms) and syms[x.occurrence - 1] == x.base):
+        return x.occurrence
+    raise ValueError(f"unknown marked symbol {x}")
+
+
+def _bases(syms: list[str], mask: int) -> set[str]:
+    return {syms[y - 1] for y in iter_bits(mask)}
+
+
+def _first_fork(masks: tuple) -> Optional[tuple]:
+    """The witness at the first state, in BFS order, whose successors share a
+    base symbol; state 0 steps to ``first`` and position ``x`` to ``follow[x]``."""
+    syms, _, first, _, follow = masks
+    parent = [-1] * (len(syms) + 1)
+    queue = [0]
+    for state in queue:  # grows while it is walked
+        clash: dict[str, int] = {}
+        for y in iter_bits(follow[state] if state else first):
+            other = clash.setdefault(syms[y - 1], y)
+            if other != y:
+                path = []
+                while state:
+                    path.append(MarkedSymbol(syms[state - 1], state))
+                    state = parent[state]
+                return (tuple(reversed(path)), MarkedSymbol(syms[other - 1], other),
+                        MarkedSymbol(syms[y - 1], y))
+            if parent[y] < 0:
+                parent[y] = state
+                queue.append(y)
+    return None
 
 
 def is_one_unambiguous(r: Regex) -> UnambiguityReport:
@@ -105,36 +147,8 @@ def is_one_unambiguous(r: Regex) -> UnambiguityReport:
     The witness comes from the first nondeterministic fork along a BFS of the
     automaton (shortest ``u``, tie-broken by occurrence subscripts).
     """
-    marked, sets = _marked_sets(r)
-    position = {x.occurrence: x for x in marked.positions}
-
-    # successors[state] = positions reachable in one step, as marked symbols
-    successors: dict[int, list[MarkedSymbol]] = {0: sorted(
-        sets.first, key=lambda m: m.occurrence)}
-    by_source: dict[int, list[MarkedSymbol]] = {}
-    for x, y in sets.follow:
-        by_source.setdefault(x.occurrence, []).append(y)
-    for state, ys in by_source.items():
-        successors[state] = sorted(ys, key=lambda m: m.occurrence)
-
-    # BFS for the earliest state whose successors clash on a base symbol.
-    seen = {0}
-    queue: list[tuple[int, tuple[MarkedSymbol, ...]]] = [(0, ())]
-    i = 0
-    while i < len(queue):
-        state, path = queue[i]
-        clash: dict[str, MarkedSymbol] = {}
-        for y in successors.get(state, ()):
-            other = clash.get(y.base)
-            if other is not None:
-                return UnambiguityReport(False, (path, other, y))
-            clash[y.base] = y
-        for y in successors.get(state, ()):
-            if y.occurrence not in seen:
-                seen.add(y.occurrence)
-                queue.append((y.occurrence, path + (y,)))
-        i += 1
-    return UnambiguityReport(True)
+    witness = _first_fork(_masks(r))
+    return UnambiguityReport(witness is None, witness)
 
 
 def is_sore(r: Regex) -> bool:
@@ -145,37 +159,41 @@ def is_sore(r: Regex) -> bool:
     return len(names) == len(set(names))
 
 
-def _require_unambiguous(r: Regex):
-    report = is_one_unambiguous(r)
-    if not report.is_one_unambiguous:
+def _unambiguous_masks(r: Regex) -> tuple[list[str], bool, int, int, list[int]]:
+    witness = _first_fork(masks := _masks(r))
+    if witness is not None:
         raise NotOneUnambiguousError(
-            f"expression is not one-unambiguous (witness {report.witness})")
+            f"expression is not one-unambiguous (witness {witness})")
+    return masks
 
 
 def nfirst(r: Regex, alphabet: Alphabet) -> frozenset[str]:
     """Symbols that begin no word of the language."""
-    _require_unambiguous(r)
-    _, sets = _marked_sets(r)
-    return frozenset(alphabet) - {x.base for x in sets.first}
+    syms, _, first, _, _ = _unambiguous_masks(r)
+    return frozenset(alphabet) - _bases(syms, first)
 
 
 def nfollow(r: Regex, x: MarkedSymbol, alphabet: Alphabet) -> frozenset[str]:
     """Symbols no marked version of which can follow position ``x``."""
-    marked, sets = _marked_sets(r)
-    if x not in marked.positions:
-        raise ValueError(f"unknown marked symbol {x}")
-    return frozenset(alphabet) - {b.base for a, b in sets.follow if a == x}
+    syms, _, _, _, follow = _masks(r)
+    return frozenset(alphabet) - _bases(syms, follow[_position_of(syms, x)])
 
 
 def last_marked(r: Regex) -> frozenset[MarkedSymbol]:
     """Positions that end some word of the marked language."""
-    _require_unambiguous(r)
-    _, sets = _marked_sets(r)
-    return sets.last
+    syms, _, _, last, _ = _unambiguous_masks(r)
+    return frozenset(MarkedSymbol(syms[x - 1], x) for x in iter_bits(last))
 
 
-def _sigma_star(alphabet: Alphabet) -> Regex:
-    return Star(set_expr(alphabet, alphabet))
+def _gap(syms: list[str], mask: int, alphabet: Alphabet, sigma_star: Regex) -> Regex:
+    """Words that start with a symbol that no position in ``mask`` carries."""
+    return sconcat(set_expr(frozenset(alphabet) - _bases(syms, mask), alphabet), sigma_star)
+
+
+def _init_expr(masks: tuple, alphabet: Alphabet) -> Regex:
+    syms, nullable, first, _, _ = masks
+    head = _gap(syms, first, alphabet, Star(set_expr(alphabet, alphabet)))
+    return head if nullable else Union(EPSILON, head)
 
 
 def init_expr(r: Regex, alphabet: Alphabet) -> Regex:
@@ -185,41 +203,51 @@ def init_expr(r: Regex, alphabet: Alphabet) -> Regex:
     ``nfirst . Sigma*``; without it, ``eps + nfirst . Sigma*``.  An empty
     nfirst set collapses the concatenation to the empty-language expression.
     """
-    _, sets = _marked_sets(r)
-    head = sconcat(set_expr(nfirst(r, alphabet), alphabet), _sigma_star(alphabet))
-    if sets.nullable:
-        return head
-    return Union(EPSILON, head)
+    return _init_expr(_unambiguous_masks(r), alphabet)
+
+
+def _prefix_chains(r: Regex) -> list[tuple[Sym, Optional[tuple]]]:
+    """Each position's leaf and chain of wrappers, in position order.
+
+    From the leaf up, a concatenation with the position on its right puts its
+    left child in front, and a star or plus its starred body (one ``Star`` per
+    node; a star is its own).  A chain is a linked list ``(wrapper, rest)``,
+    innermost first, shared by the positions below a node.
+    """
+    out = []
+    stack: list[tuple[Regex, Optional[tuple]]] = [(r, None)]
+    while stack:
+        node, chain = stack.pop()
+        if isinstance(node, Sym):
+            out.append((node, chain))
+        elif isinstance(node, Concat):
+            stack.append((node.right, (node.left, chain)))
+            stack.append((node.left, chain))
+        elif isinstance(node, Union):
+            stack.append((node.right, chain))
+            stack.append((node.left, chain))
+        elif isinstance(node, (Star, Plus)):
+            star = node if isinstance(node, Star) else Star(node.inner)
+            stack.append((node.inner, (star, chain)))
+    return out
+
+
+def _prefix(leaf: Sym, chain: Optional[tuple]) -> Regex:
+    acc: Regex = leaf
+    while chain is not None:
+        wrapper, chain = chain
+        acc = Concat(wrapper, acc)
+    return acc
 
 
 def prefix_to(r: Regex, x: MarkedSymbol) -> Regex:
     """Unmarked expression for the prefixes of marked words that end at ``x``.
 
-    Structural recursion: concatenation keeps the left part whole when ``x``
-    lies to the right; star/plus allow any number of full iterations before a
-    partial one reaching ``x``; unions project on the branch containing ``x``.
+    Concatenation keeps the left part whole when ``x`` lies to the right;
+    star/plus allow any number of full iterations before a partial one
+    reaching ``x``; unions project on the branch containing ``x``.
     """
-    marked = mark(r)
-    if x not in marked.positions:
-        raise ValueError(f"unknown marked symbol {x}")
-
-    def contains(node: Regex) -> bool:
-        return any(isinstance(s, Sym) and s.sym == x for s in subexpressions(node))
-
-    def walk(node: Regex) -> Regex:
-        if isinstance(node, Sym):
-            return Sym(x.base)
-        if isinstance(node, Concat):
-            if contains(node.left):
-                return walk(node.left)
-            return Concat(unmark(node.left), walk(node.right))
-        if isinstance(node, Union):
-            return walk(node.left if contains(node.left) else node.right)
-        if isinstance(node, (Star, Plus)):
-            return Concat(Star(unmark(node.inner)), walk(node.inner))
-        raise ValueError(f"position {x} not found")  # pragma: no cover
-
-    return walk(marked.root)
+    return _prefix(*_prefix_chains(r)[_position_of(_masks(r)[0], x) - 1])
 
 
 def complement_unambiguous(r: Regex, alphabet: Alphabet) -> Regex:
@@ -230,24 +258,17 @@ def complement_unambiguous(r: Regex, alphabet: Alphabet) -> Regex:
     continuing with a forbidden symbol, and (c) for word-ending positions, the
     prefixes continuing with a forbidden symbol.  Empty-set pieces are
     simplified away (``%0 . r = %0``, ``%0 | r = r``) before size reporting.
-    The output is a plain regex of size polynomial in the input.
+    The output is a plain regex of size polynomial in the input; it takes
+    time about quadratic in the input, one prefix per position.
     """
-    _require_unambiguous(r)
-    marked, sets = _marked_sets(r)
-    sigma_star = _sigma_star(alphabet)
-
-    def follow_gap(x: MarkedSymbol) -> Regex:
-        banned = frozenset(alphabet) - {b.base for a, b in sets.follow if a == x}
-        return sconcat(set_expr(banned, alphabet), sigma_star)
-
-    out = init_expr(r, alphabet)
-    for x in sorted(marked.positions, key=lambda m: m.occurrence):
-        r_x = prefix_to(r, x)
-        if x in sets.last:
-            term = sconcat(r_x, follow_gap(x))
-        else:
-            term = sconcat(r_x, sunion(EPSILON, follow_gap(x)))
-        out = sunion(out, term)
+    masks = syms, _, _, last, follow = _unambiguous_masks(r)
+    sigma_star = Star(set_expr(alphabet, alphabet))
+    out = _init_expr(masks, alphabet)
+    for x, (leaf, chain) in enumerate(_prefix_chains(r), 1):
+        budget.checkpoint()
+        gap = _gap(syms, follow[x], alphabet, sigma_star)
+        tail = gap if last >> x & 1 else sunion(EPSILON, gap)
+        out = sunion(out, sconcat(_prefix(leaf, chain), tail))
     return out
 
 
@@ -259,12 +280,13 @@ def local_profile(r: Regex) -> LocalProfile:
     """Unmarked position sets of a SORE; well defined since symbols are unique."""
     if not is_sore(r):
         raise NotSoreError(f"not a single-occurrence regex: {r}")
-    _, sets = _marked_sets(r)
+    syms, nullable, first, last, follow = _masks(r)
     return LocalProfile(
-        nullable=sets.nullable,
-        first=frozenset(x.base for x in sets.first),
-        last=frozenset(x.base for x in sets.last),
-        follow=frozenset((a.base, b.base) for a, b in sets.follow),
+        nullable=nullable,
+        first=frozenset(_bases(syms, first)),
+        last=frozenset(_bases(syms, last)),
+        follow=frozenset((syms[x - 1], syms[y - 1])
+                         for x in range(1, len(follow)) for y in iter_bits(follow[x])),
     )
 
 

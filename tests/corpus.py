@@ -103,6 +103,31 @@ def random_sore(rng: random.Random, syms: Sequence[str]) -> Regex:
     return build(pool)
 
 
+def balanced_sore(rng: random.Random, syms: Sequence[str]) -> Regex:
+    """SORE over a shuffled order of all ``syms``, split at the middle at
+    every level, each node starred, plussed or made optional at random."""
+    pool = list(syms)
+    rng.shuffle(pool)
+
+    def build(names: list[str]) -> Regex:
+        if len(names) == 1:
+            node: Regex = Sym(names[0])
+        else:
+            mid = len(names) // 2
+            op = Concat if rng.random() < 0.6 else Union
+            node = op(build(names[:mid]), build(names[mid:]))
+        roll = rng.random()
+        if roll < 0.15:
+            return Star(node)
+        if roll < 0.25:
+            return Plus(node)
+        if roll < 0.35:
+            return Union(node, EPSILON)
+        return node
+
+    return build(pool)
+
+
 def one_unambiguous_corpus(seed: int, count: int, max_size: int,
                            syms: Sequence[str]) -> list[Regex]:
     """At least ``count`` distinct one-unambiguous expressions of size <= max_size.

@@ -14,20 +14,34 @@ from typing import Iterable, Iterator, Optional
 from rexlab import budget
 from rexlab.automata import Dfa, Nfa
 from rexlab.rex import (
+    EPSILON,
     Alphabet,
     Concat,
     Empty,
     Epsilon,
     ExtendedOperatorError,
     Intersect,
+    MarkedSymbol,
     Negate,
     Plus,
     Regex,
     Star,
     Sym,
     Union,
+    has_extended,
     mark,
+    sconcat,
+    set_expr,
+    subexpressions,
+    sunion,
     symbols_of,
+    unmark,
+)
+from rexlab.unambiguous import (
+    LocalProfile,
+    NotOneUnambiguousError,
+    NotSoreError,
+    UnambiguityReport,
 )
 from rexlab.witnesses import PathWord, enc_width
 
@@ -200,6 +214,126 @@ def glushkov_by_marking(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
     if nfa.is_deterministic():
         return Dfa(alphabet, n, 0, finals, nfa.transitions)
     return nfa
+
+
+# ---------------------------------------------------------------------------
+# One-unambiguous expressions by marking and frozen position sets
+#
+# The reference for ``rexlab.unambiguous``, which reads position bitmasks:
+# here every call marks the tree, every position is a MarkedSymbol, and a
+# prefix expression comes from structural recursion with ``unmark`` copies.
+# Results are assembled with the library's smart constructors, so the two
+# routes must agree byte for byte.  Errors are raised in the library's
+# order: marking first, then one-unambiguity.
+# ---------------------------------------------------------------------------
+
+def _marked_sets(r: Regex):
+    marked = mark(r)
+    return (marked, *marked_position_sets(marked.root))
+
+
+def unambiguity_by_marking(r: Regex) -> UnambiguityReport:
+    """BFS of the position automaton for the first state with two successors
+    of one base symbol, successors in ascending occurrence order."""
+    _, _, first, _, follow = _marked_sets(r)
+    successors = {0: sorted(first, key=lambda m: m.occurrence)}
+    for x, y in sorted(follow, key=lambda p: (p[0].occurrence, p[1].occurrence)):
+        successors.setdefault(x.occurrence, []).append(y)
+    seen = {0}
+    queue = [(0, ())]
+    for state, path in queue:
+        clash: dict[str, MarkedSymbol] = {}
+        for y in successors.get(state, ()):
+            if y.base in clash:
+                return UnambiguityReport(False, (path, clash[y.base], y))
+            clash[y.base] = y
+        for y in successors.get(state, ()):
+            if y.occurrence not in seen:
+                seen.add(y.occurrence)
+                queue.append((y.occurrence, path + (y,)))
+    return UnambiguityReport(True)
+
+
+def _unambiguous_sets(r: Regex):
+    report = unambiguity_by_marking(r)
+    if not report.is_one_unambiguous:
+        raise NotOneUnambiguousError(
+            f"expression is not one-unambiguous (witness {report.witness})")
+    return _marked_sets(r)
+
+
+def nfirst_by_marking(r: Regex, alphabet: Alphabet) -> frozenset[str]:
+    return frozenset(alphabet) - {x.base for x in _unambiguous_sets(r)[2]}
+
+
+def nfollow_by_marking(r: Regex, x: MarkedSymbol, alphabet: Alphabet) -> frozenset[str]:
+    marked, _, _, _, follow = _marked_sets(r)
+    if x not in marked.positions:
+        raise ValueError(f"unknown marked symbol {x}")
+    return frozenset(alphabet) - {b.base for a, b in follow if a == x}
+
+
+def last_marked_by_marking(r: Regex) -> frozenset[MarkedSymbol]:
+    return _unambiguous_sets(r)[3]
+
+
+def local_profile_by_marking(r: Regex) -> LocalProfile:
+    if has_extended(r) or len(set(symbols_of(r))) != len(symbols_of(r)):
+        raise NotSoreError(f"not a single-occurrence regex: {r}")
+    _, nullable, first, last, follow = _marked_sets(r)
+    return LocalProfile(nullable, frozenset(x.base for x in first),
+                        frozenset(x.base for x in last),
+                        frozenset((a.base, b.base) for a, b in follow))
+
+
+def _gap_by_marking(banned: frozenset[str], alphabet: Alphabet) -> Regex:
+    return sconcat(set_expr(banned, alphabet), Star(set_expr(alphabet, alphabet)))
+
+
+def init_expr_by_marking(r: Regex, alphabet: Alphabet) -> Regex:
+    nullable = _marked_sets(r)[1]
+    head = _gap_by_marking(nfirst_by_marking(r, alphabet), alphabet)
+    return head if nullable else Union(EPSILON, head)
+
+
+def prefix_to_by_marking(r: Regex, x: MarkedSymbol) -> Regex:
+    """Prefixes of marked words ending at ``x``, unmarked, by recursion on the
+    marked tree: a concatenation keeps its left part when ``x`` lies to the
+    right, a star or plus allows full iterations before a partial one, and a
+    union projects on the branch holding ``x``."""
+    marked = mark(r)
+    if x not in marked.positions:
+        raise ValueError(f"unknown marked symbol {x}")
+
+    def contains(node: Regex) -> bool:
+        return any(isinstance(s, Sym) and s.sym == x for s in subexpressions(node))
+
+    def walk(node: Regex) -> Regex:
+        if isinstance(node, Sym):
+            return Sym(x.base)
+        if isinstance(node, Concat):
+            if contains(node.left):
+                return walk(node.left)
+            return Concat(unmark(node.left), walk(node.right))
+        if isinstance(node, Union):
+            return walk(node.left if contains(node.left) else node.right)
+        return Concat(Star(unmark(node.inner)), walk(node.inner))  # Star or Plus
+
+    return walk(marked.root)
+
+
+def complement_by_marking(r: Regex, alphabet: Alphabet) -> Regex:
+    """Init expression, then per position in occurrence order its prefixes
+    followed by a forbidden symbol, or also ending there when the position
+    ends no word."""
+    marked, _, _, last, follow = _unambiguous_sets(r)
+    out = init_expr_by_marking(r, alphabet)
+    for x in sorted(marked.positions, key=lambda m: m.occurrence):
+        banned = frozenset(alphabet) - {b.base for a, b in follow if a == x}
+        gap = _gap_by_marking(banned, alphabet)
+        tail = gap if x in last else sunion(EPSILON, gap)
+        out = sunion(out, sconcat(prefix_to_by_marking(r, x), tail))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,31 @@ def test_memory_error_is_budget_exit(capsys, monkeypatch):
     assert err.startswith("rexlab: budget exceeded: ") and err.count("\n") == 1
 
 
+def test_recursion_error_is_usage_error(capsys, monkeypatch):
+    # Whatever recursive path deep input still reaches ends as exit 2 with
+    # one error line, never as a traceback with exit 1.
+    def too_deep(_):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("rexlab.cli.size", too_deep)
+    code, out, err = run_cli(capsys, "size", "--alphabet", "a", "a")
+    assert code == 2 and out == ""
+    assert err == "rexlab: error: input nested too deeply\n"
+
+
+def test_polynomial_complement_of_long_chain(capsys):
+    # 1,500 symbols parse to a left-nested concatenation far deeper than the
+    # recursion limit; the polynomial route must still print its complement.
+    from rexlab.rex import Alphabet, format_regex, parse
+    from rexlab.unambiguous import complement_unambiguous
+    text = "a" * 1500
+    code, out, err = run_cli(capsys, "complement", "--force-unambiguous",
+                             "--alphabet", "ab", text)
+    assert (code, err) == (0, "")
+    sigma = Alphabet.of("a", "b")
+    assert out == format_regex(complement_unambiguous(parse(text, sigma), sigma)) + "\n"
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("parse", "--alphabet", "abc", "(a|b)*a|bc"),

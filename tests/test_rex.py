@@ -17,6 +17,7 @@ from rexlab.rex import (
     Sym,
     Union,
     UnknownSymbolError,
+    concat_all,
     format_regex,
     glushkov_sets,
     mark,
@@ -265,3 +266,68 @@ class TestRepeatUpto:
         sizes = [size(repeat_upto(a, n)) for n in range(1, 9)]
         deltas = {sizes[i + 1] - sizes[i] for i in range(len(sizes) - 1)}
         assert len(deltas) == 1  # exactly linear growth
+
+
+def left_nested(n, last="a"):
+    return concat_all([Sym("a")] * (n - 1) + [Sym(last)])
+
+
+def right_nested(n, last="a"):
+    r = Sym(last)
+    for _ in range(n - 1):
+        r = Concat(Sym("a"), r)
+    return r
+
+
+def under_stars(n, last="a"):
+    return Plus(Star(Union(EPSILON, right_nested(n, last))))
+
+
+class TestDeepEquality:
+    """Equality and hashing walk the tree without recursion."""
+
+    DEPTH = 10_000
+
+    @pytest.mark.parametrize("build", [left_nested, right_nested, under_stars])
+    def test_deep_trees(self, build):
+        r, s, t = build(self.DEPTH), build(self.DEPTH), build(self.DEPTH, "b")
+        assert r is not s
+        assert r == s and not r != s
+        assert hash(r) == hash(s)
+        assert r != t and not r == t
+
+    def test_chain_of_2000(self):
+        r = concat_all([Sym("a")] * 2000)
+        assert r == concat_all([Sym("a")] * 2000)
+        assert hash(r) == hash(concat_all([Sym("a")] * 2000))
+
+    def test_identity_short_circuit(self):
+        # 2**80 leaves as a tree, 81 distinct nodes: only identity and
+        # memoised hashing make these finish.
+        d = Sym("a")
+        for _ in range(80):
+            d = Concat(d, d)
+        assert d == d
+        assert Concat(d, Sym("b")) == Concat(d, Sym("b"))
+        assert Concat(d, Sym("b")) != Concat(d, Sym("a"))
+        assert isinstance(hash(d), int)
+
+    def test_classes_and_symbols_matter(self):
+        a, b = Sym("a"), Sym("b")
+        assert Concat(a, b) != Union(a, b)
+        assert Star(a) != Plus(a)
+        assert Intersect(a, b) != Union(a, b)
+        assert Sym("a") != Sym(ms("a", 1))
+        assert Sym(ms("a", 1)) == Sym(ms("a", 1))
+        assert EMPTY != EPSILON and EMPTY == Concat(EMPTY, EMPTY).left
+        assert Sym("a") != "a" and "a" != Sym("a")
+
+    @settings(max_examples=150)
+    @given(regexes("ab", max_leaves=5), regexes("ab", max_leaves=5))
+    def test_equality_is_structural(self, r, s):
+        # format_regex is injective on plain trees, so equal text means
+        # equal trees; equal trees hash equally.
+        assert (r == s) == (format_regex(r) == format_regex(s))
+        assert r == parse(format_regex(r), AB)
+        assert hash(r) == hash(parse(format_regex(r), AB))
+        assert {r: 1}.get(parse(format_regex(r), AB)) == 1

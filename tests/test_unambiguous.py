@@ -16,15 +16,22 @@ from rexlab.rex import (
     EMPTY,
     EPSILON,
     Alphabet,
+    Concat,
     MarkedSymbol,
+    Regex,
+    Star,
     Sym,
     Union,
+    concat_all,
     format_regex,
     mark,
     parse,
+    size,
+    symbols_of,
 )
 from rexlab.unambiguous import (
     LocalProfile,
+    UnambiguityReport,
     NotOneUnambiguousError,
     NotSoreError,
     complement_unambiguous,
@@ -41,8 +48,28 @@ from rexlab.unambiguous import (
     profile_to_dfa,
 )
 
-from corpus import one_unambiguous_corpus, random_plain_regex, random_sore
-from oracles import nfa_slice, regex_slice, unambiguity_violation
+from rexlab.witnesses import SIGMA_L, unamb_family
+
+from corpus import (
+    balanced_sore,
+    one_unambiguous_corpus,
+    random_extended_regex,
+    random_plain_regex,
+    random_sore,
+)
+from oracles import (
+    complement_by_marking,
+    init_expr_by_marking,
+    last_marked_by_marking,
+    local_profile_by_marking,
+    nfa_slice,
+    nfirst_by_marking,
+    nfollow_by_marking,
+    prefix_to_by_marking,
+    regex_slice,
+    unambiguity_by_marking,
+    unambiguity_violation,
+)
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
@@ -289,3 +316,180 @@ class TestIntersectSores:
         for r in exprs[1:]:
             acc = product(acc, glushkov(r, sigma))
         assert equivalent(glushkov(got, sigma), acc)
+
+
+# ---------------------------------------------------------------------------
+# The position-bitmask route against the marking route of tests/oracles.py
+# ---------------------------------------------------------------------------
+
+UNAMB_CORPUS = one_unambiguous_corpus(8080, 40, 24, "abc")
+SORE_SYMBOLS = [f"s{i}" for i in range(25)]
+SORE_SIGMA = Alphabet(tuple(SORE_SYMBOLS))
+
+
+def outcome(f, *args):
+    """What a call gives, as comparable values: regexes as text, reports by
+    repr, other values as they are, an error as its type and message."""
+    try:
+        value = f(*args)
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc), str(exc)
+    if isinstance(value, Regex):
+        return format_regex(value)
+    if isinstance(value, UnambiguityReport):
+        return repr(value)
+    return value
+
+
+def assert_routes_agree(r, sigma):
+    calls = [
+        (complement_unambiguous, complement_by_marking, (r, sigma)),
+        (init_expr, init_expr_by_marking, (r, sigma)),
+        (nfirst, nfirst_by_marking, (r, sigma)),
+        (last_marked, last_marked_by_marking, (r,)),
+        (local_profile, local_profile_by_marking, (r,)),
+        (is_one_unambiguous, unambiguity_by_marking, (r,)),
+    ]
+    positions = [ms(base, i) for i, base in enumerate(symbols_of(r), 1)]
+    unknown = [ms("a", 0), ms("a", len(positions) + 1), ms("a", -1), "a"]
+    unknown += [ms(x.base + "'", x.occurrence) for x in positions[:2]]
+    for x in positions + unknown:
+        calls.append((prefix_to, prefix_to_by_marking, (r, x)))
+        calls.append((nfollow, nfollow_by_marking, (r, x, sigma)))
+    for new, old, args in calls:
+        assert outcome(new, *args) == outcome(old, *args), (new.__name__, args)
+
+
+class TestAgainstMarkingRoute:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_unamb_family(self, n):
+        for r in unamb_family(n):
+            assert_routes_agree(r, SIGMA_L)
+
+    @settings(max_examples=80)
+    @given(st.sampled_from(["corpus", "sore", "plain", "foreign", "extended", "marked"]),
+           st.integers(0, 100_000))
+    def test_same_results(self, kind, seed):
+        rng = random.Random(seed)
+        if kind == "corpus":
+            r, sigma = rng.choice(UNAMB_CORPUS), ABC
+        elif kind == "sore":
+            r, sigma = balanced_sore(rng, SORE_SYMBOLS), SORE_SIGMA
+        elif kind == "plain":  # mostly ambiguous
+            r, sigma = random_plain_regex(rng, "ab", rng.randint(1, 16)), AB
+        elif kind == "foreign":  # symbols outside the declared alphabet
+            r, sigma = random_plain_regex(rng, "abc", rng.randint(1, 10)), AB
+        elif kind == "extended":
+            r, sigma = random_extended_regex(rng, "ab", rng.randint(1, 10)), AB
+        else:
+            r, sigma = mark(random_plain_regex(rng, "ab", rng.randint(1, 10))).root, AB
+        assert_routes_agree(r, sigma)
+
+    @pytest.mark.parametrize("text", ["abc*c", "ab(ab)*a(a|b)", "(ab|c)*a(b|%0)*b",
+                                      "c(a|b)+c*(ab)*(a|%e)b"])
+    def test_forks_after_long_paths(self, text):
+        assert_routes_agree(parse(text, ABC), ABC)
+
+    def test_ambiguous_message(self):
+        with pytest.raises(NotOneUnambiguousError) as err:
+            complement_unambiguous(parse("b(a|b)*a", AB), AB)
+        assert str(err.value) == (
+            "expression is not one-unambiguous (witness ((MarkedSymbol(base='b', "
+            "occurrence=1),), MarkedSymbol(base='a', occurrence=2), "
+            "MarkedSymbol(base='a', occurrence=4)))")
+
+
+# ---------------------------------------------------------------------------
+# Inputs far deeper than the interpreter's recursion limit
+# ---------------------------------------------------------------------------
+
+SIGMA_STAR = Star(Union(Sym("a"), Sym("b")))
+NOT_A = Concat(Sym("b"), SIGMA_STAR)  # the words over ab that start with b
+NONEMPTY = Concat(Union(Sym("a"), Sym("b")), SIGMA_STAR)
+
+
+def right_chain(n):
+    r = Sym("a")
+    for _ in range(n - 1):
+        r = Concat(Sym("a"), r)
+    return r
+
+
+def star_nest(n):
+    r = Sym("a")
+    for _ in range(n):
+        r = Star(r)
+    return r
+
+
+def chain_complement_size(n):
+    """Size of the complement of a^n over ab from a chain of n symbols,
+    nested either way: the init expression (8), n unions, the n - 1 terms
+    prefix . (eps | b(a|b)*) and the last term prefix . (a|b)(a|b)*; the
+    prefix of position x has size 2x - 1."""
+    return 8 + n + sum(2 * x + 8 for x in range(1, n)) + 2 * n + 8
+
+
+class TestDeepInput:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_chain_size_formula(self, n):
+        for r in (right_chain(n), concat_all([Sym("a")] * n)):
+            assert size(complement_by_marking(r, AB)) == chain_complement_size(n)
+
+    def test_right_nested_chain(self):
+        n = 3000
+        r = right_chain(n)
+        assert is_one_unambiguous(r).is_one_unambiguous
+        assert prefix_to(r, ms("a", n)) == r
+        assert prefix_to(r, ms("a", 1)) == Sym("a")
+        assert size(prefix_to(r, ms("a", 1500))) == size(right_chain(1500)) == 2999
+        s = complement_unambiguous(r, AB)
+        assert s.right == Concat(r, NONEMPTY)
+        assert s.left.right == Concat(right_chain(n - 1), Union(EPSILON, NOT_A))
+        terms = 0
+        while isinstance(s, Union) and s != Union(EPSILON, NOT_A):
+            terms, s = terms + 1, s.left
+        assert terms == n
+
+    def test_star_nest(self):
+        n = 10_000
+        r = star_nest(n)
+        assert is_one_unambiguous(r).is_one_unambiguous
+        # Every star above the symbol allows full iterations before it.
+        expected, node = Sym("a"), r
+        stars = []
+        while isinstance(node, Star):
+            stars.append(node)
+            node = node.inner
+        for star in reversed(stars):
+            expected = Concat(star, expected)
+        p = prefix_to(r, ms("a", 1))
+        assert p == expected
+        assert size(p) == 1 + sum(k + 2 for k in range(1, n + 1))
+        s = complement_unambiguous(r, AB)
+        assert s == Union(NOT_A, Concat(expected, NOT_A))
+        assert size(s) == 1 + 6 + 1 + size(p) + 6
+
+    def test_left_nested_chain(self):
+        n = 10_000
+        r = concat_all([Sym("a")] * n)
+        assert is_one_unambiguous(r).is_one_unambiguous
+        spine = [r]
+        while isinstance(spine[-1], Concat):
+            spine.append(spine[-1].left)
+        spine.reverse()  # spine[x - 1] is the chain of the first x symbols
+        assert prefix_to(r, ms("a", n)) == r
+        assert prefix_to(r, ms("a", 1)) == Sym("a")
+        assert prefix_to(r, ms("a", 4321)) == spine[4320]
+        s = complement_unambiguous(r, AB)
+        expected = Union(EPSILON, NOT_A)
+        for x in range(1, n):
+            expected = Union(expected, Concat(spine[x - 1], Union(EPSILON, NOT_A)))
+        assert s == Union(expected, Concat(r, NONEMPTY))
+        assert size(s) == chain_complement_size(n)
+
+    def test_ambiguous_star_nest(self):
+        r = Concat(star_nest(10_000), Sym("a"))
+        assert is_one_unambiguous(r).witness == ((), ms("a", 1), ms("a", 2))
+        with pytest.raises(NotOneUnambiguousError):
+            complement_unambiguous(r, AB)
