@@ -79,7 +79,10 @@ def _as_nfa(source: TUnion[Regex, Nfa], alphabet: Optional[Alphabet]) -> Nfa:
 class LanguageOracle:
     """Exact finite slice of a language: all accepted words up to a length.
 
-    Words are tuples of symbol names, sorted by length then alphabet order.
+    Words are tuples of symbol names in length-lex order: by length, then
+    symbol by symbol in the alphabet's declared order (not character order).
+    ``enumerate_language`` emits them in that order, and callers compare
+    ``words`` tuples with ``==``, so the order is part of the contract.
     """
 
     alphabet: Alphabet
@@ -109,6 +112,10 @@ def enumerate_language(source: TUnion[Regex, Nfa], max_len: int,
     bound are pruned, so sparse languages enumerate quickly even at the
     default bound of 16.  The number of accepted words is capped by
     ``max_words`` (a typed budget error when exceeded).
+
+    The words come out in length-lex order with no sort: level L + 1 extends
+    level L's prefixes in their order, each by the symbols in alphabet
+    order, and pruning only drops words.
     """
     if max_len > max_len_limit:
         raise budget.BudgetExceededError(
@@ -148,29 +155,30 @@ def enumerate_language(source: TUnion[Regex, Nfa], max_len: int,
         level = [(dfa.initial, ())]
     if dfa.initial in dfa.finals:
         words.append(())
+    finals = dfa.finals
+    names = tuple(enumerate(sigma))
+    length = 0
     while level:
         budget.checkpoint()
+        length += 1
+        slack = max_len - length  # symbols a word of this level may still gain
         nxt_level: list[tuple[int, Word]] = []
         for state, prefix in level:
             row = state * k
-            for ci, s in enumerate(sigma):
+            for ci, s in names:
                 q = table[row + ci]
-                if q < 0:
-                    continue
-                length = len(prefix) + 1
-                if length + dist[q] > max_len:
+                if q < 0 or dist[q] > slack:
                     continue
                 word = prefix + (s,)
-                if q in dfa.finals:
+                if q in finals:
                     words.append(word)
                     if len(words) > max_words:
                         raise budget.BudgetExceededError(
                             f"language slice exceeds {max_words} words")
-                if length < max_len:
+                if slack:
                     nxt_level.append((q, word))
         level = nxt_level
 
-    words.sort(key=lambda w: (len(w), [sigma.sort_key(s) for s in w]))
     return LanguageOracle(sigma, max_len, tuple(words))
 
 

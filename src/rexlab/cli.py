@@ -10,6 +10,7 @@ invocation's wall time; Ctrl-C cancels cooperatively.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import signal
@@ -275,6 +276,7 @@ def _cmd_minsize(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the whole command line, one subparser per verb."""
     parser = argparse.ArgumentParser(
         prog="rexlab",
         description="Regular expression algebra: conversions, complements, "
@@ -380,9 +382,20 @@ def _deadline_ms() -> Optional[float]:
                      f"milliseconds, not {text!r}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one invocation and return its exit code.
+
+    The argument parser is built on the first call and reused by every later
+    call in the process: building its subparsers costs far more than parsing
+    one argv, and parsing leaves no state behind.  Importing this module
+    builds nothing.
+    """
+    args = _parser().parse_args(argv)
 
     previous = None
     try:

@@ -165,11 +165,35 @@ class MarkedSymbol:
 class Regex:
     """Base class of all expression nodes. Instances are immutable.
 
-    Equality and hashing are structural and walk the tree with an explicit
-    stack, so arbitrarily deep trees compare and hash without recursion.
+    Equality, hashing and ``repr`` are structural and walk the tree with an
+    explicit stack, so arbitrarily deep trees compare, hash and print without
+    recursion.
     """
 
     __slots__ = ()
+
+    def __repr__(self) -> str:
+        # The text the dataclass repr would give, e.g.
+        # ``Concat(left=Sym(sym='a'), right=Star(inner=Epsilon()))``.
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            name = item.__class__.__qualname__
+            if isinstance(item, Sym):
+                out.append(f"{name}(sym={item.sym!r})")
+            elif isinstance(item, _BINARY):
+                out.append(f"{name}(left=")
+                stack += (")", item.right, ", right=", item.left)
+            elif isinstance(item, _UNARY):
+                out.append(f"{name}(inner=")
+                stack += (")", item.inner)
+            else:
+                out.append(f"{name}()")
+        return "".join(out)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -198,52 +222,52 @@ class Regex:
             (node.__class__, getattr(node, "sym", None), *kids)))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Empty(Regex):
     pass
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Epsilon(Regex):
     pass
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Sym(Regex):
     sym: TUnion[str, MarkedSymbol]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Concat(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Union(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Star(Regex):
     inner: Regex
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Plus(Regex):
     """One-or-more repetition, the single-occurrence shorthand for ``rr*``."""
 
     inner: Regex
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Intersect(Regex):
     left: Regex
     right: Regex
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Negate(Regex):
     inner: Regex
 

@@ -8,6 +8,7 @@ test expectations never share a code path with what they check.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import Iterable, Iterator, Optional
 
@@ -426,3 +427,22 @@ def is_k_string(s: str, n: int) -> bool:
             return False
         prev_first = first
     return True
+
+
+def dataclass_repr(value) -> str:
+    """The text of the ``@dataclass``-generated repr, by structural recursion.
+
+    ``ClassName(field=repr(value), ...)`` with the fields in declaration
+    order, as the generated ``__repr__`` builds it; the reference for the
+    library's explicit-stack ``Regex.__repr__`` on shallow trees.
+    """
+    if not isinstance(value, Regex):
+        return repr(value)
+    fields = ", ".join(f"{f.name}={dataclass_repr(getattr(value, f.name))}"
+                       for f in dataclasses.fields(value))
+    return f"{value.__class__.__qualname__}({fields})"
+
+
+def length_lex_sorted(words: Iterable[Word], alphabet: Alphabet) -> tuple[Word, ...]:
+    """Words sorted by length, then symbol by symbol in the alphabet's order."""
+    return tuple(sorted(words, key=lambda w: (len(w), [alphabet.sort_key(s) for s in w])))

@@ -32,8 +32,8 @@ from rexlab.rex import (
 from rexlab.unambiguous import complement_unambiguous
 from rexlab.witnesses import k_dfa, rho_encode, z_alphabet, z_dfa
 
-from corpus import random_dfa, random_plain_regex
-from oracles import path_words, regex_slice
+from corpus import random_dfa, random_extended_regex, random_nfa, random_plain_regex
+from oracles import length_lex_sorted, path_words, regex_slice
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
@@ -75,6 +75,29 @@ class TestEnumerate:
         sigma = Alphabet.of("b", "a")  # declared order b < a
         o = enumerate_language(parse("a|b|aa|ab", sigma), 2, sigma)
         assert o.words == (("b",), ("a",), ("a", "b"), ("a", "a"))
+
+    @settings(max_examples=200)
+    @given(st.lists(st.sampled_from(["a", "b", "c", "ab", "x1", "zz"]),
+                    min_size=1, max_size=4, unique=True),
+           st.sampled_from(["plain", "extended", "nfa", "dfa"]),
+           st.integers(0, 7), st.integers(0, 100_000))
+    def test_bfs_emits_length_lex_order(self, names, kind, max_len, seed):
+        # Alphabets declared out of character order, multi-character names,
+        # sparse NFAs whose dead ends are pruned, and initial states that
+        # are final: the words must come out as the length-lex sort gives.
+        rng = random.Random(seed)
+        sigma = Alphabet(tuple(names))
+        if kind == "plain":
+            source = random_plain_regex(rng, names, rng.randint(1, 12))
+        elif kind == "extended":
+            source = random_extended_regex(rng, names, rng.randint(1, 10))
+        elif kind == "nfa":
+            source = random_nfa(rng, sigma, rng.randint(1, 6), rng.choice([0.05, 0.2, 0.5]))
+        else:
+            source = random_dfa(rng, sigma, rng.randint(1, 6))
+        words = enumerate_language(source, max_len, sigma).words
+        assert words == length_lex_sorted(words, sigma)
+        assert len(set(words)) == len(words)
 
     @settings(max_examples=40)
     @given(st.integers(0, 100_000))

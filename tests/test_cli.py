@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import rexlab
+import rexlab.cli as cli
 from rexlab.cli import main
 
 
@@ -282,6 +283,90 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+
+def run_argv(capsys, argv):
+    """``run_cli`` that also returns argparse's ``SystemExit`` code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    def test_built_at_most_once(self, capsys, monkeypatch):
+        built, build = [], cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for i in range(20):
+            verb = ("parse", "size", "to-nfa")[i % 3]
+            code, out, _ = run_cli(capsys, verb, "--alphabet", "ab", "(a|b)*a")
+            assert code == 0 and out
+        assert len(built) <= 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_calls_stay_independent(self, capsys, monkeypatch, tmp_path):
+        _, a_text, _ = run_cli(capsys, "to-nfa", "--alphabet", "ab", "a|ba")
+        _, b_text, _ = run_cli(capsys, "to-nfa", "--alphabet", "ab", "a|ab")
+        fa, fb = tmp_path / "a.aut", tmp_path / "b.aut"
+        fa.write_text(a_text)
+        fb.write_text(b_text)
+        good = ("size", "--alphabet", "ab", "(a|b)*a")
+        sequence = [
+            ("complement", "--force-naive", "--alphabet", "ab", "a*b"),
+            ("complement", "--alphabet", "ab", "a*b"),
+            ("verify", "--accepts", "ba", str(fa)),
+            ("verify", "--equiv", str(fa), str(fb)),
+            ("verify", "--accepts", "a", str(fb)),
+            good,
+            ("size", "--alphabet", "ab"),  # missing regex: SystemExit(2)
+            good,
+            ("complement", "--force-naive", "--force-unambiguous",
+             "--alphabet", "ab", "a"),  # exclusive options: SystemExit(2)
+            ("intersect", "--method", "product", "--alphabet", "ab", "a*", "aa*"),
+            ("intersect", "--alphabet", "ab", "a*", "aa*"),
+            ("no-such-verb",),
+            good,
+        ]
+        reused = [run_argv(capsys, argv) for argv in sequence]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)
+            fresh = [run_argv(capsys, argv) for argv in sequence]
+        assert reused == fresh
+        codes = [code for code, _, _ in reused]
+        assert codes == [0, 0, 0, 1, 0, 0, 2, 0, 2, 0, 0, 2, 0]
+        assert reused[0][1] != reused[1][1]  # the naive route is not reused
+
+
+def test_import_builds_no_parser():
+    # Building the parser is the largest fixed cost of a call; importing the
+    # CLI must not pay it, only the first ``main`` call.
+    probe = """\
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import rexlab, rexlab.cli
+print(len(built))
+"""
+    src = str(Path(rexlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "0\n"), out.stderr
 
 
 SCRIPT_ARGV = ["size", "--alphabet", "a", "a*"]

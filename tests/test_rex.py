@@ -30,7 +30,7 @@ from rexlab.rex import (
 )
 
 from conftest import regexes
-from oracles import first_last_adjacent, regex_slice
+from oracles import dataclass_repr, first_last_adjacent, regex_slice
 
 ABC = Alphabet.of("a", "b", "c")
 AB = Alphabet.of("a", "b")
@@ -281,6 +281,61 @@ def right_nested(n, last="a"):
 
 def under_stars(n, last="a"):
     return Plus(Star(Union(EPSILON, right_nested(n, last))))
+
+
+def extended_trees(max_leaves=8):
+    """Trees of every node class, with plain, multi-character and marked symbols."""
+    leaf = st.sampled_from([EMPTY, EPSILON, Sym("a"), Sym("bc"), Sym("x'"),
+                            Sym(MarkedSymbol("a", 3))])
+    return st.recursive(
+        leaf,
+        lambda kids: st.one_of(
+            st.builds(Star, kids), st.builds(Plus, kids), st.builds(Negate, kids),
+            st.builds(Concat, kids, kids), st.builds(Union, kids, kids),
+            st.builds(Intersect, kids, kids)),
+        max_leaves=max_leaves)
+
+
+class TestRepr:
+    """``repr`` and ``str`` give the dataclass text, built without recursion."""
+
+    DEPTH = 10_000
+
+    @settings(max_examples=150)
+    @given(extended_trees())
+    def test_matches_dataclass_repr(self, r):
+        assert repr(r) == str(r) == dataclass_repr(r)
+
+    def test_examples(self):
+        assert repr(EMPTY) == "Empty()" and str(EPSILON) == "Epsilon()"
+        assert repr(Concat(Sym("a"), Star(Sym(MarkedSymbol("b", 2))))) == (
+            "Concat(left=Sym(sym='a'), "
+            "right=Star(inner=Sym(sym=MarkedSymbol(base='b', occurrence=2))))")
+        assert repr(mark(parse("ab", AB))) == (
+            "MarkedRegex(root=Concat(left=Sym(sym=MarkedSymbol(base='a', occurrence=1)), "
+            "right=Sym(sym=MarkedSymbol(base='b', occurrence=2))), "
+            "origin=Concat(left=Sym(sym='a'), right=Sym(sym='b')))")
+
+    @pytest.mark.parametrize("n", [2000, DEPTH])
+    def test_deep_left_chain(self, n):
+        r = left_nested(n)
+        want = ("Concat(left=" * (n - 1) + "Sym(sym='a')"
+                + ", right=Sym(sym='a'))" * (n - 1))
+        assert repr(r) == want and str(r) == want
+
+    def test_deep_right_chain(self):
+        n = self.DEPTH
+        want = ("Concat(left=Sym(sym='a'), right=" * (n - 1) + "Sym(sym='b')"
+                + ")" * (n - 1))
+        assert repr(right_nested(n, "b")) == want
+
+    def test_deep_unary_nest(self):
+        r, opened = Sym("a"), []
+        for i in range(self.DEPTH):
+            r = (Star, Plus, Negate)[i % 3](r)
+            opened.append(f"{type(r).__name__}(inner=")
+        want = "".join(reversed(opened)) + "Sym(sym='a')" + ")" * self.DEPTH
+        assert repr(r) == want and str(r) == want
 
 
 class TestDeepEquality:

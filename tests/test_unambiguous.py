@@ -488,6 +488,19 @@ class TestDeepInput:
         assert s == Union(expected, Concat(r, NONEMPTY))
         assert size(s) == chain_complement_size(n)
 
+    @pytest.mark.parametrize("build", [
+        lambda: concat_all([Sym("a")] * 10_000),
+        lambda: Concat(star_nest(10_000), Sym("a")),
+    ])
+    def test_not_sore_message(self, build):
+        r = build()
+        with pytest.raises(NotSoreError) as info:
+            local_profile(r)
+        assert str(info.value) == f"not a single-occurrence regex: {r!r}"
+        with pytest.raises(NotSoreError) as info:
+            intersect_sores([Sym("a"), r], AB)
+        assert str(info.value) == f"not a single-occurrence regex: {format_regex(r)}"
+
     def test_ambiguous_star_nest(self):
         r = Concat(star_nest(10_000), Sym("a"))
         assert is_one_unambiguous(r).witness == ((), ms("a", 1), ms("a", 2))
