@@ -18,6 +18,7 @@ from . import budget
 from .automata import (
     Dfa,
     Nfa,
+    TransitionIndex,
     determinize,
     eliminate_states,
     equivalent,
@@ -34,6 +35,7 @@ from .rex import (
     Concat,
     Empty,
     Epsilon,
+    ExtendedOperatorError,
     Regex,
     Star,
     Sym,
@@ -69,10 +71,23 @@ DEFAULT_MAX_LEN = 16
 DEFAULT_MAX_WORDS = 500_000
 
 
-def _as_nfa(source: TUnion[Regex, Nfa], alphabet: Optional[Alphabet]) -> Nfa:
+def _as_nfa(source: TUnion[Regex, Nfa], alphabet: Optional[Alphabet],
+            max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
+    """An automaton for ``source``: itself, or the compiled expression.
+
+    A plain expression compiles by :func:`glushkov`, one state per symbol
+    occurrence; one with intersection or negation by :func:`extended_to_nfa`.
+    Callers read only the language, so the route cannot show.  Input that
+    ``glushkov`` refuses with a ``ValueError`` (a marked or undeclared
+    symbol, no alphabet to derive) goes to the combinators too, which refuse
+    it as they always have.
+    """
     if isinstance(source, Nfa):
         return source
-    return extended_to_nfa(source, alphabet)
+    try:
+        return glushkov(source, alphabet)
+    except (ExtendedOperatorError, ValueError):
+        return extended_to_nfa(source, alphabet, max_states)
 
 
 @dataclass(frozen=True)
@@ -108,10 +123,12 @@ def enumerate_language(source: TUnion[Regex, Nfa], max_len: int,
                        max_words: int = DEFAULT_MAX_WORDS) -> LanguageOracle:
     """Enumerate the language slice by BFS over the determinised automaton.
 
-    Prefixes that cannot be completed to an accepted word within the length
-    bound are pruned, so sparse languages enumerate quickly even at the
-    default bound of 16.  The number of accepted words is capped by
-    ``max_words`` (a typed budget error when exceeded).
+    A plain ``Regex`` compiles by :func:`glushkov`, an extended one by
+    :func:`extended_to_nfa`; an automaton is used as given.  Prefixes that
+    cannot be completed to an accepted word within the length bound are
+    pruned, so sparse languages enumerate quickly even at the default bound
+    of 16.  The number of accepted words is capped by ``max_words`` (a typed
+    budget error when exceeded).
 
     The words come out in length-lex order with no sort: level L + 1 extends
     level L's prefixes in their order, each by the symbols in alphabet
@@ -232,15 +249,19 @@ def _check_word(word: Word, alphabet: Alphabet):
 
 
 def _factor_nfa(word: Word, alphabet: Alphabet) -> Nfa:
-    """Sigma* word Sigma* as a (k+1)-state NFA."""
-    k = len(word)
-    transitions = set()
-    for s in alphabet:
-        transitions.add((0, s, 0))
-        transitions.add((k, s, k))
-    for i, s in enumerate(word):
-        transitions.add((i, s, i + 1))
-    return Nfa(alphabet, k + 1, 0, frozenset([k]), frozenset(transitions))
+    """Sigma* word Sigma* as a (len(word) + 1)-state NFA, written slot by slot."""
+    last = len(word)
+    codes = [alphabet.index[s] for s in word]
+    starts, targets = [0], []
+    for p in range(last + 1):
+        for c in range(len(alphabet)):
+            if p == 0 or p == last:  # the loops at both ends
+                targets.append(p)
+            if p < last and c == codes[p]:
+                targets.append(p + 1)
+            starts.append(len(targets))
+    return Nfa(alphabet, last + 1, 0, frozenset([last]),
+               TransitionIndex(alphabet, starts, targets))
 
 
 def covers(r: Regex, word: Sequence[str], alphabet: Optional[Alphabet] = None) -> bool:
@@ -255,7 +276,7 @@ def covers(r: Regex, word: Sequence[str], alphabet: Optional[Alphabet] = None) -
         if not names:
             names = ["a"]  # symbol-free expression: emptiness is all that matters
         sigma = Alphabet(tuple(names))
-    nfa = extended_to_nfa(r, sigma)
+    nfa = _as_nfa(r, sigma)
     _check_word(w, sigma)
     prod = product(nfa, _factor_nfa(w, sigma))
     reached = _reach([prod.initial], _successors_on(prod, range(len(sigma))))
@@ -300,7 +321,7 @@ def word_index(r: Regex, word: Sequence[str],
     if sigma is None:
         names = sorted(set(symbols_of(r)) | set(w))
         sigma = Alphabet(tuple(names))
-    nfa = extended_to_nfa(r, sigma)
+    nfa = _as_nfa(r, sigma)
     _check_word(w, sigma)
     succ = _successors_on(nfa, range(len(sigma)))
     reach = _reach([nfa.initial], succ)
@@ -383,7 +404,7 @@ def sidekicks(r: Regex, alphabet: Optional[Alphabet] = None) -> frozenset[int]:
         sigma = Alphabet(tuple(names))
     edges = [_edge_indices(name) for name in sigma]
     indices = {i for edge in edges for i in edge}
-    nfa = extended_to_nfa(r, sigma)
+    nfa = _as_nfa(r, sigma)
 
     out = set()
     for v in sorted(indices):

@@ -12,9 +12,15 @@ and -1 for a missing edge.  An NFA keeps ``Nfa.index``, two ``array('i')``s
 in compressed sparse row form: slot ``s`` holds the ascending targets
 ``targets[starts[s]:starts[s + 1]]``.  An automaton built from triples keeps
 the frozenset it was given; a DFA fills its table while checking them, an
-NFA builds its index on first use.  The constructions write a table or an
-index directly, and their ``transitions`` is a read-only set view over it
-(:class:`TransitionTable`, :class:`TransitionIndex`).
+NFA builds its index on first use.  Of the library's NFAs, only those read
+by :func:`parse_automaton` are built from triples.  The constructions write
+a table or an index directly, and their ``transitions`` is a read-only set
+view over it (:class:`TransitionTable`, :class:`TransitionIndex`).
+
+The extended-regex combinators of :func:`extended_to_nfa` pass int edge
+lists from node to node, an edge ``(p, c, q)`` coded as one int so that
+renumbering the states is one addition per edge, and write one index for an
+operand of a product or a subset construction and for the result.
 
 Subset construction reads the index into one successor int per NFA state
 and cuts each subset into four slices of ``ceil(n / 4)`` bits.  The union of
@@ -281,13 +287,18 @@ class TransitionIndex(_TripleView):
         return self.targets[starts[slot]:starts[slot + 1]]
 
 
-def _slot_index(alphabet: Alphabet, n_states: int, keys: list[int]) -> TransitionIndex:
-    """Index of distinct edges coded as ``slot * n_states + target``, in any order."""
+def _slot_index(alphabet: Alphabet, n_states: int, keys: list[int],
+                stride: int = 0) -> TransitionIndex:
+    """Index of distinct edges coded as ``slot * stride + target``, in any order.
+
+    ``stride`` defaults to ``n_states``; any larger one decodes the same way.
+    """
+    stride = stride or n_states
     keys.sort()  # slots in order, and each slot's targets ascending
     counts = [0] * (n_states * len(alphabet) + 1)
     for key in keys:
-        counts[key // n_states + 1] += 1
-    return TransitionIndex(alphabet, accumulate(counts), [key % n_states for key in keys])
+        counts[key // stride + 1] += 1
+    return TransitionIndex(alphabet, accumulate(counts), [key % stride for key in keys])
 
 
 @dataclass(frozen=True)
@@ -404,80 +415,94 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
     n = len(rows)
     k = len(sigma)
     table = array("i", [-1]) * (n * k)
-    for p, row in enumerate(rows):
+    # A row holds up to n targets, so the budget is polled once per row.
+    for p, row in _polled(enumerate(rows)):
         base = p * k
         for q in iter_bits(row):
             slot = base + codes[q]
             if table[slot] >= 0:
                 # Two targets of one state share a symbol: an NFA.
                 keys = [(src * k + codes[dst]) * n + dst
-                        for src, targets in enumerate(rows) for dst in iter_bits(targets)]
+                        for src, targets in _polled(enumerate(rows))
+                        for dst in iter_bits(targets)]
                 return Nfa(sigma, n, 0, finals, _slot_index(sigma, n, keys))
             table[slot] = q
     return Dfa.from_table(sigma, n, 0, finals, table)
+
+
+def _polled(items: Iterable):
+    """``items``, polling the budget before each one."""
+    for item in items:
+        budget.checkpoint()
+        yield item
 
 
 # ---------------------------------------------------------------------------
 # Extended regexes
 # ---------------------------------------------------------------------------
 
-def _atom_nfa(sigma: Alphabet, accept_epsilon: bool) -> Nfa:
-    return Nfa(sigma, 1, 0, frozenset([0] if accept_epsilon else []), frozenset())
+# A combinator value is ``(n_states, initial, finals, edges)``: ``finals`` is a
+# list of states and ``edges`` a list of ints, the edge ``(p, c, q)`` coded as
+# ``p * row + c * stride + q`` with ``row = k * stride``.  Shifting every
+# state by ``d`` adds ``d * (row + 1)`` to each code.
+
+def _shifted(value: tuple, offset: int, row: int) -> tuple:
+    n, initial, finals, edges = value
+    step = offset * (row + 1)
+    return n, initial + offset, [q + offset for q in finals], [e + step for e in edges]
 
 
-def _sym_nfa(sigma: Alphabet, name: str) -> Nfa:
-    if name not in sigma:
-        raise ValueError(f"symbol {name!r} not in the declared alphabet")
-    return Nfa(sigma, 2, 0, frozenset([1]), frozenset([(0, name, 1)]))
+def _out_edges(edges: list[int], p: int, row: int) -> list[int]:
+    """The edges leaving ``p`` with their source taken off: ``c * stride + q``."""
+    lo = p * row
+    return [e - lo for e in edges if lo <= e < lo + row]
 
 
-def _shift(a: Nfa, offset: int) -> tuple[set[tuple[int, str, int]], set[int], int]:
-    trans = {(p + offset, s, q + offset) for p, s, q in a.transitions}
-    finals = {q + offset for q in a.finals}
-    return trans, finals, a.initial + offset
-
-
-def _nfa_union(a: Nfa, b: Nfa) -> Nfa:
-    # Fresh initial state copying both initial states' outgoing transitions.
-    ta, fa, ia = _shift(a, 1)
-    tb, fb, ib = _shift(b, 1 + a.n_states)
-    trans = ta | tb
-    for p, s, q in list(trans):
-        if p == ia or p == ib:
-            trans.add((0, s, q))
-    finals = fa | fb
+def _union(a: tuple, b: tuple, row: int) -> tuple:
+    # Fresh initial state 0 copying both initial states' outgoing edges.
+    na, ia, fa, ea = _shifted(a, 1, row)
+    nb, ib, fb, eb = _shifted(b, 1 + na, row)
+    finals = fa + fb
     if ia in fa or ib in fb:
-        finals.add(0)
-    return Nfa(a.alphabet, 1 + a.n_states + b.n_states, 0, frozenset(finals), frozenset(trans))
+        finals.append(0)
+    return 1 + na + nb, 0, finals, ea + eb + _out_edges(ea, ia, row) + _out_edges(eb, ib, row)
 
 
-def _nfa_concat(a: Nfa, b: Nfa) -> Nfa:
-    ta, fa, ia = _shift(a, 0)
-    tb, fb, ib = _shift(b, a.n_states)
-    trans = ta | tb
-    b_init_out = [(s, q) for p, s, q in tb if p == ib]
-    for f in fa:
-        for s, q in b_init_out:
-            trans.add((f, s, q))
-    finals = set(fb)
-    if ib in fb:
-        finals |= fa
-    return Nfa(a.alphabet, a.n_states + b.n_states, ia, frozenset(finals), frozenset(trans))
+def _concat(a: tuple, b: tuple, row: int) -> tuple:
+    na, ia, fa, ea = a
+    nb, ib, fb, eb = _shifted(b, na, row)
+    b_init_out = _out_edges(eb, ib, row)
+    edges = ea + eb + [f * row + t for f in fa for t in b_init_out]
+    return na + nb, ia, fb + fa if ib in fb else fb, edges
 
 
-def _nfa_repeat(a: Nfa, at_least_one: bool) -> Nfa:
-    # Fresh initial state; accepting states loop back through copies of the
-    # old initial state's outgoing transitions.
-    ta, fa, ia = _shift(a, 1)
-    trans = set(ta)
-    init_out = [(s, q) for p, s, q in ta if p == ia]
-    for f in fa | {0}:
-        for s, q in init_out:
-            trans.add((f, s, q))
-    finals = set(fa)
-    if not at_least_one or ia in fa:
-        finals.add(0)
-    return Nfa(a.alphabet, a.n_states + 1, 0, frozenset(finals), frozenset(trans))
+def _repeat(a: tuple, at_least_one: bool, row: int) -> tuple:
+    # Fresh initial state 0; accepting states loop back through copies of the
+    # old initial state's outgoing edges, which some of them may hold already.
+    na, ia, fa, ea = _shifted(a, 1, row)
+    init_out = _out_edges(ea, ia, row)
+    have = set(ea)
+    loops = [e for f in [0, *fa] for t in init_out if (e := f * row + t) not in have]
+    finals = fa + [0] if not at_least_one or ia in fa else fa
+    return na + 1, 0, finals, ea + loops
+
+
+def _as_value(v, stride: int) -> tuple:
+    """A node value as a combinator value; an automaton is read off its index."""
+    if not isinstance(v, Nfa):
+        return v
+    starts, targets = v.index.starts, v.index.targets
+    edges = [slot * stride + q for slot in range(len(starts) - 1)
+             for q in targets[starts[slot]:starts[slot + 1]]]
+    return v.n_states, v.initial, list(v.finals), edges
+
+
+def _as_automaton(v, sigma: Alphabet, stride: int) -> Nfa:
+    """A node value as an automaton; a combinator value gets one slot index."""
+    if isinstance(v, Nfa):
+        return v
+    n, initial, finals, edges = v
+    return Nfa(sigma, n, initial, frozenset(finals), _slot_index(sigma, n, edges, stride))
 
 
 def extended_to_nfa(r: Regex, alphabet: Optional[Alphabet] = None,
@@ -489,46 +514,55 @@ def extended_to_nfa(r: Regex, alphabet: Optional[Alphabet] = None,
     combinators, so for an intersection-only expression the state count stays
     below 2^size.  Negation requires a declared alphabet, since the complement
     is taken relative to it.
+
+    The combinators work on int edge lists and build no automaton: an
+    :class:`Nfa` is built only for an operand of an intersection or a
+    negation, and for the result, each with one slot index.  Every node's
+    state count is checked against ``max_states``.  The oracles of
+    :mod:`rexlab.analysis` and the CLI's ``to-nfa`` and ``complement``
+    compile a plain expression by :func:`glushkov` instead.
     """
     if alphabet is None:
         if any(isinstance(n, Negate) for n in iter_postorder(r)):
             raise ValueError("negation needs an explicit alphabet")
         alphabet = _derived_alphabet(symbols_of(r), None)
     sigma = alphabet
+    code = sigma.index
+    # Before its check a node has at most 2 * max_states + 1 states (a union
+    # of two checked operands), so every state fits below the stride.
+    stride = 2 * max(max_states, 0) + 2
+    row = len(sigma) * stride
 
-    values: list[Nfa] = []
+    values: list = []
     for node in iter_postorder(r):
         budget.checkpoint()
-        if isinstance(node, Empty):
-            values.append(_atom_nfa(sigma, False))
-        elif isinstance(node, Epsilon):
-            values.append(_atom_nfa(sigma, True))
+        if isinstance(node, (Empty, Epsilon)):
+            value = (1, 0, [0] if isinstance(node, Epsilon) else [], [])
         elif isinstance(node, Sym):
-            values.append(_sym_nfa(sigma, node.sym))  # type: ignore[arg-type]
-        elif isinstance(node, Concat):
-            b, a = values.pop(), values.pop()
-            values.append(_nfa_concat(a, b))
-        elif isinstance(node, Union):
-            b, a = values.pop(), values.pop()
-            values.append(_nfa_union(a, b))
-        elif isinstance(node, Star):
-            values.append(_nfa_repeat(values.pop(), at_least_one=False))
-        elif isinstance(node, Plus):
-            values.append(_nfa_repeat(values.pop(), at_least_one=True))
+            c = code.get(node.sym)  # type: ignore[arg-type]
+            if c is None:
+                raise ValueError(f"symbol {node.sym!r} not in the declared alphabet")
+            value = (2, 0, [1], [c * stride + 1])
         elif isinstance(node, Intersect):
             b, a = values.pop(), values.pop()
-            values.append(product(a, b, max_states=max_states))
+            value = product(_as_automaton(a, sigma, stride), _as_automaton(b, sigma, stride),
+                            max_states=max_states)
         elif isinstance(node, Negate):
-            inner = values.pop()
+            inner = _as_automaton(values.pop(), sigma, stride)
             # Minimising first keeps nested negations feasible at desk scale.
-            small = minimize(determinize(inner, max_states=max_states))
-            values.append(complement_dfa(small))
+            value = complement_dfa(minimize(determinize(inner, max_states=max_states)))
+        elif isinstance(node, (Concat, Union)):
+            b, a = _as_value(values.pop(), stride), _as_value(values.pop(), stride)
+            value = (_concat if isinstance(node, Concat) else _union)(a, b, row)
+        elif isinstance(node, (Star, Plus)):
+            value = _repeat(_as_value(values.pop(), stride), isinstance(node, Plus), row)
         else:  # pragma: no cover
             raise TypeError(f"unknown node {node!r}")
-        if values[-1].n_states > max_states:
+        if (value.n_states if isinstance(value, Nfa) else value[0]) > max_states:
             raise budget.BudgetExceededError(
                 f"intermediate automaton exceeds {max_states} states")
-    return values[0]
+        values.append(value)
+    return _as_automaton(values[0], sigma, stride)
 
 
 # ---------------------------------------------------------------------------
@@ -772,8 +806,7 @@ def minimize(d: Dfa) -> Dfa:
     serialise identically.  Internals are flat arrays so automata with
     millions of transitions stay tractable.
     """
-    sigma = list(d.alphabet)
-    k = len(sigma)
+    k = len(d.alphabet)
     table = d.table
 
     # Reachable restriction.
@@ -888,25 +921,28 @@ def minimize(d: Dfa) -> Dfa:
                 stack.append(b)
     init_block = block_of[remap[d.initial]]
 
-    # Canonical BFS numbering from the initial class.
+    # Canonical BFS numbering from the initial class; the i-th class taken
+    # off the queue writes row i of the output table.
     ids = {init_block: 0}
     order2 = [init_block]
+    out = array("i")
+    emit = out.append
     i = 0
-    new_trans = []
     while i < len(order2):
-        b = order2[i]
-        row = b * k
+        row = order2[i] * k
         for ci in range(k):
             t = class_delta[row + ci]
             if not useful[t]:
+                emit(-1)
                 continue
-            if t not in ids:
-                ids[t] = len(ids)
+            dst = ids.get(t)
+            if dst is None:
+                dst = ids[t] = len(ids)
                 order2.append(t)
-            new_trans.append((ids[b], sigma[ci], ids[t]))
+            emit(dst)
         i += 1
     new_finals = frozenset(ids[b] for b in final_blocks if b in ids)
-    return Dfa(d.alphabet, len(ids), 0, new_finals, frozenset(new_trans))
+    return Dfa.from_table(d.alphabet, len(ids), 0, new_finals, out)
 
 
 def serialize(a: Nfa) -> str:
@@ -921,7 +957,12 @@ def serialize(a: Nfa) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_automaton(text: str) -> Nfa:
+def parse_automaton(text: str, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
+    """Read the format :func:`serialize` writes.
+
+    A ``states:`` count above ``max_states`` raises ``BudgetExceededError``
+    before anything of that size is allocated.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "automaton v1":
         raise AutomatonFormatError("missing 'automaton v1' header")
@@ -936,6 +977,9 @@ def parse_automaton(text: str) -> Nfa:
         n_states = int(field(2, "states"))
         if n_states > 2 ** 31 - 1:  # state numbers live in array('i') slots
             raise AutomatonFormatError(f"states: {n_states} is above 2**31 - 1")
+        if n_states > max_states:
+            raise budget.BudgetExceededError(
+                f"automaton file of {n_states} states exceeds {max_states} states")
         initial = int(field(3, "initial"))
         finals_text = field(4, "finals")
         finals = frozenset(int(t) for t in finals_text.split()) if finals_text else frozenset()

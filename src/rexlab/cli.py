@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from . import budget
 from .analysis import (
     PIPELINES,
+    _as_nfa,
     blowup_report,
     minimal_regex_size,
     word_index,
@@ -32,7 +33,6 @@ from .automata import (
     eliminate_states,
     equivalent,
     extended_to_nfa,
-    glushkov,
     minimize,
     parse_automaton,
     product,
@@ -89,8 +89,9 @@ def _read_regex(args, alphabet: Alphabet) -> Regex:
     return parse(text, alphabet)
 
 
-def _read_automaton(spec: Optional[str]) -> Nfa:
-    return parse_automaton(_read_text(spec))
+def _read_automaton(spec: Optional[str],
+                    max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
+    return parse_automaton(_read_text(spec), max_states=max_states)
 
 
 def _parse_word(text: str, alphabet: Alphabet) -> tuple[str, ...]:
@@ -148,16 +149,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_to_nfa(args) -> int:
     sigma = _get_alphabet(args)
-    r = _read_regex(args, sigma)
-    if has_extended(r):
-        _emit_automaton(extended_to_nfa(r, sigma, max_states=args.max_states))
-    else:
-        _emit_automaton(glushkov(r, sigma))
+    _emit_automaton(_as_nfa(_read_regex(args, sigma), sigma, args.max_states))
     return 0
 
 
 def _cmd_to_dfa(args) -> int:
-    a = _read_automaton(args.automaton)
+    a = _read_automaton(args.automaton, args.max_states)
     d = a if isinstance(a, Dfa) else determinize(a, max_states=args.max_states)
     if args.minimal:
         d = minimize(d)
@@ -184,7 +181,8 @@ def _cmd_complement(args) -> int:
     if use_poly:
         _emit_regex(complement_unambiguous(r, sigma))
     else:
-        nfa = extended_to_nfa(r, sigma, max_states=args.max_states)
+        # The minimal DFA is canonical, so the compile route cannot show.
+        nfa = _as_nfa(r, sigma, args.max_states)
         dfa = minimize(determinize(nfa, max_states=args.max_states))
         _emit_regex(eliminate_states(complement_dfa(dfa), max_size=args.max_size))
     return 0
@@ -223,15 +221,15 @@ def _cmd_witness(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.accepts is not None:
-        a = _read_automaton(args.automaton)
+        a = _read_automaton(args.automaton, args.max_states)
         word = _parse_word(args.accepts, a.alphabet)
         if accepts(a, word):
             sys.stdout.write("accept\n")
             return 0
         sys.stdout.write("reject\n")
         return 1
-    a = _read_automaton(args.equiv[0])
-    b = _read_automaton(args.equiv[1])
+    a = _read_automaton(args.equiv[0], args.max_states)
+    b = _read_automaton(args.equiv[1], args.max_states)
     if equivalent(a, b, max_states=args.max_states):
         sys.stdout.write("equivalent\n")
         return 0
@@ -258,7 +256,7 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_minsize(args) -> int:
-    a = _read_automaton(args.automaton)
+    a = _read_automaton(args.automaton, args.max_states)
     d = a if isinstance(a, Dfa) else determinize(a, max_states=args.max_states)
     result = minimal_regex_size(d, args.max_size)
     log = {"max_size": args.max_size, "examined": result.examined,

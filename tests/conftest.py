@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from rexlab.rex import EMPTY, EPSILON, Concat, Plus, Star, Sym, Union
+from rexlab.rex import (EMPTY, EPSILON, Concat, Intersect, MarkedSymbol, Negate, Plus, Star,
+                        Sym, Union)
 
 settings.register_profile(
     "rexlab",
@@ -31,6 +32,24 @@ def regexes(syms="ab", max_leaves=6, with_empty=True):
             st.builds(Plus, children),
             st.builds(Concat, children, children),
             st.builds(Union, children, children),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+def extended_regexes(syms="ab", max_leaves=6):
+    """Hypothesis strategy for trees with every node class, intersection and
+    negation included; one leaf is a marked symbol, which no alphabet holds."""
+    leaves = [Sym(s) for s in syms] + [EPSILON, EMPTY, Sym(MarkedSymbol(syms[0], 1))]
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda children: st.one_of(
+            st.builds(Star, children),
+            st.builds(Plus, children),
+            st.builds(Negate, children),
+            st.builds(Concat, children, children),
+            st.builds(Union, children, children),
+            st.builds(Intersect, children, children),
         ),
         max_leaves=max_leaves,
     )

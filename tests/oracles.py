@@ -338,6 +338,95 @@ def complement_by_marking(r: Regex, alphabet: Alphabet) -> Regex:
 
 
 # ---------------------------------------------------------------------------
+# Extended regexes by combinators over frozensets of triples
+#
+# The reference for ``rexlab.automata.extended_to_nfa``, which codes edges as
+# ints and builds one slot index: here every node is an ``Nfa`` whose
+# transitions are a frozenset of ``(p, symbol, q)`` triples.  Intersection
+# and negation use the library's product and subset construction, so the
+# two routes must agree state for state, and raise the same errors.
+# ---------------------------------------------------------------------------
+
+def _shift_triples(a: Nfa, offset: int):
+    trans = {(p + offset, s, q + offset) for p, s, q in a.transitions}
+    return trans, {q + offset for q in a.finals}, a.initial + offset
+
+
+def _union_by_triples(a: Nfa, b: Nfa) -> Nfa:
+    ta, fa, ia = _shift_triples(a, 1)
+    tb, fb, ib = _shift_triples(b, 1 + a.n_states)
+    trans = ta | tb
+    for p, s, q in list(trans):
+        if p == ia or p == ib:
+            trans.add((0, s, q))
+    finals = fa | fb
+    if ia in fa or ib in fb:
+        finals.add(0)
+    return Nfa(a.alphabet, 1 + a.n_states + b.n_states, 0, frozenset(finals), frozenset(trans))
+
+
+def _concat_by_triples(a: Nfa, b: Nfa) -> Nfa:
+    ta, fa, ia = _shift_triples(a, 0)
+    tb, fb, ib = _shift_triples(b, a.n_states)
+    trans = ta | tb
+    for s, q in [(s, q) for p, s, q in tb if p == ib]:
+        trans |= {(f, s, q) for f in fa}
+    finals = fb | fa if ib in fb else fb
+    return Nfa(a.alphabet, a.n_states + b.n_states, ia, frozenset(finals), frozenset(trans))
+
+
+def _repeat_by_triples(a: Nfa, at_least_one: bool) -> Nfa:
+    ta, fa, ia = _shift_triples(a, 1)
+    trans = set(ta)
+    for s, q in [(s, q) for p, s, q in ta if p == ia]:
+        trans |= {(f, s, q) for f in fa | {0}}
+    finals = fa | {0} if not at_least_one or ia in fa else fa
+    return Nfa(a.alphabet, a.n_states + 1, 0, frozenset(finals), frozenset(trans))
+
+
+def extended_to_nfa_by_triples(r: Regex, alphabet: Optional[Alphabet] = None,
+                               max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
+    """Post-order combinators, one triples-built ``Nfa`` per node."""
+    from rexlab.automata import complement_dfa, determinize, minimize, product
+
+    if alphabet is None:
+        if any(isinstance(node, Negate) for node in subexpressions(r)):
+            raise ValueError("negation needs an explicit alphabet")
+        names = sorted(set(symbols_of(r)))
+        if not names:
+            raise ValueError("cannot derive an alphabet from a symbol-free expression; "
+                             "pass one explicitly")
+        alphabet = Alphabet(tuple(names))
+    sigma = alphabet
+
+    def go(node: Regex) -> Nfa:
+        if isinstance(node, (Empty, Epsilon)):
+            out = Nfa(sigma, 1, 0, frozenset([0] if isinstance(node, Epsilon) else []),
+                      frozenset())
+        elif isinstance(node, Sym):
+            if node.sym not in sigma:
+                raise ValueError(f"symbol {node.sym!r} not in the declared alphabet")
+            out = Nfa(sigma, 2, 0, frozenset([1]), frozenset([(0, node.sym, 1)]))
+        elif isinstance(node, Concat):
+            out = _concat_by_triples(go(node.left), go(node.right))
+        elif isinstance(node, Union):
+            out = _union_by_triples(go(node.left), go(node.right))
+        elif isinstance(node, (Star, Plus)):
+            out = _repeat_by_triples(go(node.inner), isinstance(node, Plus))
+        elif isinstance(node, Intersect):
+            out = product(go(node.left), go(node.right), max_states=max_states)
+        else:
+            inner = go(node.inner)
+            out = complement_dfa(minimize(determinize(inner, max_states=max_states)))
+        if out.n_states > max_states:
+            raise budget.BudgetExceededError(
+                f"intermediate automaton exceeds {max_states} states")
+        return out
+
+    return go(r)
+
+
+# ---------------------------------------------------------------------------
 # Subset construction over frozensets
 # ---------------------------------------------------------------------------
 
@@ -372,6 +461,71 @@ def subset_construction(nfa: Nfa, max_states: int) -> tuple[list[frozenset[int]]
         i += 1
     finals = frozenset(i for i, subset in enumerate(subsets) if subset & nfa.finals)
     return subsets, Dfa(nfa.alphabet, len(subsets), 0, finals, frozenset(triples))
+
+
+# ---------------------------------------------------------------------------
+# Minimisation by Moore's refinement
+# ---------------------------------------------------------------------------
+
+def minimize_by_moore(d: Dfa) -> Dfa:
+    """The reference for ``minimize``, read off the transition triples.
+
+    The reachable states and one non-final sink make the function total;
+    Moore's refinement splits classes by (finality, successor classes) until
+    the count stops growing.  Classes that reach no final class are dropped
+    with their edges, the initial class is kept, and the rest are numbered
+    by BFS from it with symbols in alphabet order.
+    """
+    names = d.alphabet.names
+    delta = {(p, a): q for p, a, q in d.transitions}
+    sink = -1
+    reach = {d.initial}
+    stack = [d.initial]
+    while stack:
+        p = stack.pop()
+        for a in names:
+            q = delta.get((p, a))
+            if q is not None and q not in reach:
+                reach.add(q)
+                stack.append(q)
+    states = sorted(reach) + [sink]
+
+    def step(p, a):
+        return sink if p == sink else delta.get((p, a), sink)
+
+    cls = {p: int(p in d.finals) for p in states}
+    while True:
+        keys = {p: (cls[p],) + tuple(cls[step(p, a)] for a in names) for p in states}
+        numbering = {key: i for i, key in enumerate(sorted(set(keys.values())))}
+        refined = {p: numbering[keys[p]] for p in states}
+        if len(numbering) == len(set(cls.values())):
+            break
+        cls = refined
+    useful = {cls[p] for p in states if p in d.finals}
+    grew = True
+    while grew:
+        grew = False
+        for p in states:
+            if cls[p] not in useful and any(cls[step(p, a)] in useful for a in names):
+                useful.add(cls[p])
+                grew = True
+    rep = {}
+    for p in states:
+        rep.setdefault(cls[p], p)
+    ids = {cls[d.initial]: 0}
+    queue = [cls[d.initial]]
+    triples = set()
+    for b in queue:
+        for a in names:
+            t = cls[step(rep[b], a)]
+            if t not in useful:
+                continue
+            if t not in ids:
+                ids[t] = len(ids)
+                queue.append(t)
+            triples.add((ids[b], a, ids[t]))
+    finals = frozenset(ids[b] for b in useful if b in ids and rep[b] in d.finals)
+    return Dfa(d.alphabet, len(ids), 0, finals, frozenset(triples))
 
 
 # ---------------------------------------------------------------------------

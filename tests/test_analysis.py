@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +17,14 @@ from rexlab.analysis import (
     starred_subexpressions,
     word_index,
 )
-from rexlab.automata import determinize, eliminate_states, equivalent, glushkov, minimize
-from rexlab.budget import BudgetExceededError
+from rexlab.automata import Nfa, determinize, eliminate_states, equivalent, glushkov, minimize
+from rexlab.budget import DEFAULT_MAX_STATES, BudgetExceededError
 from rexlab.rex import (
     EMPTY,
     Alphabet,
     Concat,
     Plus,
+    RexlabError,
     Star,
     Sym,
     Union,
@@ -33,10 +35,12 @@ from rexlab.unambiguous import complement_unambiguous
 from rexlab.witnesses import k_dfa, rho_encode, z_alphabet, z_dfa
 
 from corpus import random_dfa, random_extended_regex, random_nfa, random_plain_regex
-from oracles import length_lex_sorted, path_words, regex_slice
+from conftest import extended_regexes
+from oracles import extended_to_nfa_by_triples, length_lex_sorted, path_words, regex_slice
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
+ABC = Alphabet.of("a", "b", "c")
 
 
 def without(r, names):
@@ -119,8 +123,8 @@ class TestEqualUpto:
     def test_complement_partition(self):
         r = parse("ab*", AB)
         s = complement_unambiguous(r, AB)
-        ro = set(enumerate_language(r, 6, AB).words)
-        so = set(enumerate_language(s, 6, AB).words)
+        ro = regex_slice(r, "ab", 6)
+        so = regex_slice(s, "ab", 6)
         from oracles import words_upto
         assert ro | so == set(words_upto("ab", 6))
         assert not (ro & so)
@@ -238,6 +242,65 @@ class TestSidekicks:
             kept = [name for name in sigma.names if name not in touching]
             avoiding = regex_slice(without(r, touching), kept, bound)
             assert (v in got) == (avoiding <= {()})
+
+
+def _by_combinators(source, alphabet, max_states=DEFAULT_MAX_STATES):
+    """The compile route the oracles took before Glushkov: combinators only."""
+    if isinstance(source, Nfa):
+        return source
+    return extended_to_nfa_by_triples(source, alphabet, max_states)
+
+
+def _answers(calls):
+    """Each call's result, or the type and text of the error it raised."""
+    out = []
+    for call in calls:
+        try:
+            out.append(call())
+        except (RexlabError, ValueError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def assert_routes_agree(*calls):
+    got = _answers(calls)
+    with mock.patch("rexlab.analysis._as_nfa", _by_combinators):
+        want = _answers(calls)
+    assert got == want
+
+
+class TestCompileRoutes:
+    """A plain expression compiles by glushkov, which must not change any
+    answer, error or message of the oracles."""
+
+    @settings(max_examples=150)
+    @given(extended_regexes("abc", max_leaves=7), st.sampled_from([AB, ABC, None]),
+           st.lists(st.sampled_from("abc"), max_size=3).map(tuple))
+    def test_regex_oracles(self, r, sigma, word):
+        assert_routes_agree(
+            lambda: enumerate_language(r, 4, sigma).words,
+            lambda: equal_upto(r, Star(Sym("a")), 4, sigma),
+            lambda: covers(r, word, sigma),
+            lambda: word_index(r, word, sigma))
+
+    @settings(max_examples=80)
+    @given(st.integers(0, 100_000), st.booleans(), st.booleans())
+    def test_sidekicks(self, seed, declared, extended):
+        rng = random.Random(seed)
+        sigma = z_alphabet(2)
+        grow = random_extended_regex if extended else random_plain_regex
+        r = grow(rng, sigma.names, rng.randint(1, 10))
+        assert_routes_agree(lambda: sidekicks(r, sigma if declared else None))
+
+    @pytest.mark.parametrize("text", ["%e", "%0", "%0*", "(%e|%0)+"])
+    def test_symbol_free(self, text):
+        r = parse(text, A)
+        assert_routes_agree(
+            lambda: enumerate_language(r, 3).words,
+            lambda: enumerate_language(r, 3, AB).words,
+            lambda: covers(r, ()),
+            lambda: word_index(r, ("a",)),
+            lambda: sidekicks(r))
 
 
 class TestStarredSubexpressions:

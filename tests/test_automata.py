@@ -48,11 +48,11 @@ from rexlab.rex import (
 )
 from rexlab.witnesses import SIGMA_K, complement_witness, k_dfa, z_dfa
 
-from conftest import regexes
+from conftest import extended_regexes, regexes
 from corpus import random_dfa, random_layered_nfa, random_nfa, random_plain_regex
-from oracles import glushkov_by_marking, marked_position_sets
+from oracles import extended_to_nfa_by_triples, glushkov_by_marking, marked_position_sets
 from oracles import nfa_slice as slice_of
-from oracles import regex_slice, subset_construction, words_upto
+from oracles import minimize_by_moore, regex_slice, subset_construction, words_upto
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
@@ -210,6 +210,47 @@ class TestExtended:
         r = random_extended_regex(rng, "ab", rng.randint(1, 9))
         nfa = extended_to_nfa(r, AB)
         assert slice_of(nfa, 4) == regex_slice(r, "ab", 4)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 100_000), st.sampled_from(["ab", "abc"]),
+           st.sampled_from(["declared", "derived", "short"]),
+           st.sampled_from([*range(1, 11), budget.DEFAULT_MAX_STATES]))
+    def test_matches_triple_combinators(self, seed, letters, alphabet, max_states):
+        # Same states, finals, transitions and text as one triples-built Nfa
+        # per node, or the same error; "short" leaves symbols undeclared.
+        from corpus import random_extended_regex
+        rng = random.Random(seed)
+        r = random_extended_regex(rng, letters, rng.randint(1, 12))
+        sigma = {"declared": Alphabet.from_chars(letters), "derived": None, "short": A}[alphabet]
+        want = _compiled(extended_to_nfa_by_triples, r, sigma, max_states)
+        assert _compiled(extended_to_nfa, r, sigma, max_states) == want
+
+    @settings(max_examples=200)
+    @given(extended_regexes("ab", max_leaves=7), st.sampled_from([AB, ABC, A, None]),
+           st.sampled_from([1, 2, 3, 5, 8, budget.DEFAULT_MAX_STATES]))
+    def test_matches_triple_combinators_on_every_node(self, r, sigma, max_states):
+        # Plus, %e and %0 leaves, marked symbols and nested negations.
+        want = _compiled(extended_to_nfa_by_triples, r, sigma, max_states)
+        assert _compiled(extended_to_nfa, r, sigma, max_states) == want
+
+
+def _compiled(compile_, r, sigma, max_states):
+    """The automaton's class, fields and text, or the error it raised."""
+    try:
+        a = compile_(r, sigma, max_states)
+    except (BudgetExceededError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (type(a), a.n_states, a.initial, a.finals, frozenset(a.transitions),
+            serialize(a))
+
+
+@pytest.mark.parametrize("text", ["ab", "(a|b)*a"])  # a DFA, an NFA
+def test_glushkov_polls_the_budget_per_state(text):
+    # A quadratic position automaton must not outrun a deadline.
+    token = CancelToken()
+    token.cancel()
+    with budget.active(token), pytest.raises(BudgetExceededError, match="cancelled"):
+        glushkov(parse(text, AB), AB)
 
 
 class _CountingToken(CancelToken):
@@ -562,6 +603,22 @@ class TestMinimize:
         assert serialize(minimize(d)) == serialize(minimize(renamed))
         assert slice_of(minimize(d), 5) == slice_of(d, 5)
 
+    @settings(max_examples=150)
+    @given(st.integers(0, 100_000), st.sampled_from(["dfa", "subsets", "regex"]))
+    def test_matches_moore_refinement(self, seed, kind):
+        # Byte-identical to Moore's refinement with the same trimming and
+        # canonical numbering, on partial DFAs over declared alphabets.
+        rng = random.Random(seed)
+        sigma = rng.choice([A, AB, ABC])
+        if kind == "dfa":
+            d = random_dfa(rng, sigma, rng.randint(1, 8))
+        elif kind == "subsets":
+            d = determinize(random_nfa(rng, sigma, rng.randint(1, 6)))
+        else:
+            r = random_plain_regex(rng, sigma.names, rng.randint(1, 16))
+            d = determinize(glushkov(r, sigma))
+        assert serialize(minimize(d)) == serialize(minimize_by_moore(d))
+
     @given(st.integers(0, 10_000))
     def test_minimal_state_count(self, seed):
         # No equivalent DFA may have fewer states: check against brute-force
@@ -759,6 +816,18 @@ class TestSerialization:
             tracemalloc.stop()
         assert isinstance(d, Dfa) and d.n_states == n
         assert peak < 6 * n
+
+    def test_state_count_above_budget_allocates_nothing(self):
+        text = "automaton v1\nalphabet: a\nstates: 4000000\ninitial: 0\nfinals:\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="4000000 states exceeds 10 states"):
+                parse_automaton(text, max_states=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert parse_automaton(text.replace("4000000", "10"), max_states=10).n_states == 10
 
     def test_deterministic_iff_no_shared_head(self):
         head = "automaton v1\nalphabet: a b\nstates: 2\ninitial: 0\nfinals: 1\n"

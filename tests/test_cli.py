@@ -1,12 +1,16 @@
+import contextlib
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rexlab
 import rexlab.cli as cli
@@ -344,6 +348,119 @@ class TestParserReuse:
         codes = [code for code, _, _ in reused]
         assert codes == [0, 0, 0, 1, 0, 0, 2, 0, 2, 0, 0, 2, 0]
         assert reused[0][1] != reused[1][1]  # the naive route is not reused
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the verbs that compile a regex or read an automaton file
+# ---------------------------------------------------------------------------
+
+_REGEX_PIECES = ["a", "b", "c", "ab", "(", ")", "|", "&", "!", "*", "+", "%e", "%0",
+                 "%x", "%", "'a'", "'", " ", "z", "\u00e9", "a(0,1)"]
+_LETTERS = ["abc", "abc", "abc", "ab", "a", "", "aa", "a b"]
+_BUDGETS = ["-1", "0", "1", "2", "3", "5", "10", "1000", "1000000", "1000000", "1000000",
+            str(2 ** 40)]
+_WELL_FORMED = st.recursive(
+    st.sampled_from(["a", "b", "c", "%e", "%0"]),
+    lambda inner: st.one_of(
+        inner.map("({})*".format), inner.map("({})+".format), inner.map("!({})".format),
+        st.tuples(inner, inner).map("({0[0]})({0[1]})".format),
+        st.tuples(inner, inner).map("({0[0]})|({0[1]})".format),
+        st.tuples(inner, inner).map("({0[0]})&({0[1]})".format)),
+    max_leaves=6)
+_REGEX_TEXTS = st.one_of(_WELL_FORMED,
+                         st.lists(st.sampled_from(_REGEX_PIECES), max_size=8).map("".join))
+_FIELD_VALUES = ["-1", "0", "1", "2", "99", str(2 ** 31), "x", "", "a", "zz", "0 0", "%"]
+
+
+def _automaton_texts():
+    from rexlab.automata import determinize, glushkov, minimize, serialize
+    from rexlab.rex import Alphabet, parse
+    sigma = Alphabet.of("a", "b")
+    nfa = glushkov(parse("(a|b)*ab", sigma), sigma)
+    return [serialize(nfa), serialize(minimize(determinize(nfa))),
+            serialize(glushkov(parse("a*|b", sigma), sigma))]
+
+
+@st.composite
+def automaton_files(draw):
+    """A valid automaton text, or one with a line dropped, repeated or one
+    field replaced."""
+    lines = draw(st.sampled_from(_automaton_texts())).splitlines()
+    kind = draw(st.sampled_from(["keep", "drop", "repeat", "field"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "repeat":
+        lines.insert(i, lines[i])
+    elif kind == "field":
+        fields = lines[i].split(" ")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_FIELD_VALUES))
+        lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def fuzz_argv(draw):
+    """``(verb, argv, files)``: the files are written before the call, and
+    ``{0}``/``{1}`` in the argv name them."""
+    verb = draw(st.sampled_from(["complement", "index", "to-nfa", "to-dfa", "to-regex",
+                                 "verify"]))
+    regex = draw(_REGEX_TEXTS)
+    letters = draw(st.sampled_from(_LETTERS))
+    budget = draw(st.sampled_from(_BUDGETS))
+    files = []
+    if verb == "complement":
+        mode = draw(st.sampled_from([[], ["--force-naive"], ["--force-unambiguous"]]))
+        argv = [verb, "--alphabet", letters, regex, *mode, "--max-states", budget]
+        if draw(st.booleans()):
+            argv += ["--max-size", draw(st.sampled_from(_BUDGETS))]
+    elif verb == "index":
+        word = "".join(draw(st.lists(st.sampled_from(["a", "b", "c", "x", " "]), max_size=3)))
+        argv = [verb, "--alphabet", letters, "--word", word, regex]
+    elif verb == "to-nfa":
+        argv = [verb, "--alphabet", letters, regex, "--max-states", budget]
+    else:
+        files = [draw(automaton_files()) for _ in range(2 if verb == "verify" else 1)]
+        if verb == "to-dfa":
+            argv = [verb, "{0}", "--max-states", budget] + draw(st.sampled_from([[], ["--minimal"]]))
+        elif verb == "to-regex":
+            argv = [verb, "{0}", "--max-size", budget]
+        else:
+            argv = [verb, "--equiv", "{0}", "{1}", "--max-states", budget]
+    return verb, argv, files
+
+
+@settings(max_examples=200)
+@given(fuzz_argv())
+def test_fuzzed_argv_ends_in_a_documented_exit(case):
+    # Every input ends in 0, 2 (usage) or 3 (budget), or in 1 from verify's
+    # negative verdict; a failure prints one "rexlab:" line and no traceback.
+    verb, argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, text in enumerate(files):
+            path = Path(tmp) / f"{i}.aut"
+            path.write_text(text)
+            paths.append(str(path))
+        argv = [arg.format(*paths) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    err = err.getvalue()
+    assert code in ((0, 1, 2, 3) if verb == "verify" else (0, 2, 3)), (argv, err)
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert err.startswith("rexlab: ") and err.count("\n") == 1, (argv, err)
+        assert out.getvalue() == ""
+
+
+def test_automaton_above_the_state_budget_is_budget_exit(capsys, tmp_path):
+    # The state count is checked before the table is allocated.
+    f = tmp_path / "big.aut"
+    f.write_text("automaton v1\nalphabet: a\nstates: 4000000\ninitial: 0\nfinals:\n")
+    code, out, err = run_cli(capsys, "to-dfa", "--max-states", "10", str(f))
+    assert (code, out) == (3, "")
+    assert err == "rexlab: budget exceeded: automaton file of 4000000 states exceeds 10 states\n"
 
 
 def test_import_builds_no_parser():
