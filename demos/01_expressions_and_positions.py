@@ -1,4 +1,4 @@
-"""Expressions: parsing, printing, sizes, markings and position sets.
+"""Expressions: parsing, printing, sizes and position sets.
 
 The text syntax: `|` union, juxtaposition concatenation, postfix `*`/`+`,
 `&` intersection, prefix `!` negation, `%e` / `%0` for the empty word and the
@@ -8,9 +8,8 @@ empty language, quotes for multi-character symbol names.
 from rexlab import (
     Alphabet,
     format_regex,
-    glushkov_sets,
-    mark,
     parse,
+    position_sets,
     repeat_upto,
     size,
 )
@@ -21,13 +20,11 @@ r = parse("(a|b)*a|bc", sigma)
 print("expression:   ", format_regex(r))
 print("reverse-Polish size:", size(r))
 
-# Marking subscripts every symbol occurrence left to right.
-m = mark(r)
-print("positions:    ", " ".join(str(p) for p in m.positions))
-
-# The position sets drive everything downstream: which positions can start a
-# word, end a word, and follow each other.
-sets = glushkov_sets(m)
+# Positions are the symbol occurrences, subscripted left to right.  Their
+# sets drive everything downstream: which positions can start a word, end a
+# word, and follow each other.
+sets = position_sets(r)
+print("positions:    ", " ".join(str(p) for p in sets.positions))
 print("nullable:     ", sets.nullable)
 print("first:        ", sorted(str(x) for x in sets.first))
 print("last:         ", sorted(str(x) for x in sets.last))

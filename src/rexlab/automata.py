@@ -74,7 +74,6 @@ from .rex import (
     Empty,
     Epsilon,
     Intersect,
-    MarkedSymbol,
     Negate,
     Plus,
     Regex,
@@ -354,11 +353,6 @@ class Dfa(Nfa):
     def is_deterministic(self) -> bool:
         return True
 
-    @cached_property
-    def delta(self) -> dict[tuple[int, str], int]:
-        """``{(p, symbol): q}`` copy of ``table`` for tests; library code reads ``table``."""
-        return {(p, a): q for p, a, q in self.transitions}
-
 
 def accepts(a: Nfa, word: Iterable[str]) -> bool:
     """Membership by subset simulation; symbols must belong to the alphabet."""
@@ -399,9 +393,7 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
     therefore has exactly (number of occurrences) + 1 states.
     """
     # Row p of ``rows`` holds the targets of state p: first for 0, follow[p] else.
-    syms, nullable, first, last, rows = _position_masks(r)  # rejects extended operators
-    if any(isinstance(s, MarkedSymbol) for s in syms):
-        raise ValueError("expression is already marked")
+    syms, nullable, first, last, rows = _position_masks(r)  # rejects extended, then marked
     sigma = _derived_alphabet(syms, alphabet)
     index = sigma.index
     codes = [-1]  # codes[q]: alphabet index of the symbol that enters state q

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Optional
 
-from .rex import RexlabError
+from .errors import RexlabError
 
 __all__ = ["BudgetExceededError", "CancelToken", "checkpoint", "active", "DEFAULT_MAX_STATES"]
 

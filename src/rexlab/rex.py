@@ -1,4 +1,4 @@
-"""Extended regular expression ASTs, text syntax, sizes, markings and position sets.
+"""Extended regular expression ASTs, text syntax, sizes and position sets.
 
 Symbols are plain strings (interned by Python); an :class:`Alphabet` is an
 ordered, duplicate-free collection of symbol names.  Expression trees are
@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Union as TUnion
+
+from . import budget
+from .errors import RexlabError
 
 __all__ = [
     "Alphabet",
@@ -26,7 +29,6 @@ __all__ = [
     "Negate",
     "EMPTY",
     "EPSILON",
-    "MarkedRegex",
     "PositionSets",
     "RexlabError",
     "RegexSyntaxError",
@@ -35,9 +37,7 @@ __all__ = [
     "parse",
     "format_regex",
     "size",
-    "mark",
-    "unmark",
-    "glushkov_sets",
+    "position_sets",
     "repeat_upto",
     "power",
     "union_all",
@@ -51,10 +51,6 @@ __all__ = [
     "has_extended",
     "subexpressions",
 ]
-
-
-class RexlabError(Exception):
-    """Base class for all library errors."""
 
 
 class RegexSyntaxError(RexlabError):
@@ -83,7 +79,7 @@ _META = set("|&!*+()%'")
 
 
 def _valid_symbol_name(name: str) -> bool:
-    if not name or "\\" in name:
+    if not isinstance(name, str) or not name or "\\" in name:
         return False
     return all(32 < ord(c) < 127 for c in name)  # printable ASCII, no blanks
 
@@ -307,23 +303,6 @@ def subexpressions(root: Regex) -> Iterator[Regex]:
         node = stack.pop()
         yield node
         stack.extend(reversed(children(node)))
-
-
-def _fold(root: Regex, leaf: Callable, combine: Callable):
-    """Bottom-up evaluation with an explicit stack (no recursion limit issues).
-
-    ``leaf(node)`` handles nullary nodes; ``combine(node, child_values)`` the rest.
-    """
-    values: list = []
-    for node in iter_postorder(root):
-        kids = children(node)
-        if not kids:
-            values.append(leaf(node))
-        else:
-            args = values[-len(kids):]
-            del values[-len(kids):]
-            values.append(combine(node, args))
-    return values[0]
 
 
 def size(r: Regex) -> int:
@@ -673,68 +652,21 @@ def format_regex(r: Regex) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Marking
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MarkedRegex:
-    """An expression with every symbol occurrence subscripted 1..k left to right."""
-
-    root: Regex
-    origin: Regex
-
-    @property
-    def positions(self) -> tuple[MarkedSymbol, ...]:
-        return tuple(node.sym for node in subexpressions(self.root)
-                     if isinstance(node, Sym))
-
-
-def mark(r: Regex) -> MarkedRegex:
-    """Subscript the symbol occurrences of a plain regex in left-to-right order."""
-    if has_extended(r):
-        raise ExtendedOperatorError("marking is defined for plain regexes only")
-    counter = 0
-
-    def leaf(node: Regex) -> Regex:
-        nonlocal counter
-        if isinstance(node, Sym):
-            if isinstance(node.sym, MarkedSymbol):
-                raise ValueError("expression is already marked")
-            counter += 1
-            return Sym(MarkedSymbol(node.sym, counter))
-        return node
-
-    # Left-to-right numbering relies on iter_postorder visiting leaves in
-    # left-to-right order, which it does.
-    root = _fold(r, leaf, lambda node, kids: type(node)(*kids))
-    return MarkedRegex(root, r)
-
-
-def unmark(r: Regex) -> Regex:
-    """Drop all occurrence subscripts."""
-    def leaf(node: Regex) -> Regex:
-        if isinstance(node, Sym) and isinstance(node.sym, MarkedSymbol):
-            return Sym(node.sym.base)
-        return node
-
-    return _fold(r, leaf, lambda node, kids: type(node)(*kids))
-
-
-# ---------------------------------------------------------------------------
 # Position sets
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PositionSets:
-    """Exact first/last/follow data of a marked expression.
+    """Exact first/last/follow data of a plain expression's positions.
 
-    ``first``/``last`` hold the positions that begin/end some word of the
-    marked language, ``follow`` the adjacent position pairs, and ``nullable``
-    tells whether the empty word belongs to the language.  Subexpressions
-    denoting the empty language contribute nothing, so the sets characterise
-    the language exactly.
+    ``positions`` labels the symbol leaves left to right, the ``x``-th as
+    ``MarkedSymbol(symbol, x)``.  ``first``/``last`` hold the positions that
+    begin/end some word of the marked language, ``follow`` the adjacent
+    pairs, and ``nullable`` tells whether the empty word belongs to the
+    language.  Subexpressions denoting the empty language contribute nothing.
     """
 
+    positions: tuple[MarkedSymbol, ...]
     nullable: bool
     first: frozenset[MarkedSymbol]
     last: frozenset[MarkedSymbol]
@@ -765,13 +697,14 @@ def _add_follow(follow: list[int], sources: int, targets: int):
 def _position_masks(root: Regex) -> tuple[list, bool, int, int, list[int]]:
     """Glushkov position data of a plain regex by one iterative post-order walk.
 
-    Symbol leaves are numbered 1..n left to right, the order :func:`mark`
-    uses.  Returns ``(syms, nullable, first, last, follow)``: ``syms[i - 1]``
-    is the symbol of position ``i`` as written in the tree (marked or not),
-    ``first`` and ``last`` are int bitmasks over bits 1..n, and ``follow[x]``
-    is the bitmask of the positions that may follow position ``x``
-    (``follow[0]`` is 0).  A subexpression denoting the empty language
-    contributes nothing, so the data describe the language exactly.
+    Symbol leaves are numbered 1..n left to right.  Returns ``(syms,
+    nullable, first, last, follow)``: ``syms[i - 1]`` is the symbol of
+    position ``i``, ``first`` and ``last`` are int bitmasks over bits 1..n,
+    and ``follow[x]`` is the bitmask of the positions that may follow
+    position ``x`` (``follow[0]`` is 0).  A subexpression denoting the empty
+    language contributes nothing, so the data describe the language exactly.
+    Raises ``ExtendedOperatorError``, then ``ValueError`` on marked symbols;
+    polls the budget once per internal node, each at most n rows of work.
     """
     syms: list = []
     follow = [0]
@@ -806,6 +739,7 @@ def _position_masks(root: Regex) -> tuple[list, bool, int, int, list[int]]:
             else:
                 raise TypeError(f"unknown node {node!r}")
             continue
+        budget.checkpoint()
         if isinstance(node, Concat):
             right = values.pop()
             left = values[-1]
@@ -846,22 +780,26 @@ def _position_masks(root: Regex) -> tuple[list, bool, int, int, list[int]]:
             _add_follow(follow, l1, f1)
             if isinstance(node, Star) and not n1:
                 values[-1] = (True, f1, l1)
+    if any(isinstance(s, MarkedSymbol) for s in syms):
+        raise ValueError("expression is already marked")
     value = values[0]
     if isinstance(value, range):
         return syms, False, 0, 0, follow
     return (syms, *value, follow)
 
 
-def glushkov_sets(m: MarkedRegex) -> PositionSets:
-    """Compute the position sets of a marking by one bottom-up pass.
+def position_sets(r: Regex) -> PositionSets:
+    """The position sets of a plain regex, from one bottom-up pass.
 
     One-or-more repetition contributes like ``rr*``: same sets, nullability
     inherited from the body.
     """
-    syms, nullable, first, last, follow = _position_masks(m.root)
+    syms, nullable, first, last, follow = _position_masks(r)
+    positions = tuple(MarkedSymbol(s, x) for x, s in enumerate(syms, 1))
     return PositionSets(
+        positions,
         nullable,
-        frozenset(syms[x - 1] for x in iter_bits(first)),
-        frozenset(syms[x - 1] for x in iter_bits(last)),
-        frozenset((syms[x - 1], syms[y - 1])
+        frozenset(positions[x - 1] for x in iter_bits(first)),
+        frozenset(positions[x - 1] for x in iter_bits(last)),
+        frozenset((positions[x - 1], positions[y - 1])
                   for x in range(1, len(follow)) for y in iter_bits(follow[x])))

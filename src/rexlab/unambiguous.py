@@ -13,6 +13,7 @@ one small state elimination.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -93,18 +94,15 @@ class LocalProfile:
 
 
 def _masks(r: Regex) -> tuple[list[str], bool, int, int, list[int]]:
-    """``rex._position_masks`` of ``r``, raising what ``rex.mark`` raises.
+    """``rex._position_masks`` of ``r``, whose errors name marking.
 
-    Positions are numbered as ``mark`` numbers them; position ``x`` stands for
-    ``MarkedSymbol(syms[x - 1], x)``, built only for results that hold one.
+    Position ``x`` stands for ``MarkedSymbol(syms[x - 1], x)``, built only for
+    results that hold one.
     """
     try:
-        masks = _position_masks(r)
+        return _position_masks(r)
     except ExtendedOperatorError:
         raise ExtendedOperatorError("marking is defined for plain regexes only") from None
-    if any(isinstance(s, MarkedSymbol) for s in masks[0]):
-        raise ValueError("expression is already marked")
-    return masks
 
 
 def _position_of(syms: list[str], x: MarkedSymbol) -> int:
@@ -304,13 +302,16 @@ def profile_intersection(profiles: Sequence[LocalProfile]) -> LocalProfile:
 
 def profile_to_dfa(profile: LocalProfile, alphabet: Alphabet) -> Dfa:
     """The canonical local-language acceptor: one state per symbol plus start."""
-    state = {name: i + 1 for i, name in enumerate(alphabet)}
-    transitions = {(0, a, state[a]) for a in profile.first}
-    transitions |= {(state[a], b, state[b]) for a, b in profile.follow}
-    finals = {state[a] for a in profile.last}
+    code, k = alphabet.index, len(alphabet)
+    table = array("i", [-1]) * ((k + 1) * k)
+    for a in profile.first:
+        table[code[a]] = code[a] + 1
+    for a, b in profile.follow:
+        table[(code[a] + 1) * k + code[b]] = code[b] + 1
+    finals = {code[a] + 1 for a in profile.last}
     if profile.nullable:
         finals.add(0)
-    return Dfa(alphabet, len(alphabet) + 1, 0, frozenset(finals), frozenset(transitions))
+    return Dfa.from_table(alphabet, k + 1, 0, frozenset(finals), table)
 
 
 def intersect_sores(rs: Sequence[Regex], alphabet: Alphabet) -> Regex:

@@ -117,15 +117,14 @@ def z_dfa(n: int) -> Dfa:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    sigma = z_alphabet(n)
-    transitions = set()
+    k = n * n  # label a(i,j) is symbol i * n + j
+    table = array("i", [-1]) * ((n + 1) * k)
     for i in range(n):
         for j in range(n):
-            label = f"a({i},{j})"
-            transitions.add((0, label, 1 + j))
-            transitions.add((1 + i, label, 1 + j))
+            c = i * n + j
+            table[c] = table[(1 + i) * k + c] = 1 + j
     finals = frozenset(range(1, n + 1))
-    return Dfa(sigma, n + 1, 0, finals, frozenset(transitions))
+    return Dfa.from_table(z_alphabet(n), n + 1, 0, finals, table)
 
 
 def enc_width(n: int) -> int:
@@ -170,13 +169,15 @@ def k_dfa(n: int) -> Dfa:
     start = ("A", None, 0, 0)
     ids: dict[tuple, int] = {start: 0}
     order: list[tuple] = [start]
-    transitions: list[tuple[int, str, int]] = []
+    code, k = SIGMA_K.index, len(SIGMA_K)
+    table = array("i", [-1]) * k  # slot p * k + c: state p's target on symbol c
 
     def goto(src: tuple, symbol: str, dst: tuple):
         if dst not in ids:
             ids[dst] = len(ids)
             order.append(dst)
-        transitions.append((ids[src], symbol, ids[dst]))
+            table.extend((-1,) * k)
+        table[ids[src] * k + code[symbol]] = ids[dst]
 
     i = 0
     while i < len(order):
@@ -220,7 +221,7 @@ def k_dfa(n: int) -> Dfa:
 
     finals = frozenset(ids[s] for s in order
                        if s[0] == "A" and s[1] is not None and s[2] == 0)
-    return Dfa(SIGMA_K, len(ids), 0, finals, frozenset(transitions))
+    return Dfa.from_table(SIGMA_K, len(ids), 0, finals, table)
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,14 @@ from rexlab.rex import (
     Star,
     Sym,
     Union,
+    children,
     has_extended,
-    mark,
+    iter_postorder,
     sconcat,
     set_expr,
     subexpressions,
     sunion,
     symbols_of,
-    unmark,
 )
 from rexlab.unambiguous import (
     LocalProfile,
@@ -141,6 +141,67 @@ def unambiguity_violation(marked_words: frozenset[Word]) -> Optional[tuple]:
                 return (u, by_base[m.base], m)
             by_base[m.base] = m
     return None
+
+
+# ---------------------------------------------------------------------------
+# Marking: every symbol occurrence subscripted in the tree itself
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class MarkedRegex:
+    """An expression with every symbol occurrence subscripted 1..k left to right."""
+
+    root: Regex
+    origin: Regex
+
+    @property
+    def positions(self) -> tuple[MarkedSymbol, ...]:
+        return tuple(node.sym for node in subexpressions(self.root)
+                     if isinstance(node, Sym))
+
+
+def _rebuild(root: Regex, leaf) -> Regex:
+    """A copy of ``root`` with ``leaf(node)`` in place of each nullary node,
+    built bottom-up with an explicit stack."""
+    values: list = []
+    for node in iter_postorder(root):
+        kids = children(node)
+        if kids:
+            args = values[len(values) - len(kids):]
+            del values[len(values) - len(kids):]
+            values.append(type(node)(*args))
+        else:
+            values.append(leaf(node))
+    return values[0]
+
+
+def mark(r: Regex) -> MarkedRegex:
+    """Subscript the symbol occurrences of a plain regex in left-to-right order."""
+    if has_extended(r):
+        raise ExtendedOperatorError("marking is defined for plain regexes only")
+    counter = 0
+
+    def leaf(node: Regex) -> Regex:
+        nonlocal counter
+        if isinstance(node, Sym):
+            if isinstance(node.sym, MarkedSymbol):
+                raise ValueError("expression is already marked")
+            counter += 1
+            return Sym(MarkedSymbol(node.sym, counter))
+        return node
+
+    # iter_postorder meets the leaves left to right, so the numbering does too.
+    return MarkedRegex(_rebuild(r, leaf), r)
+
+
+def unmark(r: Regex) -> Regex:
+    """Drop all occurrence subscripts."""
+    def leaf(node: Regex) -> Regex:
+        if isinstance(node, Sym) and isinstance(node.sym, MarkedSymbol):
+            return Sym(node.sym.base)
+        return node
+
+    return _rebuild(r, leaf)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ from rexlab.rex import (
     Star,
     Sym,
     Union,
-    mark,
     occurrence_count,
     parse,
+    position_sets,
     size,
 )
 from rexlab.unambiguous import (
@@ -60,7 +60,7 @@ from rexlab.witnesses import (
 )
 
 from corpus import one_unambiguous_corpus, random_plain_regex, random_sore
-from oracles import path_words, words_upto
+from oracles import mark, path_words, words_upto
 
 # Frozen tolerances and recorded constants.
 CORPUS_SEED = 20250809
@@ -234,6 +234,16 @@ def test_criterion_09_worked_examples():
     assert marked == Union(
         Concat(Star(Union(msym("a", 1), msym("b", 2))), msym("a", 3)),
         Concat(msym("b", 4), msym("c", 5)))
+
+    # The library's position sets of the same expression.
+    sets = position_sets(parse("(a|b)*a|bc", Alphabet.of("a", "b", "c")))
+    a1, b2, a3, b4, c5 = (MarkedSymbol(b, o) for b, o in
+                          [("a", 1), ("b", 2), ("a", 3), ("b", 4), ("c", 5)])
+    assert sets.positions == (a1, b2, a3, b4, c5)
+    assert sets.first == {a1, b2, a3, b4}
+    assert sets.last == {a3, c5}
+    assert sets.follow == {(x, y) for x in (a1, b2) for y in (a1, b2, a3)} | {(b4, c5)}
+    assert not sets.nullable
 
     assert m_member(PathWord((2, 4, 3, 3, 0), 5)) == (
         "rt(2)", "a(2,4*)", "a(4*,3)", "rt(3)", "a(3,3*)", "a(3*,0)", "tr(0)")

@@ -39,18 +39,17 @@ from rexlab.rex import (
     Plus,
     Star,
     Sym,
-    glushkov_sets,
     has_extended,
-    mark,
     occurrence_count,
     parse,
+    position_sets,
     size,
 )
 from rexlab.witnesses import SIGMA_K, complement_witness, k_dfa, z_dfa
 
 from conftest import extended_regexes, regexes
 from corpus import random_dfa, random_layered_nfa, random_nfa, random_plain_regex
-from oracles import extended_to_nfa_by_triples, glushkov_by_marking, marked_position_sets
+from oracles import extended_to_nfa_by_triples, glushkov_by_marking, mark, marked_position_sets
 from oracles import nfa_slice as slice_of
 from oracles import minimize_by_moore, regex_slice, subset_construction, words_upto
 
@@ -123,7 +122,7 @@ class TestGlushkovAgainstMarking:
         for _ in range(500):
             r = random_plain_regex(rng, "abc", rng.randint(1, 30))
             m = mark(r)
-            sets = glushkov_sets(m)
+            sets = position_sets(r)
             assert (sets.nullable, sets.first, sets.last, sets.follow) == \
                 marked_position_sets(m.root)
 
@@ -151,7 +150,7 @@ class TestDeepInput:
         g = glushkov(r, AB)
         assert isinstance(g, Dfa) and g.n_states == self.DEPTH + 2
         assert g.finals == {self.DEPTH + 1} and len(g.transitions) == self.DEPTH + 1
-        sets = glushkov_sets(mark(r))
+        sets = position_sets(r)
         assert len(sets.follow) == self.DEPTH and len(sets.last) == 1
 
     def test_right_nested_concat(self):
@@ -161,7 +160,7 @@ class TestDeepInput:
         g = glushkov(r, AB)
         assert isinstance(g, Dfa) and g.n_states == self.DEPTH + 2
         assert (0, "b", 1) in g.transitions and g.finals == {self.DEPTH + 1}
-        sets = glushkov_sets(mark(r))
+        sets = position_sets(r)
         assert len(sets.follow) == self.DEPTH and len(sets.first) == 1
 
     def test_star_nest(self):
@@ -170,7 +169,7 @@ class TestDeepInput:
             r = Star(r)
         g = glushkov(r, A)
         assert g.transitions == {(0, "a", 1), (1, "a", 1)} and g.finals == {0, 1}
-        sets = glushkov_sets(mark(r))
+        sets = position_sets(r)
         assert sets.nullable and len(sets.follow) == 1
 
 
@@ -634,8 +633,8 @@ class TestMinimize:
                 cur = q
                 ok = True
                 for s in w:
-                    cur = m.delta.get((cur, s))
-                    if cur is None:
+                    cur = m.table[cur * len(AB) + AB.index[s]]
+                    if cur < 0:
                         ok = False
                         break
                 out.append(ok and cur in m.finals)
@@ -833,7 +832,7 @@ class TestSerialization:
         head = "automaton v1\nalphabet: a b\nstates: 2\ninitial: 0\nfinals: 1\n"
         d = parse_automaton(head + "trans: 0 a 1\ntrans: 0 b 1\ntrans: 1 a 1\n")
         nfa = parse_automaton(head + "trans: 0 a 1\ntrans: 0 a 0\n")
-        assert isinstance(d, Dfa) and d.delta == {(0, "a"): 1, (0, "b"): 1, (1, "a"): 1}
+        assert isinstance(d, Dfa) and d.transitions == {(0, "a", 1), (0, "b", 1), (1, "a", 1)}
         assert type(nfa) is Nfa and nfa.successors(0, 0) == array("i", [0, 1])
 
     @given(st.integers(0, 10_000))

@@ -19,18 +19,18 @@ from rexlab.rex import (
     UnknownSymbolError,
     concat_all,
     format_regex,
-    glushkov_sets,
-    mark,
     occurrence_count,
     parse,
+    position_sets,
     repeat_upto,
     size,
     symbols_of,
-    unmark,
 )
+from rexlab import budget
+from rexlab.budget import BudgetExceededError, CancelToken
 
 from conftest import regexes
-from oracles import dataclass_repr, first_last_adjacent, regex_slice
+from oracles import dataclass_repr, first_last_adjacent, mark, regex_slice, unmark
 
 ABC = Alphabet.of("a", "b", "c")
 AB = Alphabet.of("a", "b")
@@ -125,8 +125,8 @@ class TestAlphabet:
             Alphabet.of("a", "a")
 
     def test_bad_names_rejected(self):
-        for bad in ("", "with space", "back\\slash", "nonasciié"):
-            with pytest.raises(ValueError):
+        for bad in ("", "with space", "back\\slash", "nonasciié", 1, None, ("a",), b"a"):
+            with pytest.raises(ValueError, match="bad symbol name"):
                 Alphabet.of(bad)
 
 
@@ -191,20 +191,20 @@ class TestMark:
 
 class TestGlushkovSets:
     def test_a_astar(self):
-        sets = glushkov_sets(mark(parse("aa*", A)))
+        sets = position_sets(parse("aa*", A))
         assert not sets.nullable
         assert sets.first == {ms("a", 1)}
         assert sets.last == {ms("a", 1), ms("a", 2)}
         assert sets.follow == {(ms("a", 1), ms("a", 2)), (ms("a", 2), ms("a", 2))}
 
     def test_epsilon(self):
-        sets = glushkov_sets(mark(EPSILON))
+        sets = position_sets(EPSILON)
         assert sets.nullable
         assert sets.first == sets.last == frozenset()
         assert sets.follow == frozenset()
 
     def test_union_star(self):
-        sets = glushkov_sets(mark(parse("(a|b)*", AB)))
+        sets = position_sets(parse("(a|b)*", AB))
         a1, b2 = ms("a", 1), ms("b", 2)
         assert sets.nullable
         assert sets.first == sets.last == {a1, b2}
@@ -212,18 +212,19 @@ class TestGlushkovSets:
 
     def test_empty_subexpression_is_exact(self):
         # a%0 denotes the empty language: nothing may appear in the sets
-        sets = glushkov_sets(mark(parse("a%0", A)))
+        sets = position_sets(parse("a%0", A))
         assert not sets.nullable
         assert sets.first == sets.last == frozenset()
         # ... and a dead union branch contributes nothing
-        sets = glushkov_sets(mark(parse("a|b%0", AB)))
+        sets = position_sets(parse("a|b%0", AB))
         assert sets.first == {ms("a", 1)}
 
     @settings(max_examples=30)
     @given(regexes("ab", max_leaves=4))
     def test_matches_enumeration(self, r):
         m = mark(r)
-        sets = glushkov_sets(m)
+        sets = position_sets(r)
+        assert sets.positions == m.positions
         # A first/last position is witnessed by a word of at most #positions
         # symbols, an adjacent pair by at most 2#positions+1, so a slice to
         # that bound realises the sets completely.
@@ -234,6 +235,18 @@ class TestGlushkovSets:
         assert last == sets.last
         assert follow == sets.follow
         assert (() in words) == sets.nullable
+
+    def test_rejects_extended_then_marked(self):
+        with pytest.raises(ExtendedOperatorError):
+            position_sets(Concat(mark(parse("ab", AB)).root, Negate(Sym("a"))))
+        with pytest.raises(ValueError, match="already marked"):
+            position_sets(mark(parse("ab", AB)).root)
+
+    def test_polls_the_budget(self):
+        token = CancelToken()
+        token.cancel()
+        with budget.active(token), pytest.raises(BudgetExceededError, match="cancelled"):
+            position_sets(parse("ab", AB))
 
 
 class TestRepeatUpto:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from rexlab.automata import (
     glushkov,
     minimize,
     product,
+    serialize,
 )
 from rexlab.rex import (
     EMPTY,
@@ -24,7 +26,6 @@ from rexlab.rex import (
     Union,
     concat_all,
     format_regex,
-    mark,
     parse,
     size,
     symbols_of,
@@ -62,6 +63,7 @@ from oracles import (
     init_expr_by_marking,
     last_marked_by_marking,
     local_profile_by_marking,
+    mark,
     nfa_slice,
     nfirst_by_marking,
     nfollow_by_marking,
@@ -304,6 +306,25 @@ class TestIntersectSores:
         lps = [local_profile(parse("ab*", ABC)), local_profile(parse("a(b|c)*", ABC))]
         dfa = profile_to_dfa(profile_intersection(lps), ABC)
         assert dfa.n_states == len(ABC) + 1
+
+    def test_profile_dfa_serializations_pinned(self):
+        # The profile DFAs of criterion 5's SORE corpus and of 50 balanced
+        # SOREs over 25 symbols, against a digest recorded when
+        # ``profile_to_dfa`` still built its DFA from triples.
+        h = hashlib.sha256()
+        rng = random.Random(20250809)
+        sigma = Alphabet.of("a", "b", "c", "d", "e")
+        for _ in range(200):
+            lps = [local_profile(random_sore(rng, sigma.names))
+                   for _ in range(rng.randint(1, 4))]
+            for lp in lps + [profile_intersection(lps)]:
+                h.update(serialize(profile_to_dfa(lp, sigma)).encode())
+        rng = random.Random(4242)
+        for _ in range(50):
+            lp = local_profile(balanced_sore(rng, SORE_SYMBOLS))
+            h.update(serialize(profile_to_dfa(lp, SORE_SIGMA)).encode())
+        assert h.hexdigest() == (
+            "46275ac6044e755e4fd1f54c656db3db4fcdb68840757d3e6f8fb485c8b36a19")
 
     @settings(max_examples=30)
     @given(st.integers(0, 100_000))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -10,6 +11,7 @@ from rexlab.automata import (
     glushkov,
     minimize,
     product,
+    serialize,
 )
 from rexlab.analysis import enumerate_language
 from rexlab.rex import size
@@ -37,6 +39,28 @@ from rexlab.witnesses import (
 )
 
 from oracles import is_k_string, is_z_word, path_words, words_upto
+
+
+def serialization_digest(dfas) -> str:
+    h = hashlib.sha256()
+    for d in dfas:
+        h.update(serialize(d).encode())
+    return h.hexdigest()
+
+
+class TestSerializationPins:
+    """The witness DFAs are written as tables; their files must not move.
+
+    The digests were recorded when the DFAs were still built from triples.
+    """
+
+    def test_k_dfa(self):
+        assert serialization_digest(k_dfa(n) for n in range(2, 17)) == (
+            "0eb6d966c77ff77a5a86d44ad77b3789e52e7ddfd2525a2310b66bca18bcaeb7")
+
+    def test_z_dfa(self):
+        assert serialization_digest(z_dfa(n) for n in range(1, 6)) == (
+            "700b0067dbe80b7325e57224f72db00c9201c05fe364080a148f62b679bcdaf4")
 
 
 class TestZDfa:
