@@ -132,8 +132,11 @@ def enumerate_language(source: TUnion[Regex, Nfa], max_len: int,
 
     The words come out in length-lex order with no sort: level L + 1 extends
     level L's prefixes in their order, each by the symbols in alphabet
-    order, and pruning only drops words.
+    order, and pruning only drops words.  A negative ``max_len`` raises
+    ``ValueError``.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len {max_len} is negative")
     if max_len > max_len_limit:
         raise budget.BudgetExceededError(
             f"max_len {max_len} above the configured bound {max_len_limit}")
@@ -208,7 +211,10 @@ class EqualUpto:
 def equal_upto(a: TUnion[Regex, Nfa], b: TUnion[Regex, Nfa], max_len: int,
                alphabet: Optional[Alphabet] = None,
                max_words: int = DEFAULT_MAX_WORDS) -> EqualUpto:
-    """Compare the enumerated slices; reports the length-lex least disagreement."""
+    """Compare the enumerated slices; reports the length-lex least disagreement.
+
+    A negative ``max_len`` raises ``ValueError``, as in :func:`enumerate_language`.
+    """
     oa = enumerate_language(a, max_len, alphabet, max_words=max_words)
     ob = enumerate_language(b, max_len, alphabet, max_words=max_words)
     if oa.alphabet != ob.alphabet:

@@ -48,21 +48,33 @@ no two targets of a row share a symbol they are written straight into
 walks both tables and writes its own; any other product walks the slots of
 both inputs and writes an index.
 
+Minimisation sorts a DFA's transitions by target slot into one preimage
+index, ``sources[starts[s]:starts[s + 1]]`` the states entering slot ``s``.
+A backward walk over it keeps the states that reach a final state, so the
+partial function needs no sink and the result no later trimming.  The same
+index drives Hopcroft's refinement in the form of Valmari and Lehtinen
+(STACS 2008) for partial functions, over one refinable partition kept in
+``array('i')``s: the states grouped by block, each state's location and
+block, and each block's bounds.  The blocks are then numbered by BFS from
+the initial state, so states it does not reach are refined but never
+numbered.
+
 Conversions here: Glushkov position automaton, compilation of extended
 regexes (intersection via products, negation via determinise-and-complement),
-subset construction, DFA complement, product, Hopcroft minimisation with a
-canonical serialisation, Hopcroft–Karp language equivalence, and state
-elimination back to a plain regex.
+subset construction, DFA complement, product, minimisation by partition
+refinement with a canonical serialisation, Hopcroft–Karp language
+equivalence, and state elimination back to a plain regex.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress, islice
-from operator import le, ne, sub
+from operator import gt, le, ne, sub
 from typing import Iterable, Optional
 
 from . import budget
@@ -785,156 +797,148 @@ def _dfa_product(a: Dfa, b: Dfa, max_states: int) -> Dfa:
 
 
 # ---------------------------------------------------------------------------
-# Minimisation (Hopcroft) with canonical state numbering
+# Minimisation: trim, refine, number canonically
 # ---------------------------------------------------------------------------
+
+def _preimages(table: array, n: int, k: int) -> tuple[array, array]:
+    """A table's transitions, counting-sorted by target slot one symbol at a
+    time: ``sources[starts[s]:starts[s + 1]]`` are the states entering state
+    ``q`` on the ``c``-th symbol, ``s = q * k + c``."""
+    starts = array("i", bytes(4 * (n * k + 1)))
+    for c in range(k):
+        budget.checkpoint()
+        for q in table[c::k]:
+            if q >= 0:
+                starts[q * k + c] += 1
+    # Placing each source at the end of its slot's range leaves starts[s]
+    # at the range's beginning.
+    starts = array("i", accumulate(starts))
+    sources = array("i", bytes(4 * starts[-1]))
+    for c in range(k):
+        budget.checkpoint()
+        for p, q in enumerate(table[c::k]):
+            if q >= 0:
+                s = q * k + c
+                starts[s] -= 1
+                sources[starts[s]] = p
+    return starts, sources
+
+
+def _refine(live: bytearray, fin: bytearray, starts: array, sources: array,
+            k: int) -> tuple[array, array]:
+    """The live states' language classes, as each state's block and one state
+    of each block, by Hopcroft's refinement over the partial function in the
+    form of Valmari and Lehtinen (STACS 2008).  Every initial block starts
+    as a splitter, which keeps the smaller-half rule correct with no sink.
+    """
+    n = len(live)
+    # Block b holds elems[first[b]:end[b]], loc[q] is the index of state q
+    # there, and a marked state is moved into elems[first[b]:mid[b]].  Block
+    # 0 holds the non-final states and block 1 the final ones.
+    elems = array("i", compress(range(n), map(gt, live, fin)))
+    first = array("i", [0, len(elems)])
+    elems.extend(compress(range(n), fin))
+    end = array("i", [first[1], len(elems)])
+    mid = array("i", first)
+    loc = array("i", bytes(4 * n))
+    block_of = array("i", bytes(4 * n))
+    for i, q in enumerate(elems):
+        loc[q] = i
+        block_of[q] = fin[q]
+    splitters = array("i", [0, 1])
+    while splitters:
+        top = splitters.pop()
+        members = elems[first[top]:end[top]]
+        for c in range(k):
+            budget.checkpoint()
+            pre = array("i")
+            for q in members:
+                s = q * k + c
+                pre += sources[starts[s]:starts[s + 1]]
+            # A block lying wholly inside the preimage is not cut, so only
+            # the states of the cut blocks are marked.
+            hits = Counter(map(block_of.__getitem__, pre))
+            cut = {b for b, h in hits.items() if h < end[b] - first[b]}
+            if not cut:
+                continue
+            for p in pre:
+                b = block_of[p]
+                if b in cut:
+                    i, j = loc[p], mid[b]
+                    elems[i], elems[j] = elems[j], p
+                    loc[elems[i]], loc[p] = i, j
+                    mid[b] = j + 1
+            # The smaller part becomes the new block and a new splitter: if
+            # the old block still waits, both parts will be processed, and if
+            # not, the smaller part is enough.
+            for b in cut:
+                lo, j, hi = first[b], mid[b], end[b]
+                if j - lo <= hi - j:
+                    first[b] = mid[b] = j
+                    hi = j
+                else:
+                    end[b], mid[b] = j, lo
+                    lo = j
+                new = len(first)
+                first.append(lo)
+                end.append(hi)
+                mid.append(lo)
+                for i in range(lo, hi):
+                    block_of[elems[i]] = new
+                splitters.append(new)
+    return block_of, array("i", map(elems.__getitem__, first))
+
 
 def minimize(d: Dfa) -> Dfa:
     """Unique minimal DFA with a canonical state order.
 
-    Unreachable states are dropped, classes that cannot reach an accepting
-    class are trimmed (the result may be partial), and the remaining states
-    are renumbered by BFS from the initial state with symbols scanned in
-    alphabet order.  Language-equal DFAs over the same alphabet therefore
-    serialise identically.  Internals are flat arrays so automata with
-    millions of transitions stay tractable.
+    The live states, those that reach a final state, are split into language
+    classes, which are numbered by BFS from the initial state with symbols
+    in alphabet order: the result may be partial, and language-equal DFAs
+    over the same alphabet serialise identically.  The initial state is kept
+    even when the language is empty, and states it does not reach are
+    refined but never numbered.  One preimage index serves both the
+    backward walk that finds the live states and the refinement.  The budget
+    is polled once per symbol while the index is built, once per live state
+    in the walk and once per splitter and symbol while refining.
     """
-    k = len(d.alphabet)
-    table = d.table
-
-    # Reachable restriction.
-    mark = bytearray(d.n_states)
-    mark[d.initial] = 1
-    stack = [d.initial]
-    while stack:
-        p = stack.pop()
-        row = p * k
-        for ci in range(k):
-            q = table[row + ci]
-            if q >= 0 and not mark[q]:
-                mark[q] = 1
-                stack.append(q)
-    reach = [q for q in range(d.n_states) if mark[q]]
-    remap = {q: i for i, q in enumerate(reach)}
-    n = len(reach)
-    sink = n  # explicit dead state making the function total
-    total = n + 1
-    delta = [sink] * (total * k)
-    for i, q in enumerate(reach):
-        row, orow = i * k, q * k
-        for ci in range(k):
-            t = table[orow + ci]
-            if t >= 0:
-                delta[row + ci] = remap[t]
-    is_final = bytearray(total)
+    k, n, table = len(d.alphabet), d.n_states, d.table
+    starts, sources = _preimages(table, n, k)
+    fin = bytearray(n)
     for q in d.finals:
-        if q in remap:
-            is_final[remap[q]] = 1
-
-    # Hopcroft partition refinement (index-based worklist variant).
-    finals_grp = [q for q in range(total) if is_final[q]]
-    others_grp = [q for q in range(total) if not is_final[q]]
-    partition: list[set[int]] = []
-    block_of = [0] * total
-    for grp in (finals_grp, others_grp):
-        if grp:
-            b = len(partition)
-            for q in grp:
-                block_of[q] = b
-            partition.append(set(grp))
-
-    # Preimage in CSR form, one (starts, order) pair per symbol.
-    preimage = []
-    for ci in range(k):
-        counts = [0] * (total + 1)
-        for p in range(total):
-            counts[delta[p * k + ci] + 1] += 1
-        for t in range(total):
-            counts[t + 1] += counts[t]
-        order = [0] * total
-        fill = counts[:-1].copy()
-        for p in range(total):
-            t = delta[p * k + ci]
-            order[fill[t]] = p
-            fill[t] += 1
-        preimage.append((counts, order))
-
-    worklist = {(b, ci) for b in range(len(partition)) for ci in range(k)}
-    while worklist:
-        budget.checkpoint()
-        b, ci = worklist.pop()
-        counts, order = preimage[ci]
-        movers: dict[int, list[int]] = {}
-        for q in partition[b]:
-            for idx in range(counts[q], counts[q + 1]):
-                p = order[idx]
-                movers.setdefault(block_of[p], []).append(p)
-        for src, hit in movers.items():
-            if len(hit) == len(partition[src]):
-                continue
-            hit_set = set(hit)
-            partition[src] -= hit_set
-            new_b = len(partition)
-            partition.append(hit_set)
-            for q in hit_set:
-                block_of[q] = new_b
-            for cj in range(k):
-                if (src, cj) in worklist:
-                    worklist.add((new_b, cj))
-                else:
-                    smaller = new_b if len(hit_set) <= len(partition[src]) else src
-                    worklist.add((smaller, cj))
-
-    # Quotient transition table over the classes.
-    nblocks = len(partition)
-    class_delta = [0] * (nblocks * k)
-    for b, block in enumerate(partition):
-        rep = next(iter(block))
-        row, rrow = b * k, rep * k
-        for ci in range(k):
-            class_delta[row + ci] = block_of[delta[rrow + ci]]
-    final_blocks = {block_of[q] for q in range(total) if is_final[q]}
-
-    # Classes from which no accepting class is reachable are dead: they keep
-    # no transitions (the initial class stays as a state regardless).
-    useful = bytearray(nblocks)
-    stack = []
-    for b in final_blocks:
-        useful[b] = 1
-        stack.append(b)
-    class_preds: list[list[int]] = [[] for _ in range(nblocks)]
-    for b in range(nblocks):
-        for ci in range(k):
-            class_preds[class_delta[b * k + ci]].append(b)
+        fin[q] = 1
+    live = bytearray(fin)
+    stack = array("i", compress(range(n), fin))
     while stack:
-        t = stack.pop()
-        for b in class_preds[t]:
-            if not useful[b]:
-                useful[b] = 1
-                stack.append(b)
-    init_block = block_of[remap[d.initial]]
+        budget.checkpoint()
+        q = stack.pop()
+        for p in sources[starts[q * k]:starts[q * k + k]]:
+            if not live[p]:
+                live[p] = 1
+                stack.append(p)
+    if not live[d.initial]:
+        return Dfa.from_table(d.alphabet, 1, 0, frozenset(), array("i", [-1]) * k)
+    block_of, reps = _refine(live, fin, starts, sources, k)
 
-    # Canonical BFS numbering from the initial class; the i-th class taken
-    # off the queue writes row i of the output table.
-    ids = {init_block: 0}
-    order2 = [init_block]
+    # The i-th block taken off the queue writes row i of the output table
+    # from its representative state.
+    ids = array("i", [-1]) * len(reps)
+    order = array("i", [block_of[d.initial]])
+    ids[order[0]] = 0
     out = array("i")
-    emit = out.append
-    i = 0
-    while i < len(order2):
-        row = order2[i] * k
-        for ci in range(k):
-            t = class_delta[row + ci]
-            if not useful[t]:
-                emit(-1)
+    for b in order:
+        row = reps[b] * k
+        for q in table[row:row + k]:
+            if q < 0 or not live[q]:
+                out.append(-1)
                 continue
-            dst = ids.get(t)
-            if dst is None:
-                dst = ids[t] = len(ids)
-                order2.append(t)
-            emit(dst)
-        i += 1
-    new_finals = frozenset(ids[b] for b in final_blocks if b in ids)
-    return Dfa.from_table(d.alphabet, len(ids), 0, new_finals, out)
+            t = block_of[q]
+            if ids[t] < 0:
+                ids[t] = len(order)
+                order.append(t)
+            out.append(ids[t])
+    finals = frozenset(i for i, b in enumerate(order) if fin[reps[b]])
+    return Dfa.from_table(d.alphabet, len(order), 0, finals, out)
 
 
 def serialize(a: Nfa) -> str:

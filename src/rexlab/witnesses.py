@@ -27,6 +27,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Union as TUnion
 
+from . import budget
 from .automata import Dfa, Nfa
 from .rex import (
     EPSILON,
@@ -117,14 +118,16 @@ def z_dfa(n: int) -> Dfa:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    sigma = z_alphabet(n)
     k = n * n  # label a(i,j) is symbol i * n + j
     table = array("i", [-1]) * ((n + 1) * k)
     for i in range(n):
+        budget.checkpoint()
         for j in range(n):
             c = i * n + j
             table[c] = table[(1 + i) * k + c] = 1 + j
     finals = frozenset(range(1, n + 1))
-    return Dfa.from_table(z_alphabet(n), n + 1, 0, finals, table)
+    return Dfa.from_table(sigma, n + 1, 0, finals, table)
 
 
 def enc_width(n: int) -> int:
@@ -181,6 +184,7 @@ def k_dfa(n: int) -> Dfa:
 
     i = 0
     while i < len(order):
+        budget.checkpoint()
         state = order[i]
         phase = state[0]
         if phase == "A":  # reading the current block's first number
@@ -304,6 +308,7 @@ def l_dfa(n: int) -> Dfa:
     table = array("i")
     i = 0
     while i < len(order):
+        budget.checkpoint()
         q, parity = order[i]
         for c in range(k):
             t = base.table[q * k + c]

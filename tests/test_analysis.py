@@ -21,6 +21,7 @@ from rexlab.automata import Nfa, determinize, eliminate_states, equivalent, glus
 from rexlab.budget import DEFAULT_MAX_STATES, BudgetExceededError
 from rexlab.rex import (
     EMPTY,
+    EPSILON,
     Alphabet,
     Concat,
     Plus,
@@ -75,6 +76,12 @@ class TestEnumerate:
         with pytest.raises(BudgetExceededError):
             enumerate_language(parse("(a|b)*", AB), 10, max_words=100)
 
+    def test_negative_max_len_rejected(self):
+        # A negative bound admits no word, not even the empty one.
+        with pytest.raises(ValueError, match="max_len -1 is negative"):
+            enumerate_language(parse("a*", A), -1, A)
+        assert enumerate_language(parse("a*", A), 0, A).words == ((),)
+
     def test_sorted_length_then_alphabet_order(self):
         sigma = Alphabet.of("b", "a")  # declared order b < a
         o = enumerate_language(parse("a|b|aa|ab", sigma), 2, sigma)
@@ -119,6 +126,11 @@ class TestEqualUpto:
     def test_divergent_word(self):
         res = equal_upto(parse("a", A), parse("aa", A), 6)
         assert not res.equal and res.divergent == ("a",)
+
+    def test_negative_max_len_rejected(self):
+        # No slice exists to compare, so neither "equal" nor a divergent word.
+        with pytest.raises(ValueError, match="max_len -1 is negative"):
+            equal_upto(parse("a*", A), EPSILON, -1, A)
 
     def test_complement_partition(self):
         r = parse("ab*", AB)

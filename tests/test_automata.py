@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from array import array
@@ -603,20 +604,75 @@ class TestMinimize:
         assert slice_of(minimize(d), 5) == slice_of(d, 5)
 
     @settings(max_examples=150)
-    @given(st.integers(0, 100_000), st.sampled_from(["dfa", "subsets", "regex"]))
+    @given(st.integers(0, 100_000), st.sampled_from(
+        ["dfa", "subsets", "regex", "complement", "product", "unreachable-and-dead"]))
     def test_matches_moore_refinement(self, seed, kind):
         # Byte-identical to Moore's refinement with the same trimming and
-        # canonical numbering, on partial DFAs over declared alphabets.
+        # canonical numbering, on partial and total DFAs over declared
+        # alphabets.
         rng = random.Random(seed)
         sigma = rng.choice([A, AB, ABC])
         if kind == "dfa":
             d = random_dfa(rng, sigma, rng.randint(1, 8))
         elif kind == "subsets":
             d = determinize(random_nfa(rng, sigma, rng.randint(1, 6)))
-        else:
+        elif kind == "regex":
             r = random_plain_regex(rng, sigma.names, rng.randint(1, 16))
             d = determinize(glushkov(r, sigma))
+        elif kind == "complement":  # total, usually with a sink
+            d = complement_dfa(random_dfa(rng, sigma, rng.randint(1, 8)))
+        elif kind == "product":
+            d = product(random_dfa(rng, sigma, rng.randint(1, 6)),
+                        random_dfa(rng, sigma, rng.randint(1, 6)))
+        else:
+            # A random DFA whose missing edges may enter a few non-final
+            # states that only reach each other, plus final states that
+            # nothing enters.
+            base = random_dfa(rng, sigma, rng.randint(1, 6))
+            n, dead, unreached = base.n_states, rng.randint(1, 3), rng.randint(1, 3)
+            triples = set(base.transitions)
+            for p in range(n + dead + unreached):
+                for s in sigma:
+                    if p < n and base.table[p * len(sigma) + sigma.index[s]] >= 0:
+                        continue
+                    if p < n + dead and rng.random() < 0.5:
+                        triples.add((p, s, rng.randrange(n, n + dead)))
+                    elif p >= n + dead:
+                        triples.add((p, s, rng.randrange(n + dead + unreached)))
+            finals = base.finals | frozenset(range(n + dead, n + dead + unreached))
+            d = Dfa(sigma, n + dead + unreached, 0, finals, frozenset(triples))
         assert serialize(minimize(d)) == serialize(minimize_by_moore(d))
+
+    @pytest.fixture(scope="class")
+    def witness_n1(self):
+        # Criterion 1's n=1 subset DFA: 63,993 states, total.
+        return determinize(glushkov(complement_witness(1), SIGMA_K))
+
+    def test_n1_witness_result_and_memory(self, witness_n1):
+        tracemalloc.start()
+        try:
+            m = minimize(witness_n1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hashlib.sha256(serialize(m).encode()).hexdigest() == (
+            "c8949e90ceda25f68748eefb21d81867360ffff0d10c917aec5e5833a1606ec8")
+        assert m.n_states == 18
+        assert peak < 20_000_000
+
+    def test_polls_the_budget_per_state(self, witness_n1):
+        # Polls in the passes over the states, not only per splitter, so a
+        # deadline also fires while the index is built and the DFA trimmed.
+        token = _CountingToken()
+        with budget.active(token):
+            minimize(witness_n1)
+        assert token.polls >= witness_n1.n_states
+
+    def test_cancelled(self):
+        token = CancelToken()
+        token.cancel()
+        with budget.active(token), pytest.raises(BudgetExceededError, match="cancelled"):
+            minimize(k_dfa(4))
 
     @given(st.integers(0, 10_000))
     def test_minimal_state_count(self, seed):

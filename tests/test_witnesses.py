@@ -13,7 +13,9 @@ from rexlab.automata import (
     product,
     serialize,
 )
+from rexlab import budget
 from rexlab.analysis import enumerate_language
+from rexlab.budget import BudgetExceededError, CancelToken
 from rexlab.rex import size
 from rexlab.unambiguous import is_one_unambiguous, is_sore
 from rexlab.witnesses import (
@@ -61,6 +63,18 @@ class TestSerializationPins:
     def test_z_dfa(self):
         assert serialization_digest(z_dfa(n) for n in range(1, 6)) == (
             "700b0067dbe80b7325e57224f72db00c9201c05fe364080a148f62b679bcdaf4")
+
+    def test_l_dfa(self):
+        assert serialization_digest(l_dfa(n) for n in range(2, 17)) == (
+            "231f5d43902a243d165b278d9f48f83812d3d2a1a55ff8102b6e5b3cd85a20a8")
+
+    @pytest.mark.parametrize("build", [k_dfa, l_dfa, z_dfa])
+    def test_builders_poll_the_budget(self, build):
+        # The witness verb runs these under REXLAB_BUDGET_MS.
+        token = CancelToken()
+        token.cancel()
+        with budget.active(token), pytest.raises(BudgetExceededError, match="cancelled"):
+            build(4)
 
 
 class TestZDfa:
