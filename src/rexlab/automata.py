@@ -12,18 +12,23 @@ and -1 for a missing edge.  An NFA keeps ``Nfa.index``, two ``array('i')``s
 in compressed sparse row form: slot ``s`` holds the ascending targets
 ``targets[starts[s]:starts[s + 1]]``.  An automaton built from triples keeps
 the frozenset it was given; a DFA fills its table while checking them, an
-NFA builds its index on first use.  Of the library's NFAs, only those read
-by :func:`parse_automaton` are built from triples.  The constructions write
-a table or an index directly, and their ``transitions`` is a read-only set
-view over it (:class:`TransitionTable`, :class:`TransitionIndex`).
+NFA builds its index on first use.  The constructions write a table or an
+index directly, and their ``transitions`` is a read-only set view over it
+(:class:`TransitionTable`, :class:`TransitionIndex`).  A Glushkov NFA's
+index is mask-backed: it keeps the construction's follow masks, one int row
+per state with bit ``q`` set for each target ``q``, and the code of the one
+symbol that enters each state.  It is checked, iterated and counted from
+the masks, and derives ``starts`` and ``targets`` only when they are first
+read.
 
 The extended-regex combinators of :func:`extended_to_nfa` pass int edge
 lists from node to node, an edge ``(p, c, q)`` coded as one int so that
 renumbering the states is one addition per edge, and write one index for an
 operand of a product or a subset construction and for the result.
 
-Subset construction reads the index into one successor int per NFA state
-and cuts each subset into four slices of ``ceil(n / 4)`` bits.  The union of
+Subset construction takes one successor int per NFA state: the rows of a
+mask-backed index as they are, for any other index an OR over its slots.
+It cuts each subset into four slices of ``ceil(n / 4)`` bits.  The union of
 a slice's successor ints comes from a memo keyed by the slice value; a miss
 walks the slice's bits and ORs their ints.  This is the Four Russians table
 of Arlazarov, Dinic, Kronrod and Faradzev (1970), filled lazily: the n = 2
@@ -42,9 +47,9 @@ ORs follow contributions into one int row per position: a ``Concat`` adds
 its right child's first set to the rows of its left child's last positions,
 a ``Star`` or ``Plus`` adds its own first set to the rows of its last
 positions, and a ``Concat`` denoting the empty language clears the rows of
-its positions.  No node copies a follow set.  The rows are read once: while
-no two targets of a row share a symbol they are written straight into
-``Dfa.table``, otherwise into an NFA index.  The product of two DFAs likewise
+its positions.  No node copies a follow set.  While no two targets of a row
+share a symbol the rows are written straight into ``Dfa.table``; otherwise
+the NFA keeps them as its mask-backed index.  The product of two DFAs likewise
 walks both tables and writes its own; any other product walks the slots of
 both inputs and writes an index.
 
@@ -150,9 +155,20 @@ class Nfa:
         # validating a small NFA.
         if type(trans) is TransitionIndex:
             k = len(self.alphabet)
-            starts, targets = trans.starts, trans.targets
             if trans.alphabet != self.alphabet:
                 raise ValueError("transition index alphabet differs from the automaton's")
+            rows, codes = trans.rows, trans.codes
+            if rows is not None:  # checked without deriving the slot arrays
+                if len(rows) != n or len(codes) != n:
+                    raise ValueError(f"transition masks of {len(rows)} rows and {len(codes)} "
+                                     f"codes do not fit {n} states")
+                if min(rows) < 0 or max(rows) >> n:
+                    raise ValueError("transition mask target out of range")
+                if min(codes) < 0 or max(codes) >= k:
+                    raise ValueError("transition mask symbol code out of range")
+                object.__setattr__(self, "index", trans)
+                return
+            starts, targets = trans.starts, trans.targets
             if len(starts) != n * k + 1 or starts[0] != 0 or starts[-1] != len(targets):
                 raise ValueError(f"transition index of {len(starts)} slot starts and "
                                  f"{len(targets)} targets does not fit {n} states x {k} symbols")
@@ -271,20 +287,54 @@ class TransitionIndex(_TripleView):
     ``targets[starts[p * k + c]:starts[p * k + c + 1]]``, ascending and
     distinct.  Equality and hash agree with the frozenset of the same
     triples.
+
+    An index made by :meth:`_from_masks` holds a homogeneous NFA's masks
+    instead: bit ``q`` of ``rows[p]`` is an edge from ``p`` to ``q`` on the
+    ``codes[q]``-th symbol.  Its ``starts`` and ``targets`` are derived on
+    first read, and iteration and ``len`` read the masks; ``rows`` and
+    ``codes`` are None for any other index.
     """
 
-    __slots__ = ("alphabet", "starts", "targets")
+    __slots__ = ("alphabet", "starts", "targets", "rows", "codes")
 
     def __init__(self, alphabet: Alphabet, starts: Iterable[int], targets: Iterable[int]):
         self.alphabet = alphabet
         self.starts = array("i", starts)
         self.targets = array("i", targets)
+        self.rows = self.codes = None
+
+    @classmethod
+    def _from_masks(cls, alphabet: Alphabet, rows: list[int],
+                    codes: list[int]) -> TransitionIndex:
+        index = cls.__new__(cls)
+        index.alphabet, index.rows, index.codes = alphabet, rows, codes
+        return index
+
+    def __getattr__(self, name: str):
+        # Only reached while a slot is unset: the arrays of a mask-backed index.
+        if name not in ("starts", "targets"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows, codes = self.rows, self.codes
+        n, k = len(rows), len(self.alphabet)
+        # A row holds up to n targets, so the budget is polled once per row.
+        keys = [(p * k + codes[q]) * n + q
+                for p, row in _polled(enumerate(rows)) for q in iter_bits(row)]
+        csr = _slot_index(self.alphabet, n, keys)
+        self.starts, self.targets = csr.starts, csr.targets
+        return getattr(csr, name)
 
     def __len__(self) -> int:
-        return len(self.targets)
+        rows = self.rows
+        return len(self.targets) if rows is None else sum(map(int.bit_count, rows))
 
     def __iter__(self):
         names = self.alphabet.names
+        rows, codes = self.rows, self.codes
+        if rows is not None:
+            for p, row in enumerate(rows):
+                for q in iter_bits(row):
+                    yield p, names[codes[q]], q
+            return
         k = len(names)
         starts, targets = self.starts, self.targets
         for slot in range(len(starts) - 1):
@@ -408,7 +458,9 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
     syms, nullable, first, last, rows = _position_masks(r)  # rejects extended, then marked
     sigma = _derived_alphabet(syms, alphabet)
     index = sigma.index
-    codes = [-1]  # codes[q]: alphabet index of the symbol that enters state q
+    # codes[q]: alphabet index of the symbol that enters state q; state 0 is
+    # never entered, so its code is never read.
+    codes = [0]
     for name in syms:
         c = index.get(name)
         if c is None:
@@ -425,11 +477,8 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
         for q in iter_bits(row):
             slot = base + codes[q]
             if table[slot] >= 0:
-                # Two targets of one state share a symbol: an NFA.
-                keys = [(src * k + codes[dst]) * n + dst
-                        for src, targets in _polled(enumerate(rows))
-                        for dst in iter_bits(targets)]
-                return Nfa(sigma, n, 0, finals, _slot_index(sigma, n, keys))
+                # Two targets of one state share a symbol: an NFA over the masks.
+                return Nfa(sigma, n, 0, finals, TransitionIndex._from_masks(sigma, rows, codes))
             table[slot] = q
     return Dfa.from_table(sigma, n, 0, finals, table)
 
@@ -586,40 +635,7 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     result is built.
     """
     n = a.n_states
-    k = len(a.alphabet)
-    starts, targets = a.index.starts, a.index.targets
-    # Only the slots that hold targets are read, so the walk follows the
-    # transitions even when most slots are empty (large alphabets).
-    filled = list(compress(range(n * k), map(ne, starts, islice(starts, 1, None))))
-
-    # Homogeneous input: every state is entered on one symbol only.
-    entered_on = [-1] * n
-    homogeneous = True
-    row = [0] * n
-    for slot in filled:
-        p, c = divmod(slot, k)
-        for q in targets[starts[slot]:starts[slot + 1]]:
-            row[p] |= 1 << q
-            if entered_on[q] < 0:
-                entered_on[q] = c
-            elif entered_on[q] != c:
-                homogeneous = False
-    if homogeneous:
-        into = [0] * k
-        for q, c in enumerate(entered_on):
-            if c >= 0:
-                into[c] |= 1 << q
-        pairs = [(0, sel) for sel in into]
-    else:
-        # Symbol c's targets go to bit offset c * n instead.
-        row = [0] * n
-        for slot in filled:
-            p, c = divmod(slot, k)
-            for q in targets[starts[slot]:starts[slot + 1]]:
-                row[p] |= 1 << (c * n + q)
-        full = (1 << n) - 1
-        pairs = [(c * n, full) for c in range(k)]
-    del entered_on, filled
+    row, pairs = _successor_masks(a)
     finals_mask = 0
     for q in a.finals:
         finals_mask |= 1 << q
@@ -676,6 +692,54 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     del ids, memo
     finals = frozenset(q for q, m in enumerate(order) if m & finals_mask)
     return Dfa.from_table(a.alphabet, len(order), 0, finals, table)
+
+
+def _successor_masks(a: Nfa) -> tuple[list[int], list[tuple[int, int]]]:
+    """One successor int per state of ``a``, and per symbol the ``(shift,
+    mask)`` pair that cuts its successor set out of an OR of them.
+
+    A mask-backed index hands over its rows; any other index is read slot
+    by slot.
+    """
+    n = a.n_states
+    k = len(a.alphabet)
+    index = a.index
+    if index.rows is not None:
+        into = [0] * k
+        for q, c in enumerate(index.codes):
+            into[c] |= 1 << q
+        return index.rows, [(0, sel) for sel in into]
+    starts, targets = index.starts, index.targets
+    # Only the slots that hold targets are read, so the walk follows the
+    # transitions even when most slots are empty (large alphabets).
+    filled = list(compress(range(n * k), map(ne, starts, islice(starts, 1, None))))
+
+    # Homogeneous input: every state is entered on one symbol only.
+    entered_on = [-1] * n
+    homogeneous = True
+    row = [0] * n
+    for slot in filled:
+        p, c = divmod(slot, k)
+        for q in targets[starts[slot]:starts[slot + 1]]:
+            row[p] |= 1 << q
+            if entered_on[q] < 0:
+                entered_on[q] = c
+            elif entered_on[q] != c:
+                homogeneous = False
+    if homogeneous:
+        into = [0] * k
+        for q, c in enumerate(entered_on):
+            if c >= 0:
+                into[c] |= 1 << q
+        return row, [(0, sel) for sel in into]
+    # Symbol c's targets go to bit offset c * n instead.
+    row = [0] * n
+    for slot in filled:
+        p, c = divmod(slot, k)
+        for q in targets[starts[slot]:starts[slot + 1]]:
+            row[p] |= 1 << (c * n + q)
+    full = (1 << n) - 1
+    return row, [(c * n, full) for c in range(k)]
 
 
 def _fill_missing(table: array, target: int) -> array:

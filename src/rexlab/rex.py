@@ -309,9 +309,15 @@ def size(r: Regex) -> int:
     """Reverse-Polish length: symbols and operators, parentheses ignored.
 
     Works on heavily shared trees in time proportional to the number of
-    distinct nodes.
+    distinct nodes, polling the budget once per node.
     """
-    return _shared_fold(r, lambda node, kids: 1 + sum(kids))
+    return _shared_fold(r, _size_step)
+
+
+def _size_step(node: Regex, kids: list[int]) -> int:
+    # The poll sits here, not in ``_shared_fold``: hashing a regex never raises.
+    budget.checkpoint()
+    return 1 + sum(kids)
 
 
 def _shared_fold(root: Regex, combine: Callable):
@@ -602,7 +608,10 @@ def format_symbol(name: str) -> str:
 
 
 def format_regex(r: Regex) -> str:
-    """Precedence-minimal text for ``r``; round-trips structurally through parse."""
+    """Precedence-minimal text for ``r``; round-trips structurally through parse.
+
+    Polls the budget once per node.
+    """
     out: list[str] = []
     # Work items are literal strings or (node, minimum-precedence) pairs.
     stack: list = [(r, _PREC_UNION)]
@@ -611,6 +620,7 @@ def format_regex(r: Regex) -> str:
         if isinstance(item, str):
             out.append(item)
             continue
+        budget.checkpoint()
         node, lvl = item
         p = _prec(node)
         if p < lvl:

@@ -356,6 +356,7 @@ def unamb_family(n: int) -> list[Regex]:
 
     exprs = [shape]
     for i in range(n):
+        budget.checkpoint()
         both = Union(
             concat_all([Sym("0"), power(sigma, 3 * n + 2), Sym("0")]),
             concat_all([Sym("1"), power(sigma, 3 * n + 2), Sym("1")]),
@@ -364,6 +365,8 @@ def unamb_family(n: int) -> list[Regex]:
                                       power(sigma, n - i - 1), Sym("#")])), end)
         exprs.append(odd)
     for i in range(n):
+        budget.checkpoint()
+
         def tail(b: str) -> Regex:
             return concat_all([
                 Sym(b), power(sigma, 2 * n - i + 1),

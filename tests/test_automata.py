@@ -46,7 +46,8 @@ from rexlab.rex import (
     position_sets,
     size,
 )
-from rexlab.witnesses import SIGMA_K, complement_witness, k_dfa, z_dfa
+from rexlab.unambiguous import complement_unambiguous
+from rexlab.witnesses import SIGMA_K, SIGMA_L, complement_witness, k_dfa, unamb_family, z_dfa
 
 from conftest import extended_regexes, regexes
 from corpus import random_dfa, random_layered_nfa, random_nfa, random_plain_regex
@@ -57,6 +58,7 @@ from oracles import minimize_by_moore, regex_slice, subset_construction, words_u
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
+S25 = Alphabet(tuple(f"s{i}" for i in range(25)))
 
 
 class TestGlushkov:
@@ -475,6 +477,101 @@ class TestIndexCore:
         a = Nfa(AB, 2, 0, frozenset([1]), TransitionIndex(AB, [0, 1, 1, 1, 2], [1, 0]))
         assert a.transitions == {(0, "a", 1), (1, "b", 0)}
         assert a.successors(0, 0) == array("i", [1]) and not a.successors(0, 1)
+
+    @pytest.mark.parametrize("rows, codes, alphabet", [
+        ([0b10, 0b01], [1, 0], A),         # masks over another alphabet
+        ([0b10], [1, 0], AB),              # one row for 2 states
+        ([0b10, 0b01], [1], AB),           # one code for 2 states
+        ([0b110, 0b01], [1, 0], AB),       # target 2 >= n_states
+        ([-1, 0b01], [1, 0], AB),          # a negative row sets every bit
+        ([0b10, 0b01], [2, 0], AB),        # code 2 >= 2 symbols
+        ([0b10, 0b01], [1, -1], AB),       # code below 0
+    ])
+    def test_bad_masks_rejected(self, rows, codes, alphabet):
+        with pytest.raises(ValueError):
+            Nfa(AB, 2, 0, frozenset([1]), TransitionIndex._from_masks(alphabet, rows, codes))
+
+    def test_well_formed_masks_accepted_without_slot_arrays(self):
+        index = TransitionIndex._from_masks(AB, [0b10, 0b01], [1, 0])
+        a = Nfa(AB, 2, 0, frozenset([1]), index)
+        assert a.index is index and not _has_slot_arrays(index)
+        assert a.transitions == {(0, "a", 1), (1, "b", 0)} and len(a.transitions) == 2
+        assert a.successors(0, 0) == array("i", [1]) and not a.successors(0, 1)
+        assert _has_slot_arrays(index)
+
+
+def _has_slot_arrays(index: TransitionIndex) -> bool:
+    """Whether ``index`` holds its ``starts`` array, read without deriving it."""
+    try:
+        TransitionIndex.starts.__get__(index)
+    except AttributeError:
+        return False
+    return True
+
+
+class TestMaskBackedIndex:
+    """A Glushkov NFA keeps its follow masks; every reading of it must agree
+    with the same automaton built from its triples."""
+
+    @staticmethod
+    def check_against_triples(g: Nfa):
+        sigma = g.alphabet
+        rebuilt = Nfa(sigma, g.n_states, g.initial, g.finals, frozenset(g.transitions))
+        assert g.transitions.rows is not None and rebuilt.index.rows is None
+        d, e = determinize(g), determinize(rebuilt)  # mask route, then slot route
+        assert (d.n_states, d.finals, d.table) == (e.n_states, e.finals, e.table)
+        assert rebuilt == g and g == rebuilt and hash(rebuilt) == hash(g)
+        assert len(g.transitions) == len(rebuilt.transitions)
+        assert serialize(g) == serialize(rebuilt)
+        assert g.index.starts == rebuilt.index.starts
+        assert g.index.targets == rebuilt.index.targets
+        everything = frozenset(range(g.n_states))
+        for s in sigma:
+            assert g.step(everything, s) == rebuilt.step(everything, s)
+            for p in range(g.n_states):
+                assert g.step(frozenset([p]), s) == rebuilt.step(frozenset([p]), s)
+
+    def test_seeded(self):
+        rng = random.Random(1313)
+        checked = {AB: 0, ABC: 0, S25: 0}
+        for _ in range(300):
+            sigma = rng.choice(list(checked))
+            g = glushkov(random_plain_regex(rng, sigma.names, rng.randint(4, 40)), sigma)
+            if not isinstance(g, Dfa):
+                self.check_against_triples(g)
+                checked[sigma] += 1
+        assert min(checked.values()) >= 20
+
+    @given(st.sampled_from([AB, ABC, S25]).flatmap(
+        lambda sigma: st.tuples(st.just(sigma), regexes(sigma.names, max_leaves=12))))
+    def test_drawn(self, drawn):
+        sigma, r = drawn
+        g = glushkov(r, sigma)
+        if not isinstance(g, Dfa):
+            self.check_against_triples(g)
+
+    def test_complement_check_reads_only_the_masks(self):
+        # The poly-families check: the naive route's DFA against the Glushkov
+        # NFA of the polynomial complement, which must never build slot arrays.
+        masked = 0
+        for r in unamb_family(2):
+            s = complement_unambiguous(r, SIGMA_L)
+            naive = complement_dfa(minimize(determinize(glushkov(r, SIGMA_L))))
+            g = glushkov(s, SIGMA_L)
+            if isinstance(g, Dfa):
+                continue
+            masked += 1
+            assert equivalent(g, naive)
+            assert not _has_slot_arrays(g.transitions)
+        assert masked >= 3
+
+    def test_complement_witness_pins(self):
+        # SHA-256 digests recorded before the masks were kept.
+        g = glushkov(complement_witness(1), SIGMA_K)
+        assert hashlib.sha256(serialize(g).encode()).hexdigest() == (
+            "eb2001f2efe47da97f413167d9664bb89e5576705eba181490004786d52e2fba")
+        assert hashlib.sha256(serialize(determinize(g)).encode()).hexdigest() == (
+            "97ac2fa459566b9bfc8d77b8deec5447712034ea8a33203eac474a7f279d5d82")
 
 
 class TestComplement:

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,16 @@ class TestBenchAndBudget:
         # the deadline fires inside the pipeline; rows get marked or the verb
         # aborts with the budget exit code
         assert code in (0, 3)
+
+    def test_witness_regex_family_meets_deadline(self, capsys, monkeypatch):
+        # Building, sizing and printing the family all poll the budget;
+        # without those polls this call ran to exit 0 after about 3 s.
+        monkeypatch.setenv("REXLAB_BUDGET_MS", "50")
+        t0 = time.perf_counter()
+        code, _, err = run_cli(capsys, "witness", "--family", "unamb-family", "--n", "150")
+        elapsed = time.perf_counter() - t0
+        assert code == 3 and err.startswith("rexlab: budget exceeded: ")
+        assert elapsed < 1.0
 
     def test_index_verb(self, capsys):
         code, out, _ = run_cli(capsys, "index", "--alphabet", "ab",

@@ -249,6 +249,18 @@ class TestGlushkovSets:
             position_sets(parse("ab", AB))
 
 
+@pytest.mark.parametrize("walk", [size, format_regex])
+def test_size_and_format_poll_the_budget(walk):
+    # The witness verb sizes and prints expressions of millions of nodes.
+    r = parse("(a|b)*c", ABC)
+    token = CancelToken()
+    token.cancel()
+    with budget.active(token):
+        hash(r)  # hashing shares the fold of ``size`` but never polls
+        with pytest.raises(BudgetExceededError, match="cancelled"):
+            walk(r)
+
+
 class TestRepeatUpto:
     def test_zero(self):
         assert repeat_upto(Sym("a"), 0) == EPSILON
