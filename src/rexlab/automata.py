@@ -64,6 +64,11 @@ block, and each block's bounds.  The blocks are then numbered by BFS from
 the initial state, so states it does not reach are refined but never
 numbered.
 
+Equivalence reads both DFA tables in place.  Each side's sink is state
+``n_states``, which has no row: a -1 slot steps to it and its own slots all
+read as -1.  Both sinks accept nothing, so the Hopcroft–Karp walk starts
+them in one class, and a slot missing on both sides is skipped.
+
 Conversions here: Glushkov position automaton, compilation of extended
 regexes (intersection via products, negation via determinise-and-complement),
 subset construction, DFA complement, product, minimisation by partition
@@ -1059,56 +1064,59 @@ def parse_automaton(text: str, max_states: int = budget.DEFAULT_MAX_STATES) -> N
         raise AutomatonFormatError(str(exc)) from exc
 
 
-def _total_pair(a: Nfa, b: Nfa, max_states: int
-                ) -> list[tuple[array, int, frozenset[int], int]]:
-    """Both inputs as total DFA tables, each as ``(table, initial, finals, sink)``.
-
-    NFA inputs are determinised under ``max_states``; a -1 slot steps to the
-    side's sink, state ``n_states``, which is non-final and loops to itself.
-    """
+def _dfa_pair(a: Nfa, b: Nfa, max_states: int) -> list[Dfa]:
+    """Both inputs as DFAs; NFA inputs are determinised under ``max_states``."""
     _require_same_alphabet(a, b)
-    sides = []
-    for x in (a, b):
-        d = x if isinstance(x, Dfa) else determinize(x, max_states=max_states)
-        sides.append((_totalized(d)[0], d.initial, d.finals, d.n_states))
-    return sides
+    return [x if isinstance(x, Dfa) else determinize(x, max_states=max_states)
+            for x in (a, b)]
 
 
 def equivalent(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> bool:
     """Language equality by the Hopcroft–Karp union-find pair walk (1971).
 
-    NFA inputs are determinised first.  The states of both DFAs live in one
-    disjoint index space: the smaller DFA's states, its sink, the other DFA's
-    states, its sink.  A -1 slot of ``Dfa.table`` steps to its side's sink,
-    which is non-final and loops to itself.  Starting from the merged initial
-    states, each popped pair merges the classes of its successors on every
-    symbol; the languages differ exactly when two states of different
-    finality would be merged.  No minimisation is needed.
+    NFA inputs are determinised first.  Both ``Dfa.table``s are read in
+    place.  Each side has a sink, state ``n_states``: it has no row in the
+    table, every slot of its row reads as -1, and a -1 slot steps to it.
+    The states of both DFAs live in one disjoint index space, the smaller
+    DFA's states and sink first, so its states are the class roots.  The
+    two sinks start in one class, since both accept nothing, and a slot
+    missing on both sides is skipped before any union-find lookup.  From
+    the merged initial states, each popped pair merges the classes of its
+    successors on every symbol; the languages differ exactly when two
+    states of different finality would be merged.  No minimisation is
+    needed.
     """
-    # Class roots come from the smaller DFA, so a state of the larger one
-    # joins its class in a step or two.
-    sides = sorted(_total_pair(a, b, max_states), key=lambda side: side[3])
-    (ta, ia, fa, sa), (tb, ib, fb, sb) = sides
+    da, db = sorted(_dfa_pair(a, b, max_states), key=lambda d: d.n_states)
+    ta, fa, sa = da.table, da.finals, da.n_states
+    tb, fb, sb = db.table, db.finals, db.n_states
+    ia, ib = da.initial, db.initial
     if (ia in fa) != (ib in fb):
         return False
     k = len(a.alphabet)
+    sink_row = array("i", [-1]) * k
     off = sa + 1
     parent = array("i", range(off + sb + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
+    parent[off + sb] = sa
     parent[ib + off] = ia
     stack = [(ia, ib)]
     while stack:
         budget.checkpoint()
         p, q = stack.pop()
-        rp, rq = p * k, q * k
-        for c in range(k):
-            p2, q2 = ta[rp + c], tb[rq + c]
-            x, y = find(p2), find(q2 + off)
+        row_a = sink_row if p == sa else ta[p * k:p * k + k]
+        row_b = sink_row if q == sb else tb[q * k:q * k + k]
+        for p2, q2 in zip(row_a, row_b):
+            if p2 < 0:
+                if q2 < 0:
+                    continue
+                p2 = sa
+            elif q2 < 0:
+                q2 = sb
+            x = p2
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            y = q2 + off
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
             if x == y:
                 continue
             if (p2 in fa) != (q2 in fb):
@@ -1123,15 +1131,21 @@ def shortest_divergence(a: Nfa, b: Nfa,
                         ) -> Optional[tuple[str, ...]]:
     """Length-lex least word accepted by exactly one automaton, if any.
 
-    Breadth-first over pairs of states with symbols in alphabet order; each
-    entry keeps its parent's index and its symbol, and the word is rebuilt
-    only for the first pair whose finality differs.
+    NFA inputs are determinised first, and both ``Dfa.table``s are read in
+    place with the sinks of :func:`equivalent`.  Breadth-first over pairs of
+    states with symbols in alphabet order; a slot missing on both sides is
+    skipped, since a pair of sinks never diverges and leads only to itself.
+    Each entry keeps its parent's index and its symbol, and the word is
+    rebuilt only for the first pair whose finality differs.
     """
-    (ta, ia, fa, _), (tb, ib, fb, sb) = _total_pair(a, b, max_states)
+    da, db = _dfa_pair(a, b, max_states)
+    ta, fa, sa = da.table, da.finals, da.n_states
+    tb, fb, sb = db.table, db.finals, db.n_states
     names = a.alphabet.names
     k = len(names)
+    sink_row = array("i", [-1]) * k
     width = sb + 1
-    start = ia * width + ib
+    start = da.initial * width + db.initial
     seen = {start}
     queue = [start]
     back = [-1]
@@ -1146,9 +1160,16 @@ def shortest_divergence(a: Nfa, b: Nfa,
                 word.append(names[via[i]])
                 i = back[i]
             return tuple(reversed(word))
-        rp, rq = p * k, q * k
-        for c in range(k):
-            key = ta[rp + c] * width + tb[rq + c]
+        row_a = sink_row if p == sa else ta[p * k:p * k + k]
+        row_b = sink_row if q == sb else tb[q * k:q * k + k]
+        for c, (p2, q2) in enumerate(zip(row_a, row_b)):
+            if p2 < 0:
+                if q2 < 0:
+                    continue
+                p2 = sa
+            elif q2 < 0:
+                q2 = sb
+            key = p2 * width + q2
             if key not in seen:
                 seen.add(key)
                 queue.append(key)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Union as TUnion
 
 from . import budget
@@ -402,10 +403,12 @@ def m_alphabet(n: int) -> Alphabet:
     """Circled-pair symbols plus per-vertex flags and triangles: 2n^2+2n names."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    names = [_circ_out(i, j) for i in range(n) for j in range(n)]
-    names += [_circ_in(i, j) for i in range(n) for j in range(n)]
-    names += [_flag(i) for i in range(n)]
-    names += [_tri(i) for i in range(n)]
+    names = []
+    for name in chain((_circ_out(i, j) for i in range(n) for j in range(n)),
+                      (_circ_in(i, j) for i in range(n) for j in range(n)),
+                      map(_flag, range(n)), map(_tri, range(n))):
+        budget.checkpoint()
+        names.append(name)
     return Alphabet(tuple(names))
 
 
@@ -438,19 +441,24 @@ def m_sore_pair(n: int) -> tuple[Regex, Regex]:
     if n < 1:
         raise ValueError("n must be at least 1")
     sigma = m_alphabet(n)
-    flags = set_expr([_flag(i) for i in range(n)], sigma)
-    tris = set_expr([_tri(i) for i in range(n)], sigma)
+
+    def polled_set(names: list[str]) -> Regex:
+        budget.checkpoint()
+        return set_expr(names, sigma)
+
+    flags = polled_set([_flag(i) for i in range(n)])
+    tris = polled_set([_tri(i) for i in range(n)])
     circle_blocks = union_all(
-        Concat(set_expr([_circ_in(j, i) for j in range(n)], sigma),
-               set_expr([_circ_out(i, j) for j in range(n)], sigma))
+        Concat(polled_set([_circ_in(j, i) for j in range(n)]),
+               polled_set([_circ_out(i, j) for j in range(n)]))
         for i in range(n))
     r = Concat(Plus(Concat(flags, circle_blocks)), tris)
 
     windows = union_all(
         concat_all([
-            Union(set_expr([_circ_out(j, i) for j in range(n)], sigma), EPSILON),
+            Union(polled_set([_circ_out(j, i) for j in range(n)]), EPSILON),
             Union(Sym(_flag(i)), Sym(_tri(i))),
-            Union(set_expr([_circ_in(i, j) for j in range(n)], sigma), EPSILON),
+            Union(polled_set([_circ_in(i, j) for j in range(n)]), EPSILON),
         ])
         for i in range(n))
     s = Star(windows)

@@ -13,7 +13,7 @@ import itertools
 from typing import Iterable, Iterator, Optional
 
 from rexlab import budget
-from rexlab.automata import Dfa, Nfa
+from rexlab.automata import Dfa, Nfa, determinize
 from rexlab.rex import (
     EPSILON,
     Alphabet,
@@ -587,6 +587,98 @@ def minimize_by_moore(d: Dfa) -> Dfa:
             triples.add((ids[b], a, ids[t]))
     finals = frozenset(ids[b] for b in useful if b in ids and rep[b] in d.finals)
     return Dfa(d.alphabet, len(ids), 0, finals, frozenset(triples))
+
+
+# ---------------------------------------------------------------------------
+# Equivalence over totalised copies of the tables
+#
+# The reference for ``rexlab.automata.equivalent`` and
+# ``shortest_divergence``, which read the partial tables in place.  Here
+# each side is first copied into a total table: every -1 slot points at a
+# sink row appended to the copy, non-final and looping to itself.  NFA
+# inputs go through the library's subset construction, under the same
+# ``max_states``.
+# ---------------------------------------------------------------------------
+
+def _totalised_side(x: Nfa, max_states: int) -> tuple[list[int], int, frozenset[int], int]:
+    """``(table, initial, finals, sink)``, the table a total copy."""
+    d = x if isinstance(x, Dfa) else determinize(x, max_states=max_states)
+    n, k = d.n_states, len(d.alphabet)
+    table = [n if t < 0 else t for t in d.table]
+    if n in table:
+        table.extend([n] * k)
+    return table, d.initial, d.finals, n
+
+
+def equivalent_by_totalising(a: Nfa, b: Nfa,
+                             max_states: int = budget.DEFAULT_MAX_STATES) -> bool:
+    """Hopcroft–Karp over totalised copies, each sink in its own class.
+
+    One index space holds the smaller DFA's states, its sink, the other
+    DFA's states, its sink; each popped pair merges the classes of its
+    successors on every symbol, and the languages differ exactly when two
+    states of different finality would be merged.
+    """
+    sides = sorted((_totalised_side(x, max_states) for x in (a, b)), key=lambda side: side[3])
+    (ta, ia, fa, sa), (tb, ib, fb, sb) = sides
+    if (ia in fa) != (ib in fb):
+        return False
+    k = len(a.alphabet)
+    off = sa + 1
+    parent = list(range(off + sb + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    parent[ib + off] = ia
+    stack = [(ia, ib)]
+    while stack:
+        budget.checkpoint()
+        p, q = stack.pop()
+        for c in range(k):
+            p2, q2 = ta[p * k + c], tb[q * k + c]
+            x, y = find(p2), find(q2 + off)
+            if x == y:
+                continue
+            if (p2 in fa) != (q2 in fb):
+                return False
+            parent[y] = x
+            stack.append((p2, q2))
+    return True
+
+
+def shortest_divergence_by_totalising(a: Nfa, b: Nfa,
+                                      max_states: int = budget.DEFAULT_MAX_STATES
+                                      ) -> Optional[tuple[str, ...]]:
+    """Length-lex least word accepted by exactly one side, by BFS over every pair.
+
+    Pairs of totalised states are visited breadth-first with symbols in
+    alphabet order, the pair of sinks included; the word is read back along
+    the BFS tree from the first pair whose finality differs.
+    """
+    (ta, ia, fa, _), (tb, ib, fb, _) = (_totalised_side(x, max_states) for x in (a, b))
+    names = a.alphabet.names
+    k = len(names)
+    start = (ia, ib)
+    parent: dict[tuple[int, int], Optional[tuple[tuple[int, int], str]]] = {start: None}
+    queue = [start]
+    for pair in queue:
+        budget.checkpoint()
+        p, q = pair
+        if (p in fa) != (q in fb):
+            word = []
+            while parent[pair] is not None:
+                pair, symbol = parent[pair]
+                word.append(symbol)
+            return tuple(reversed(word))
+        for c, name in enumerate(names):
+            nxt = (ta[p * k + c], tb[q * k + c])
+            if nxt not in parent:
+                parent[nxt] = (pair, name)
+                queue.append(nxt)
+    return None
 
 
 # ---------------------------------------------------------------------------

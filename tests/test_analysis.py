@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rexlab.analysis import (
     FINITE,
     INFINITE,
+    _as_nfa,
     blowup_report,
     covers,
     enumerate_language,
@@ -24,6 +25,8 @@ from rexlab.rex import (
     EPSILON,
     Alphabet,
     Concat,
+    Intersect,
+    Negate,
     Plus,
     RexlabError,
     Star,
@@ -37,7 +40,7 @@ from rexlab.witnesses import k_dfa, rho_encode, z_alphabet, z_dfa
 
 from corpus import random_dfa, random_extended_regex, random_nfa, random_plain_regex
 from conftest import extended_regexes
-from oracles import extended_to_nfa_by_triples, length_lex_sorted, path_words, regex_slice
+from oracles import extended_to_nfa_by_triples, length_lex_sorted, mark, path_words, regex_slice
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
@@ -313,6 +316,38 @@ class TestCompileRoutes:
             lambda: covers(r, ()),
             lambda: word_index(r, ("a",)),
             lambda: sidekicks(r))
+
+
+class TestCompileRefusals:
+    """The messages the combinators give for marked and undeclared symbols,
+    as they reach the oracles through the compile step."""
+
+    MARKED = "symbol MarkedSymbol(base='a', occurrence=1) not in the declared alphabet"
+    UNDECLARED = "symbol 'c' not in the declared alphabet"
+
+    @pytest.mark.parametrize("wrap, sigma, message", [
+        (lambda m: m, AB, MARKED),
+        (lambda m: m, None, MARKED),
+        (lambda m: Intersect(m, Star(Sym("a"))), AB, MARKED),
+        (lambda m: Intersect(m, Star(Sym("a"))), None, MARKED),
+        (Negate, AB, MARKED),
+        (Negate, None, "negation needs an explicit alphabet"),
+    ], ids=["plain", "plain-derived", "intersect", "intersect-derived", "negate",
+            "negate-derived"])
+    def test_marked_symbols(self, wrap, sigma, message):
+        r = wrap(mark(parse("a|b*", AB)).root)
+        for call in (lambda: _as_nfa(r, sigma), lambda: enumerate_language(r, 2, sigma)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert type(info.value) is ValueError and str(info.value) == message
+
+    @pytest.mark.parametrize("text", ["ac", "a*|c", "a&c", "!c"])
+    def test_undeclared_symbols(self, text):
+        r = parse(text, ABC)
+        for call in (lambda: _as_nfa(r, AB), lambda: enumerate_language(r, 2, AB)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert type(info.value) is ValueError and str(info.value) == self.UNDECLARED
 
 
 class TestStarredSubexpressions:

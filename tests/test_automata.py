@@ -2,6 +2,7 @@ import hashlib
 import random
 import tracemalloc
 from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +28,7 @@ from rexlab.automata import (
     serialize,
     shortest_divergence,
 )
-from rexlab import budget
+from rexlab import automata, budget
 from rexlab.budget import BudgetExceededError, CancelToken
 from rexlab.rex import (
     EMPTY,
@@ -47,13 +48,22 @@ from rexlab.rex import (
     size,
 )
 from rexlab.unambiguous import complement_unambiguous
-from rexlab.witnesses import SIGMA_K, SIGMA_L, complement_witness, k_dfa, unamb_family, z_dfa
+from rexlab.witnesses import (
+    SIGMA_K,
+    SIGMA_L,
+    complement_witness,
+    k_dfa,
+    l_dfa,
+    unamb_family,
+    z_dfa,
+)
 
 from conftest import extended_regexes, regexes
 from corpus import random_dfa, random_layered_nfa, random_nfa, random_plain_regex
 from oracles import extended_to_nfa_by_triples, glushkov_by_marking, mark, marked_position_sets
 from oracles import nfa_slice as slice_of
 from oracles import minimize_by_moore, regex_slice, subset_construction, words_upto
+from oracles import equivalent_by_totalising, shortest_divergence_by_totalising
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
@@ -882,6 +892,136 @@ class TestEquivalent:
                 == serialize(minimize(determinize(b))))
         assert equivalent(a, b) == want == equivalent(b, a)
         assert (shortest_divergence(a, b) is None) == want
+
+
+def _random_partial_dfa(rng: random.Random, sigma: Alphabet) -> Dfa:
+    """A DFA of 1-6 states whose table is empty, sparse, dense or total."""
+    n = rng.randint(1, 6)
+    fill = rng.choice([0.0, 0.4, 0.8, 1.0])  # 0.0: every slot is -1
+    table = array("i", (rng.randrange(n) if rng.random() < fill else -1
+                        for _ in range(n * len(sigma))))
+    finals = frozenset(q for q in range(n) if rng.random() < 0.4)
+    return Dfa.from_table(sigma, n, 0, finals, table)
+
+
+def _random_equivalence_pair(rng: random.Random) -> tuple[Nfa, Nfa]:
+    sigma = rng.choice([A, AB, ABC])
+
+    def side():
+        roll = rng.random()
+        if roll < 0.5:
+            return _random_partial_dfa(rng, sigma)
+        if roll < 0.7:
+            return complement_dfa(_random_partial_dfa(rng, sigma))
+        return glushkov(random_plain_regex(rng, sigma.names, rng.randint(1, 8)), sigma)
+
+    a = side()
+    kind = rng.choice(["independent", "minimised", "complement", "double complement"])
+    if kind == "independent":
+        return a, side()
+    d = determinize(a)
+    if kind == "minimised":
+        return a, minimize(d)
+    if kind == "complement":
+        return a, complement_dfa(d)
+    return a, complement_dfa(complement_dfa(d))
+
+
+def _product_chain(n: int) -> Nfa:
+    exprs = unamb_family(n)
+    acc = glushkov(exprs[0], SIGMA_L)
+    for r in exprs[1:]:
+        acc = product(acc, glushkov(r, SIGMA_L))
+    return acc
+
+
+class TestEquivalentInPlace:
+    """``equivalent`` and ``shortest_divergence`` read the partial tables in
+    place; the totalising routines in ``oracles`` are their reference."""
+
+    @staticmethod
+    def assert_matches_reference(a, b):
+        for x, y in ((a, b), (b, a)):
+            assert equivalent(x, y) == equivalent_by_totalising(x, y)
+            assert shortest_divergence(x, y) == shortest_divergence_by_totalising(x, y)
+
+    def test_seeded_pairs(self):
+        verdicts = Counter()
+        for seed in range(3000):
+            a, b = _random_equivalence_pair(random.Random(seed))
+            self.assert_matches_reference(a, b)
+            verdicts[equivalent(a, b)] += 1
+        assert min(verdicts.values()) >= 500
+
+    def test_product_chain_pair(self):
+        chain = _product_chain(5)
+        self.assert_matches_reference(chain, l_dfa(32))
+        self.assert_matches_reference(chain, l_dfa(16))
+
+    def test_cliff_pair(self):
+        c = complement_dfa(determinize(glushkov(complement_witness(1), SIGMA_K)))
+        self.assert_matches_reference(c, k_dfa(2))
+
+    def test_total_tables(self):
+        # Even and odd counts of a over ab, both total: no sink is reached.
+        two = Dfa.from_table(AB, 2, 0, frozenset([0]), array("i", [1, 0, 0, 1]))
+        four = Dfa.from_table(AB, 4, 0, frozenset([0, 2]),
+                              array("i", [1, 0, 2, 1, 3, 2, 0, 3]))
+        odd = complement_dfa(two)
+        assert -1 not in two.table and -1 not in four.table and -1 not in odd.table
+        for x, y in ((two, four), (four, two)):
+            assert equivalent(x, y) and shortest_divergence(x, y) is None
+        for x, y in ((two, odd), (odd, two)):
+            assert not equivalent(x, y) and shortest_divergence(x, y) == ()
+        odd_of_four = complement_dfa(four)
+        assert shortest_divergence(odd_of_four, two) == ()
+        self.assert_matches_reference(four, odd_of_four)
+
+    def test_sink_against_live_cycle(self):
+        # The smaller side accepts only "a"; on "b" it steps to its sink, which
+        # the larger side answers with the non-final cycle 2 -a-> 3 -a-> 2.
+        small = Dfa.from_table(AB, 2, 0, frozenset([1]), array("i", [1, -1, -1, -1]))
+        cycle = Dfa.from_table(AB, 4, 0, frozenset([1]),
+                               array("i", [1, 2, -1, -1, 3, -1, 2, -1]))
+        for x, y in ((small, cycle), (cycle, small)):
+            assert equivalent(x, y) and shortest_divergence(x, y) is None
+        # The same cycle with an exit to a final state on "b" from 3.
+        leaky = Dfa.from_table(AB, 5, 0, frozenset([1, 4]),
+                               array("i", [1, 2, -1, -1, 3, -1, 2, 4, -1, -1]))
+        assert not equivalent(small, leaky) and not equivalent(leaky, small)
+        assert shortest_divergence(small, leaky) == ("b", "a", "b")
+        assert shortest_divergence(leaky, small) == ("b", "a", "b")
+        self.assert_matches_reference(small, leaky)
+
+    def test_final_past_one_sided_missing_slot(self):
+        # "aba" reaches a final state only through 1 -b-> 2, a slot that is
+        # missing on the other side, which accepts "aa" instead.
+        aba = Dfa.from_table(AB, 4, 0, frozenset([3]),
+                             array("i", [1, -1, -1, 2, 3, -1, -1, -1]))
+        aa = Dfa.from_table(AB, 3, 0, frozenset([2]), array("i", [1, -1, 2, -1, -1, -1]))
+        for x, y in ((aba, aa), (aa, aba)):
+            assert not equivalent(x, y)
+            assert shortest_divergence(x, y) == ("a", "a")
+        both = Dfa.from_table(AB, 5, 0, frozenset([3, 4]),
+                              array("i", [1, -1, 4, 2, 3, -1, -1, -1, -1, -1]))
+        assert not equivalent(aa, both) and not equivalent(both, aa)
+        assert shortest_divergence(aa, both) == ("a", "b", "a")
+        self.assert_matches_reference(aa, both)
+
+    def test_no_totalised_copies(self, monkeypatch):
+        def refuse(d):
+            raise AssertionError("a totalised copy was made")
+
+        pairs = [_random_equivalence_pair(random.Random(seed)) for seed in range(200)]
+        assert sum(-1 in determinize(a).table for a, _ in pairs) >= 50
+        monkeypatch.setattr(automata, "_totalized", refuse)
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                equivalent(x, y)
+                shortest_divergence(x, y)
+        partial = Dfa.from_table(AB, 2, 0, frozenset([1]), array("i", [1, -1, -1, -1]))
+        assert equivalent(partial, glushkov(parse("a", AB), AB))
+        assert shortest_divergence(partial, glushkov(parse("b", AB), AB)) == ("a",)
 
 
 class TestEliminateStates:

@@ -179,6 +179,16 @@ class TestBenchAndBudget:
         assert code == 3 and err.startswith("rexlab: budget exceeded: ")
         assert elapsed < 1.0
 
+    def test_witness_sore_pair_meets_deadline(self, capsys, monkeypatch):
+        # Building the alphabet and the pair polls the budget; without those
+        # polls this call exited 3 only after about 3 s.
+        monkeypatch.setenv("REXLAB_BUDGET_MS", "50")
+        t0 = time.perf_counter()
+        code, _, err = run_cli(capsys, "witness", "--family", "m-sore-pair", "--n", "300")
+        elapsed = time.perf_counter() - t0
+        assert code == 3 and err.startswith("rexlab: budget exceeded: ")
+        assert elapsed < 1.0
+
     def test_index_verb(self, capsys):
         code, out, _ = run_cli(capsys, "index", "--alphabet", "ab",
                                "--word", "ab", "abab")

@@ -68,7 +68,8 @@ class TestSerializationPins:
         assert serialization_digest(l_dfa(n) for n in range(2, 17)) == (
             "231f5d43902a243d165b278d9f48f83812d3d2a1a55ff8102b6e5b3cd85a20a8")
 
-    @pytest.mark.parametrize("build", [k_dfa, l_dfa, z_dfa, unamb_family])
+    @pytest.mark.parametrize("build", [k_dfa, l_dfa, z_dfa, unamb_family, m_sore_pair,
+                                       m_alphabet])
     def test_builders_poll_the_budget(self, build):
         # The witness verb runs these under REXLAB_BUDGET_MS.
         token = CancelToken()
