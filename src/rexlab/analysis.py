@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union as TUnion
 
@@ -104,14 +105,9 @@ class LanguageOracle:
     max_len: int
     words: tuple[Word, ...]
 
-    @property
+    @cached_property
     def word_set(self) -> frozenset[Word]:
-        try:
-            return self._word_set  # type: ignore[attr-defined]
-        except AttributeError:
-            ws = frozenset(self.words)
-            object.__setattr__(self, "_word_set", ws)
-            return ws
+        return frozenset(self.words)
 
     def __contains__(self, word: Word) -> bool:
         return tuple(word) in self.word_set

@@ -6,20 +6,19 @@ function; a missing transition rejects.  The reported size of an automaton is
 the number of states plus the number of transitions.
 
 Every automaton indexes its successors by slot ``p * k + c``, state ``p`` on
-the ``c``-th of ``k`` symbols, and :meth:`Nfa.successors` reads one slot.  A
-DFA keeps ``Dfa.table``, a row-major ``array('i')`` with one target per slot
-and -1 for a missing edge.  An NFA keeps ``Nfa.index``, two ``array('i')``s
-in compressed sparse row form: slot ``s`` holds the ascending targets
-``targets[starts[s]:starts[s + 1]]``.  An automaton built from triples keeps
-the frozenset it was given; a DFA fills its table while checking them, an
-NFA builds its index on first use.  The constructions write a table or an
-index directly, and their ``transitions`` is a read-only set view over it
-(:class:`TransitionTable`, :class:`TransitionIndex`).  A Glushkov NFA's
-index is mask-backed: it keeps the construction's follow masks, one int row
-per state with bit ``q`` set for each target ``q``, and the code of the one
-symbol that enters each state.  It is checked, iterated and counted from
-the masks, and derives ``starts`` and ``targets`` only when they are first
-read.
+the ``c``-th of ``k`` symbols, and keeps its transitions once, in
+``transitions``, as one of three stores.  A DFA keeps a
+:class:`TransitionTable`, a row-major ``array('i')`` with one target per slot
+and -1 for a missing edge.  An NFA keeps a :class:`TransitionIndex`, two
+``array('i')``s in compressed sparse row form: slot ``s`` holds the ascending
+targets ``targets[starts[s]:starts[s + 1]]``.  A Glushkov NFA keeps a
+:class:`TransitionMasks` instead: the construction's follow masks, one int
+row per state with bit ``q`` set for each target ``q``, and one entry mask
+per symbol, the states entered on it.  Each store is a read-only set of
+``(p, symbol, q)`` triples that reads one slot (:meth:`Nfa.successors`) or
+walks its ``(slot, q)`` edges.  The constructors turn triples, or a store of
+another kind, into their own kind and keep nothing else; the constructions
+write a table or an index directly.
 
 The extended-regex combinators of :func:`extended_to_nfa` pass int edge
 lists from node to node, an edge ``(p, c, q)`` coded as one int so that
@@ -27,7 +26,7 @@ renumbering the states is one addition per edge, and write one index for an
 operand of a product or a subset construction and for the result.
 
 Subset construction takes one successor int per NFA state: the rows of a
-mask-backed index as they are, for any other index an OR over its slots.
+mask store as they are, for any other store an OR over its edges.
 It cuts each subset into four slices of ``ceil(n / 4)`` bits.  The union of
 a slice's successor ints comes from a memo keyed by the slice value; a miss
 walks the slice's bits and ORs their ints.  This is the Four Russians table
@@ -49,9 +48,10 @@ a ``Star`` or ``Plus`` adds its own first set to the rows of its last
 positions, and a ``Concat`` denoting the empty language clears the rows of
 its positions.  No node copies a follow set.  While no two targets of a row
 share a symbol the rows are written straight into ``Dfa.table``; otherwise
-the NFA keeps them as its mask-backed index.  The product of two DFAs likewise
+the NFA keeps them in a mask store.  The product of two DFAs likewise
 walks both tables and writes its own; any other product walks the slots of
-both inputs and writes an index.
+both inputs and writes an index, which becomes a table when both inputs are
+deterministic.
 
 Minimisation sorts a DFA's transitions by target slot into one preimage
 index, ``sources[starts[s]:starts[s + 1]]`` the states entering slot ``s``.
@@ -82,9 +82,9 @@ from array import array
 from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, compress, islice
-from operator import gt, le, ne, sub
+from operator import gt, le, ne, or_
 from typing import Iterable, Optional
 
 from . import budget
@@ -117,6 +117,7 @@ __all__ = [
     "Dfa",
     "TransitionTable",
     "TransitionIndex",
+    "TransitionMasks",
     "AlphabetMismatchError",
     "AutomatonFormatError",
     "glushkov",
@@ -142,94 +143,15 @@ class AutomatonFormatError(RexlabError):
     """Malformed automaton file."""
 
 
-@dataclass(frozen=True)
-class Nfa:
-    """An automaton whose successors are indexed by slot ``p * k + c``."""
-
-    alphabet: Alphabet
-    n_states: int
-    initial: int
-    finals: frozenset[int]
-    transitions: frozenset[tuple[int, str, int]]
-
-    def __post_init__(self):
-        self._check_states()
-        n = self.n_states
-        trans = self.transitions
-        # An exact type test: isinstance against an ABC would cost more than
-        # validating a small NFA.
-        if type(trans) is TransitionIndex:
-            k = len(self.alphabet)
-            if trans.alphabet != self.alphabet:
-                raise ValueError("transition index alphabet differs from the automaton's")
-            rows, codes = trans.rows, trans.codes
-            if rows is not None:  # checked without deriving the slot arrays
-                if len(rows) != n or len(codes) != n:
-                    raise ValueError(f"transition masks of {len(rows)} rows and {len(codes)} "
-                                     f"codes do not fit {n} states")
-                if min(rows) < 0 or max(rows) >> n:
-                    raise ValueError("transition mask target out of range")
-                if min(codes) < 0 or max(codes) >= k:
-                    raise ValueError("transition mask symbol code out of range")
-                object.__setattr__(self, "index", trans)
-                return
-            starts, targets = trans.starts, trans.targets
-            if len(starts) != n * k + 1 or starts[0] != 0 or starts[-1] != len(targets):
-                raise ValueError(f"transition index of {len(starts)} slot starts and "
-                                 f"{len(targets)} targets does not fit {n} states x {k} symbols")
-            if not all(map(le, starts, islice(starts, 1, None))):
-                raise ValueError("transition index slot starts decrease")
-            if targets and (min(targets) < 0 or max(targets) >= n):
-                raise ValueError("transition index target out of range")
-            object.__setattr__(self, "index", trans)
-        else:
-            index = self.alphabet.index
-            for p, a, q in trans:
-                if not (0 <= p < n and 0 <= q < n):
-                    raise ValueError(f"transition endpoint out of range: {(p, a, q)}")
-                if a not in index:
-                    raise ValueError(f"transition symbol {a!r} not in alphabet")
-
-    def _check_states(self):
-        if not (0 <= self.initial < self.n_states):
-            raise ValueError("initial state out of range")
-        if self.finals and not (0 <= min(self.finals) and max(self.finals) < self.n_states):
-            raise ValueError("final state out of range")
-
-    @property
-    def size(self) -> int:
-        return self.n_states + len(self.transitions)
-
-    @cached_property
-    def index(self) -> TransitionIndex:
-        """The transitions as a slot index: the one given, or one built from
-        the triples on first use."""
-        n, k, code = self.n_states, len(self.alphabet), self.alphabet.index
-        keys = [(p * k + code[a]) * n + q for p, a, q in self.transitions]
-        return _slot_index(self.alphabet, n, keys)
-
-    def successors(self, p: int, c: int):
-        """Targets of state ``p`` on the ``c``-th alphabet symbol, ascending."""
-        index = self.index
-        slot = p * len(self.alphabet.names) + c
-        return index.targets[index.starts[slot]:index.starts[slot + 1]]
-
-    def step(self, states: frozenset[int], symbol: str) -> frozenset[int]:
-        c = self.alphabet.index.get(symbol)
-        if c is None:
-            return frozenset()
-        return frozenset(q for p in states for q in self.successors(p, c))
-
-    def is_deterministic(self) -> bool:
-        starts = self.index.starts
-        return max(map(sub, islice(starts, 1, None), starts)) <= 1
-
-
 class _TripleView(Set):
-    """Read-only set of ``(p, symbol, q)`` triples over a slot index.
+    """Read-only set of ``(p, symbol, q)`` triples over one transition store.
 
-    Subclasses keep ``alphabet`` and read one slot in ``_slot_targets``.
-    Set operators (|, &, -, ^) return plain frozensets.
+    A store keeps ``alphabet`` and answers ``_slot_targets(slot)``, the
+    ascending targets of one slot; ``_slot_edges()``, its ``(slot, q)``
+    pairs state by state; ``_check(alphabet, n_states)``, which raises
+    ``ValueError`` unless it fits that automaton; and ``len``.  Equality and
+    hash agree with the frozenset of the same triples.  Set operators (|, &,
+    -, ^) return plain frozensets.
     """
 
     __slots__ = ()
@@ -244,6 +166,12 @@ class _TripleView(Set):
             return False
         return q in self._slot_targets(p * len(self.alphabet) + c)  # type: ignore[attr-defined]
 
+    def __iter__(self):
+        names = self.alphabet.names  # type: ignore[attr-defined]
+        k = len(names)
+        for slot, q in self._slot_edges():  # type: ignore[attr-defined]
+            yield slot // k, names[slot % k], q
+
     __hash__ = Set._hash
 
     @classmethod
@@ -255,12 +183,9 @@ class _TripleView(Set):
 
 
 class TransitionTable(_TripleView):
-    """Read-only set of ``(p, symbol, q)`` triples over a flat DFA table.
-
-    Slot ``p * k + c`` holds the target of state ``p`` on the ``c``-th symbol
-    of ``alphabet``, -1 when the edge is missing.  Equality and hash agree
-    with the frozenset of the same triples.
-    """
+    """Triples over a flat DFA table: slot ``p * k + c`` holds the target of
+    state ``p`` on the ``c``-th symbol of ``alphabet``, -1 when the edge is
+    missing."""
 
     __slots__ = ("alphabet", "table")
 
@@ -273,78 +198,39 @@ class TransitionTable(_TripleView):
     def __len__(self) -> int:
         return len(self.table) - self.table.count(-1)
 
-    def __iter__(self):
-        names = self.alphabet.names
-        k = len(names)
-        for slot, q in enumerate(self.table):
-            if q >= 0:
-                yield slot // k, names[slot % k], q
-
     def _slot_targets(self, slot: int):
         table = self.table
         return (table[slot],) if slot < len(table) and table[slot] >= 0 else ()
 
+    def _slot_edges(self):
+        return ((slot, q) for slot, q in enumerate(self.table) if q >= 0)
+
+    def _check(self, alphabet: Alphabet, n: int):
+        table, k = self.table, len(alphabet)
+        if self.alphabet != alphabet:
+            raise ValueError("transition table alphabet differs from the automaton's")
+        if len(table) != n * k:
+            raise ValueError(f"transition table has {len(table)} slots, "
+                             f"expected {n} states x {k} symbols")
+        if min(table) < -1 or max(table) >= n:
+            raise ValueError("transition table target out of range")
+
 
 class TransitionIndex(_TripleView):
-    """Read-only set of ``(p, symbol, q)`` triples over an NFA's slot index.
-
-    The targets of state ``p`` on the ``c``-th symbol of ``alphabet`` are
+    """Triples over a slot index in compressed sparse row form: the targets
+    of state ``p`` on the ``c``-th symbol of ``alphabet`` are
     ``targets[starts[p * k + c]:starts[p * k + c + 1]]``, ascending and
-    distinct.  Equality and hash agree with the frozenset of the same
-    triples.
+    distinct."""
 
-    An index made by :meth:`_from_masks` holds a homogeneous NFA's masks
-    instead: bit ``q`` of ``rows[p]`` is an edge from ``p`` to ``q`` on the
-    ``codes[q]``-th symbol.  Its ``starts`` and ``targets`` are derived on
-    first read, and iteration and ``len`` read the masks; ``rows`` and
-    ``codes`` are None for any other index.
-    """
-
-    __slots__ = ("alphabet", "starts", "targets", "rows", "codes")
+    __slots__ = ("alphabet", "starts", "targets")
 
     def __init__(self, alphabet: Alphabet, starts: Iterable[int], targets: Iterable[int]):
         self.alphabet = alphabet
         self.starts = array("i", starts)
         self.targets = array("i", targets)
-        self.rows = self.codes = None
-
-    @classmethod
-    def _from_masks(cls, alphabet: Alphabet, rows: list[int],
-                    codes: list[int]) -> TransitionIndex:
-        index = cls.__new__(cls)
-        index.alphabet, index.rows, index.codes = alphabet, rows, codes
-        return index
-
-    def __getattr__(self, name: str):
-        # Only reached while a slot is unset: the arrays of a mask-backed index.
-        if name not in ("starts", "targets"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows, codes = self.rows, self.codes
-        n, k = len(rows), len(self.alphabet)
-        # A row holds up to n targets, so the budget is polled once per row.
-        keys = [(p * k + codes[q]) * n + q
-                for p, row in _polled(enumerate(rows)) for q in iter_bits(row)]
-        csr = _slot_index(self.alphabet, n, keys)
-        self.starts, self.targets = csr.starts, csr.targets
-        return getattr(csr, name)
 
     def __len__(self) -> int:
-        rows = self.rows
-        return len(self.targets) if rows is None else sum(map(int.bit_count, rows))
-
-    def __iter__(self):
-        names = self.alphabet.names
-        rows, codes = self.rows, self.codes
-        if rows is not None:
-            for p, row in enumerate(rows):
-                for q in iter_bits(row):
-                    yield p, names[codes[q]], q
-            return
-        k = len(names)
-        starts, targets = self.starts, self.targets
-        for slot in range(len(starts) - 1):
-            for q in targets[starts[slot]:starts[slot + 1]]:
-                yield slot // k, names[slot % k], q
+        return len(self.targets)
 
     def _slot_targets(self, slot: int):
         starts = self.starts
@@ -352,70 +238,189 @@ class TransitionIndex(_TripleView):
             return ()
         return self.targets[starts[slot]:starts[slot + 1]]
 
+    def _slot_edges(self):
+        starts, targets = self.starts, self.targets
+        # Only the slots that hold targets are visited, so the walk follows
+        # the transitions even when most slots are empty (large alphabets).
+        for slot in compress(range(len(starts) - 1), map(ne, starts, islice(starts, 1, None))):
+            for q in targets[starts[slot]:starts[slot + 1]]:
+                yield slot, q
 
-def _slot_index(alphabet: Alphabet, n_states: int, keys: list[int],
+    def _check(self, alphabet: Alphabet, n: int):
+        starts, targets, k = self.starts, self.targets, len(alphabet)
+        if self.alphabet != alphabet:
+            raise ValueError("transition index alphabet differs from the automaton's")
+        if len(starts) != n * k + 1 or starts[0] != 0 or starts[-1] != len(targets):
+            raise ValueError(f"transition index of {len(starts)} slot starts and "
+                             f"{len(targets)} targets does not fit {n} states x {k} symbols")
+        if not all(map(le, starts, islice(starts, 1, None))):
+            raise ValueError("transition index slot starts decrease")
+        if targets and (min(targets) < 0 or max(targets) >= n):
+            raise ValueError("transition index target out of range")
+
+
+class TransitionMasks(_TripleView):
+    """Triples over a homogeneous NFA's follow masks, as the Glushkov
+    construction leaves them: bit ``q`` of ``rows[p]`` is an edge from ``p``
+    to ``q``, on the ``c``-th symbol of ``alphabet`` for the one entry mask
+    ``entries[c]`` that holds bit ``q``.  The entry masks are disjoint, since
+    every state is entered on one symbol only."""
+
+    __slots__ = ("alphabet", "rows", "entries")
+
+    def __init__(self, alphabet: Alphabet, rows: list[int], entries: list[int]):
+        self.alphabet, self.rows, self.entries = alphabet, rows, entries
+
+    def __len__(self) -> int:
+        return sum(map(int.bit_count, self.rows))
+
+    def _slot_targets(self, slot: int):
+        p, c = divmod(slot, len(self.entries))
+        if p >= len(self.rows):
+            return ()
+        return tuple(iter_bits(self.rows[p] & self.entries[c]))
+
+    def _slot_edges(self):
+        k = len(self.entries)
+        code = [0] * len(self.rows)
+        for c, sel in enumerate(self.entries):
+            for q in iter_bits(sel):
+                code[q] = c
+        for p, row in enumerate(self.rows):
+            for q in iter_bits(row):
+                yield p * k + code[q], q
+
+    def _check(self, alphabet: Alphabet, n: int):
+        rows, entries, k = self.rows, self.entries, len(alphabet)
+        if self.alphabet != alphabet:
+            raise ValueError("transition masks alphabet differs from the automaton's")
+        if len(rows) != n or len(entries) != k:
+            raise ValueError(f"transition masks of {len(rows)} rows and {len(entries)} "
+                             f"entry masks do not fit {n} states x {k} symbols")
+        if min(rows) < 0 or max(rows) >> n:
+            raise ValueError("transition mask target out of range")
+        if min(entries) < 0 or max(entries) >> n:
+            raise ValueError("entry mask state out of range")
+        entered = reduce(or_, entries)
+        if entered.bit_count() != sum(map(int.bit_count, entries)):
+            raise ValueError("entry masks overlap")
+        if reduce(or_, rows) & ~entered:
+            raise ValueError("transition mask target entered on no symbol")
+
+
+def _slot_index(alphabet: Alphabet, n_states: int, keys: Iterable[int],
                 stride: int = 0) -> TransitionIndex:
     """Index of distinct edges coded as ``slot * stride + target``, in any order.
 
     ``stride`` defaults to ``n_states``; any larger one decodes the same way.
     """
     stride = stride or n_states
-    keys.sort()  # slots in order, and each slot's targets ascending
+    keys = sorted(keys)  # slots in order, and each slot's targets ascending
     counts = [0] * (n_states * len(alphabet) + 1)
     for key in keys:
         counts[key // stride + 1] += 1
     return TransitionIndex(alphabet, accumulate(counts), [key % stride for key in keys])
 
 
-@dataclass(frozen=True)
-class Dfa(Nfa):
-    """An NFA whose transitions form a partial function, kept in ``table``."""
+def _checked_edges(trans, alphabet: Alphabet, n: int) -> Iterable[tuple[int, int]]:
+    """``(slot, q)`` for each transition of ``trans``, a store or triples,
+    checked against ``alphabet`` and ``n`` states."""
+    if isinstance(trans, _TripleView):
+        trans._check(alphabet, n)
+        yield from trans._slot_edges()
+        return
+    index, k = alphabet.index, len(alphabet)
+    for p, a, q in trans:
+        if not (0 <= p < n and 0 <= q < n):
+            raise ValueError(f"transition endpoint out of range: {(p, a, q)}")
+        c = index.get(a)
+        if c is None:
+            raise ValueError(f"transition symbol {a!r} not in alphabet")
+        yield p * k + c, q
 
-    table: array = field(init=False, repr=False, compare=False)
+
+@dataclass(frozen=True)
+class Nfa:
+    """An automaton whose successors are indexed by slot ``p * k + c``.
+
+    ``transitions`` may be given as ``(p, symbol, q)`` triples or as any
+    store; it is kept as a :class:`TransitionIndex` or a
+    :class:`TransitionMasks`, and anything else is turned into an index.
+    """
+
+    alphabet: Alphabet
+    n_states: int
+    initial: int
+    finals: frozenset[int]
+    transitions: frozenset[tuple[int, str, int]]
+
+    _stores = (TransitionIndex, TransitionMasks)
 
     def __post_init__(self):
-        self._check_states()
-        n, k = self.n_states, len(self.alphabet)
+        n = self.n_states
+        if not (0 <= self.initial < n):
+            raise ValueError("initial state out of range")
+        if self.finals and not (0 <= min(self.finals) and max(self.finals) < n):
+            raise ValueError("final state out of range")
         trans = self.transitions
-        if isinstance(trans, TransitionTable):
-            table = trans.table
-            if trans.alphabet != self.alphabet:
-                raise ValueError("transition table alphabet differs from the automaton's")
-            if len(table) != n * k:
-                raise ValueError(f"transition table has {len(table)} slots, "
-                                 f"expected {n} states x {k} symbols")
-            if min(table) < -1 or max(table) >= n:
-                raise ValueError("transition table target out of range")
+        # An exact type test: isinstance against an ABC would cost more than
+        # validating a small NFA.
+        if type(trans) in self._stores:
+            trans._check(self.alphabet, n)
         else:
-            index = self.alphabet.index
-            table = array("i", [-1]) * (n * k)
-            for p, a, q in trans:
-                if not (0 <= p < n and 0 <= q < n):
-                    raise ValueError(f"transition endpoint out of range: {(p, a, q)}")
-                c = index.get(a)
-                if c is None:
-                    raise ValueError(f"transition symbol {a!r} not in alphabet")
-                slot = p * k + c
-                if table[slot] >= 0:
-                    raise ValueError(f"multiple transitions from state {p} on {a!r}")
-                table[slot] = q
-        object.__setattr__(self, "table", table)
+            store = self._store(_checked_edges(trans, self.alphabet, n))
+            object.__setattr__(self, "transitions", store)
+
+    def _store(self, edges: Iterable[tuple[int, int]]) -> _TripleView:
+        n = self.n_states
+        return _slot_index(self.alphabet, n, {slot * n + q for slot, q in edges})
+
+    @property
+    def size(self) -> int:
+        return self.n_states + len(self.transitions)
+
+    def successors(self, p: int, c: int):
+        """Targets of state ``p`` on the ``c``-th alphabet symbol, ascending."""
+        return self.transitions._slot_targets(p * len(self.alphabet.names) + c)
+
+    def step(self, states: frozenset[int], symbol: str) -> frozenset[int]:
+        c = self.alphabet.index.get(symbol)
+        if c is None:
+            return frozenset()
+        return frozenset(q for p in states for q in self.successors(p, c))
+
+    def is_deterministic(self) -> bool:
+        slots = [slot for slot, _ in self.transitions._slot_edges()]
+        return len(set(slots)) == len(slots)
+
+
+@dataclass(frozen=True)
+class Dfa(Nfa):
+    """An NFA whose transitions form a partial function, kept as a
+    :class:`TransitionTable`."""
+
+    _stores = (TransitionTable,)
+
+    def _store(self, edges: Iterable[tuple[int, int]]) -> _TripleView:
+        names = self.alphabet.names
+        k = len(names)
+        table = array("i", [-1]) * (self.n_states * k)
+        for slot, q in edges:
+            if table[slot] >= 0:
+                raise ValueError(f"multiple transitions from state {slot // k} "
+                                 f"on {names[slot % k]!r}")
+            table[slot] = q
+        return TransitionTable(self.alphabet, table)
 
     @classmethod
     def from_table(cls, alphabet: Alphabet, n_states: int, initial: int,
                    finals: frozenset[int], table: Iterable[int]) -> "Dfa":
         return cls(alphabet, n_states, initial, finals, TransitionTable(alphabet, table))
 
-    @cached_property
-    def index(self) -> TransitionIndex:
-        """``table`` as a slot index."""
-        has_target = list(map((-1).__lt__, self.table))
-        return TransitionIndex(self.alphabet, accumulate(has_target, initial=0),
-                               compress(self.table, has_target))
-
-    def successors(self, p: int, c: int):
-        q = self.table[p * len(self.alphabet.names) + c]
-        return (q,) if q >= 0 else ()
+    @property
+    def table(self) -> array:
+        """One target per slot, -1 for a missing edge."""
+        return self.transitions.table
 
     def is_deterministic(self) -> bool:
         return True
@@ -483,7 +488,10 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
             slot = base + codes[q]
             if table[slot] >= 0:
                 # Two targets of one state share a symbol: an NFA over the masks.
-                return Nfa(sigma, n, 0, finals, TransitionIndex._from_masks(sigma, rows, codes))
+                entries = [0] * k
+                for state in range(1, n):
+                    entries[codes[state]] |= 1 << state
+                return Nfa(sigma, n, 0, finals, TransitionMasks(sigma, rows, entries))
             table[slot] = q
     return Dfa.from_table(sigma, n, 0, finals, table)
 
@@ -546,12 +554,10 @@ def _repeat(a: tuple, at_least_one: bool, row: int) -> tuple:
 
 
 def _as_value(v, stride: int) -> tuple:
-    """A node value as a combinator value; an automaton is read off its index."""
+    """A node value as a combinator value; an automaton is read off its store."""
     if not isinstance(v, Nfa):
         return v
-    starts, targets = v.index.starts, v.index.targets
-    edges = [slot * stride + q for slot in range(len(starts) - 1)
-             for q in targets[starts[slot]:starts[slot + 1]]]
+    edges = [slot * stride + q for slot, q in v.transitions._slot_edges()]
     return v.n_states, v.initial, list(v.finals), edges
 
 
@@ -703,34 +709,27 @@ def _successor_masks(a: Nfa) -> tuple[list[int], list[tuple[int, int]]]:
     """One successor int per state of ``a``, and per symbol the ``(shift,
     mask)`` pair that cuts its successor set out of an OR of them.
 
-    A mask-backed index hands over its rows; any other index is read slot
-    by slot.
+    A mask store hands over its rows and entry masks as they are; any other
+    store is walked once.
     """
     n = a.n_states
     k = len(a.alphabet)
-    index = a.index
-    if index.rows is not None:
-        into = [0] * k
-        for q, c in enumerate(index.codes):
-            into[c] |= 1 << q
-        return index.rows, [(0, sel) for sel in into]
-    starts, targets = index.starts, index.targets
-    # Only the slots that hold targets are read, so the walk follows the
-    # transitions even when most slots are empty (large alphabets).
-    filled = list(compress(range(n * k), map(ne, starts, islice(starts, 1, None))))
+    trans = a.transitions
+    if type(trans) is TransitionMasks:
+        return trans.rows, [(0, sel) for sel in trans.entries]
+    edges = list(trans._slot_edges())
 
     # Homogeneous input: every state is entered on one symbol only.
     entered_on = [-1] * n
     homogeneous = True
     row = [0] * n
-    for slot in filled:
+    for slot, q in edges:
         p, c = divmod(slot, k)
-        for q in targets[starts[slot]:starts[slot + 1]]:
-            row[p] |= 1 << q
-            if entered_on[q] < 0:
-                entered_on[q] = c
-            elif entered_on[q] != c:
-                homogeneous = False
+        row[p] |= 1 << q
+        if entered_on[q] < 0:
+            entered_on[q] = c
+        elif entered_on[q] != c:
+            homogeneous = False
     if homogeneous:
         into = [0] * k
         for q, c in enumerate(entered_on):
@@ -739,10 +738,9 @@ def _successor_masks(a: Nfa) -> tuple[list[int], list[tuple[int, int]]]:
         return row, [(0, sel) for sel in into]
     # Symbol c's targets go to bit offset c * n instead.
     row = [0] * n
-    for slot in filled:
+    for slot, q in edges:
         p, c = divmod(slot, k)
-        for q in targets[starts[slot]:starts[slot + 1]]:
-            row[p] |= 1 << (c * n + q)
+        row[p] |= 1 << (c * n + q)
     full = (1 << n) - 1
     return row, [(c * n, full) for c in range(k)]
 

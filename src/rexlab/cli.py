@@ -28,6 +28,7 @@ from .analysis import (
 from .automata import (
     Dfa,
     Nfa,
+    _dfa_pair,
     complement_dfa,
     determinize,
     eliminate_states,
@@ -230,6 +231,8 @@ def _cmd_verify(args) -> int:
         return 1
     a = _read_automaton(args.equiv[0], args.max_states)
     b = _read_automaton(args.equiv[1], args.max_states)
+    # Determinised once here, so that a divergent verdict does not repeat it.
+    a, b = _dfa_pair(a, b, args.max_states)
     if equivalent(a, b, max_states=args.max_states):
         sys.stdout.write("equivalent\n")
         return 0

@@ -9,6 +9,7 @@ treat an expression as its tree expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Union as TUnion
 
 from . import budget
@@ -93,6 +94,7 @@ class Alphabet:
     def __post_init__(self):
         seen = set()
         for name in self.names:
+            budget.checkpoint()  # witness alphabets run to 10^5 names
             if not _valid_symbol_name(name):
                 raise ValueError(f"bad symbol name {name!r}: must be printable ASCII "
                                  "without blanks or backslashes")
@@ -121,14 +123,9 @@ class Alphabet:
             names.append(line)
         return cls(tuple(names))
 
-    @property
+    @cached_property
     def index(self) -> dict[str, int]:
-        try:
-            return self._index  # type: ignore[attr-defined]
-        except AttributeError:
-            idx = {name: i for i, name in enumerate(self.names)}
-            object.__setattr__(self, "_index", idx)
-            return idx
+        return {name: i for i, name in enumerate(self.names)}
 
     def __contains__(self, name: object) -> bool:
         return name in self.index

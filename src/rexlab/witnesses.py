@@ -302,6 +302,7 @@ def l_dfa(n: int) -> Dfa:
     """Direct acceptor: the block acceptor, restricted to an even number of
     blocks, followed by the end marker."""
     base = k_dfa(n)
+    base_table = base.table
     k = len(SIGMA_K)  # SIGMA_L is SIGMA_K plus the end marker, last
     hash_code = SIGMA_K.index["#"]
     ids: dict[tuple[int, int], int] = {(base.initial, 0): 0}
@@ -312,7 +313,7 @@ def l_dfa(n: int) -> Dfa:
         budget.checkpoint()
         q, parity = order[i]
         for c in range(k):
-            t = base.table[q * k + c]
+            t = base_table[q * k + c]
             if t < 0:
                 table.append(-1)
                 continue

@@ -14,6 +14,7 @@ from rexlab.automata import (
     Dfa,
     Nfa,
     TransitionIndex,
+    TransitionMasks,
     TransitionTable,
     accepts,
     complement_dfa,
@@ -414,7 +415,8 @@ class TestTableCore:
 
 
 class TestIndexCore:
-    """``TransitionIndex`` against the frozenset of the same triples."""
+    """``TransitionIndex`` and ``TransitionMasks`` against the frozenset of
+    the same triples."""
 
     @staticmethod
     def indexed_automata():
@@ -432,7 +434,7 @@ class TestIndexCore:
                     out.append(p)
             # A random NFA's index, given back to the constructor as a view.
             out.append(Nfa(sigma, a.n_states, a.initial, a.finals,
-                           TransitionIndex(sigma, a.index.starts, a.index.targets)))
+                           TransitionIndex(sigma, a.transitions.starts, a.transitions.targets)))
         return out
 
     def test_view_matches_triples_built_copy(self):
@@ -440,20 +442,20 @@ class TestIndexCore:
         assert len(autos) > 100
         for a in autos:
             sigma = a.alphabet
-            assert isinstance(a.transitions, TransitionIndex)
+            assert type(a.transitions) in (TransitionIndex, TransitionMasks)
             triples = frozenset(a.transitions)
             rebuilt = Nfa(sigma, a.n_states, a.initial, a.finals, triples)
             assert rebuilt == a and a == rebuilt and hash(rebuilt) == hash(a)
             assert a.transitions == triples and triples == a.transitions
             assert hash(a.transitions) == hash(triples)
-            assert len(a.transitions) == len(triples) == len(a.index.targets)
+            edges = list(a.transitions._slot_edges())
+            assert len(a.transitions) == len(triples) == len(edges)
             assert all(t in a.transitions for t in triples)
             assert (0, "d", 0) not in a.transitions
             assert (a.n_states, "a", 0) not in a.transitions
             assert (0, "a", -1) not in a.transitions and "abc" not in a.transitions
             assert type(a.transitions | frozenset()) is frozenset
-            assert rebuilt.index.starts == a.index.starts
-            assert rebuilt.index.targets == a.index.targets
+            assert list(rebuilt.transitions._slot_edges()) == sorted(edges)
             assert rebuilt.is_deterministic() == a.is_deterministic()
             everything = frozenset(range(a.n_states))
             for s in sigma:
@@ -488,6 +490,9 @@ class TestIndexCore:
         assert a.transitions == {(0, "a", 1), (1, "b", 0)}
         assert a.successors(0, 0) == array("i", [1]) and not a.successors(0, 1)
 
+    # ``codes[q]`` is the code of the symbol that enters state q, as the
+    # Glushkov construction numbers them; a code outside the alphabet enters
+    # q on no symbol.
     @pytest.mark.parametrize("rows, codes, alphabet", [
         ([0b10, 0b01], [1, 0], A),         # masks over another alphabet
         ([0b10], [1, 0], AB),              # one row for 2 states
@@ -498,25 +503,29 @@ class TestIndexCore:
         ([0b10, 0b01], [1, -1], AB),       # code below 0
     ])
     def test_bad_masks_rejected(self, rows, codes, alphabet):
+        entries = [sum(1 << q for q, code in enumerate(codes) if code == c)
+                   for c in range(len(alphabet))]
         with pytest.raises(ValueError):
-            Nfa(AB, 2, 0, frozenset([1]), TransitionIndex._from_masks(alphabet, rows, codes))
+            Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(alphabet, rows, entries))
+
+    @pytest.mark.parametrize("entries", [
+        [0b01],                            # one entry mask for 2 symbols
+        [0b01, 0b10, 0],                   # three entry masks for 2 symbols
+        [0b11, 0b01],                      # state 0 entered on both symbols
+        [0b101, 0b10],                     # state 2 >= n_states
+        [-1, 0],                           # a negative mask sets every bit
+    ])
+    def test_bad_entry_masks_rejected(self, entries):
+        with pytest.raises(ValueError):
+            Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(AB, [0b10, 0b01], entries))
 
     def test_well_formed_masks_accepted_without_slot_arrays(self):
-        index = TransitionIndex._from_masks(AB, [0b10, 0b01], [1, 0])
-        a = Nfa(AB, 2, 0, frozenset([1]), index)
-        assert a.index is index and not _has_slot_arrays(index)
+        masks = TransitionMasks(AB, [0b10, 0b01], [0b10, 0b01])
+        a = Nfa(AB, 2, 0, frozenset([1]), masks)
+        assert a.transitions is masks
         assert a.transitions == {(0, "a", 1), (1, "b", 0)} and len(a.transitions) == 2
-        assert a.successors(0, 0) == array("i", [1]) and not a.successors(0, 1)
-        assert _has_slot_arrays(index)
-
-
-def _has_slot_arrays(index: TransitionIndex) -> bool:
-    """Whether ``index`` holds its ``starts`` array, read without deriving it."""
-    try:
-        TransitionIndex.starts.__get__(index)
-    except AttributeError:
-        return False
-    return True
+        assert list(a.successors(0, 0)) == [1] and not a.successors(0, 1)
+        assert not hasattr(masks, "starts")  # reading a slot derives nothing
 
 
 class TestMaskBackedIndex:
@@ -527,14 +536,14 @@ class TestMaskBackedIndex:
     def check_against_triples(g: Nfa):
         sigma = g.alphabet
         rebuilt = Nfa(sigma, g.n_states, g.initial, g.finals, frozenset(g.transitions))
-        assert g.transitions.rows is not None and rebuilt.index.rows is None
+        assert type(g.transitions) is TransitionMasks
+        assert type(rebuilt.transitions) is TransitionIndex
         d, e = determinize(g), determinize(rebuilt)  # mask route, then slot route
         assert (d.n_states, d.finals, d.table) == (e.n_states, e.finals, e.table)
         assert rebuilt == g and g == rebuilt and hash(rebuilt) == hash(g)
         assert len(g.transitions) == len(rebuilt.transitions)
         assert serialize(g) == serialize(rebuilt)
-        assert g.index.starts == rebuilt.index.starts
-        assert g.index.targets == rebuilt.index.targets
+        assert sorted(g.transitions._slot_edges()) == list(rebuilt.transitions._slot_edges())
         everything = frozenset(range(g.n_states))
         for s in sigma:
             assert g.step(everything, s) == rebuilt.step(everything, s)
@@ -560,9 +569,15 @@ class TestMaskBackedIndex:
         if not isinstance(g, Dfa):
             self.check_against_triples(g)
 
-    def test_complement_check_reads_only_the_masks(self):
+    def test_complement_check_reads_only_the_masks(self, monkeypatch):
         # The poly-families check: the naive route's DFA against the Glushkov
-        # NFA of the polynomial complement, which must never build slot arrays.
+        # NFA of the polynomial complement, whose rows and entry masks the
+        # subset construction takes as they are, with no walk over its edges.
+        walks = []
+        for name in ("_slot_edges", "_slot_targets"):
+            read = getattr(TransitionMasks, name)
+            monkeypatch.setattr(TransitionMasks, name, lambda self, *args, read=read:
+                                walks.append(1) or read(self, *args))
         masked = 0
         for r in unamb_family(2):
             s = complement_unambiguous(r, SIGMA_L)
@@ -572,8 +587,8 @@ class TestMaskBackedIndex:
                 continue
             masked += 1
             assert equivalent(g, naive)
-            assert not _has_slot_arrays(g.transitions)
-        assert masked >= 3
+            assert type(g.transitions) is TransitionMasks
+        assert masked >= 3 and not walks
 
     def test_complement_witness_pins(self):
         # SHA-256 digests recorded before the masks were kept.
@@ -582,6 +597,81 @@ class TestMaskBackedIndex:
             "eb2001f2efe47da97f413167d9664bb89e5576705eba181490004786d52e2fba")
         assert hashlib.sha256(serialize(determinize(g)).encode()).hexdigest() == (
             "97ac2fa459566b9bfc8d77b8deec5447712034ea8a33203eac474a7f279d5d82")
+
+
+class TestStoresAgree:
+    """Every store, read every way, against the frozenset of the same
+    triples: parsed, product, combinator, Glushkov and triple-built
+    automata."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(1515)
+        out = []
+        for _ in range(60):
+            sigma = rng.choice([AB, ABC])
+            r = random_plain_regex(rng, sigma.names, rng.randint(3, 16))
+            g = glushkov(r, sigma)
+            drawn = random_nfa(rng, sigma, rng.randint(1, 6))
+            nfa_triples = frozenset(drawn.transitions)
+            nfa = Nfa(sigma, drawn.n_states, 0, drawn.finals, nfa_triples)
+            dfa = random_dfa(rng, sigma, rng.randint(1, 5))
+            for text in (serialize(g), serialize(nfa), serialize(dfa)):
+                lines = [ln.split() for ln in text.splitlines() if ln.startswith("trans:")]
+                out.append((parse_automaton(text),
+                            frozenset((int(p), s, int(q)) for _, p, s, q in lines)))
+            out.append((g, frozenset(glushkov_by_marking(r, sigma).transitions)))
+            out.append((nfa, nfa_triples))
+            out.append((Dfa(sigma, dfa.n_states, 0, dfa.finals, frozenset(dfa.transitions)),
+                        frozenset(dfa.transitions)))
+            for x in (product(nfa, dfa), product(dfa, dfa), product(g, nfa),
+                      extended_to_nfa(r, sigma),
+                      extended_to_nfa(Intersect(r, Star(Sym(sigma.names[0]))), sigma)):
+                out.append((x, None))
+        return out
+
+    def test_every_reading_agrees_with_the_triples(self):
+        kinds = Counter()
+        for a, want in self.cases():
+            sigma, n, trans = a.alphabet, a.n_states, a.transitions
+            kinds[type(trans)] += 1
+            assert type(trans) in ((TransitionTable,) if isinstance(a, Dfa)
+                                   else (TransitionIndex, TransitionMasks))
+            listed = list(trans)
+            triples = frozenset(listed)
+            if want is not None:
+                assert triples == want
+            assert len(listed) == len(triples) == len(trans)
+            assert trans == triples and hash(trans) == hash(triples)
+            k, code = len(sigma), sigma.index
+            edges = list(trans._slot_edges())
+            assert len(edges) == len(triples)
+            assert set(edges) == {(p * k + code[s], q) for p, s, q in triples}
+            heads = {(p, s) for p, s, _ in triples}
+            assert a.is_deterministic() == (len(heads) == len(triples))
+            for p in range(n + 1):
+                for c, s in enumerate(sigma.names):
+                    assert list(a.successors(p, c)) == sorted(
+                        q for p2, s2, q in triples if (p2, s2) == (p, s))
+                    for q in range(n + 1):
+                        assert ((p, s, q) in trans) == ((p, s, q) in triples)
+            assert (0, "z", 0) not in trans
+            _, want_dfa = subset_construction(
+                Nfa(sigma, n, a.initial, a.finals, triples), budget.DEFAULT_MAX_STATES)
+            assert serialize(determinize(a)) == serialize(want_dfa)
+            # Each constructor turns the other kinds of store into its own.
+            as_nfa = Nfa(sigma, n, a.initial, a.finals, trans)
+            assert type(as_nfa.transitions) in (TransitionIndex, TransitionMasks)
+            assert as_nfa.transitions == triples
+            if a.is_deterministic():
+                as_dfa = Dfa(sigma, n, a.initial, a.finals, trans)
+                assert type(as_dfa.transitions) is TransitionTable
+                assert as_dfa.transitions == triples
+            else:
+                with pytest.raises(ValueError, match="multiple transitions from state"):
+                    Dfa(sigma, n, a.initial, a.finals, trans)
+            assert not hasattr(a, "index")  # no second copy of the transitions
+        assert len(kinds) == 3 and min(kinds.values()) >= 30
 
 
 class TestComplement:

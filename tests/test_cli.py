@@ -146,6 +146,27 @@ class TestWitnessVerify:
         code, out, _ = run_cli(capsys, "verify", "--equiv", str(fa), str(fa))
         assert code == 0 and out == "equivalent\n"
 
+    def test_equiv_determinises_each_input_once(self, capsys, tmp_path, monkeypatch):
+        # A divergent verdict runs both the equivalence check and the
+        # divergence search; the two NFA inputs are determinised once each.
+        from rexlab import automata
+        paths = []
+        for name, regex in (("a.aut", "(a|b)*ab"), ("b.aut", "(a|b)*b")):
+            _, text, _ = run_cli(capsys, "to-nfa", "--alphabet", "ab", regex)
+            assert not isinstance(automata.parse_automaton(text), automata.Dfa)
+            (tmp_path / name).write_text(text)
+            paths.append(str(tmp_path / name))
+        calls, determinize = [], automata.determinize
+
+        def counting_determinize(a, **kwargs):
+            calls.append(a)
+            return determinize(a, **kwargs)
+
+        monkeypatch.setattr(automata, "determinize", counting_determinize)
+        code, out, err = run_cli(capsys, "verify", "--equiv", *paths)
+        assert (code, out, err) == (1, "divergent: b\n", "")
+        assert len(calls) == 2
+
 
 class TestBenchAndBudget:
     def test_bench_csv(self, capsys):
@@ -295,19 +316,61 @@ def test_polynomial_complement_of_long_chain(capsys):
     assert out == format_regex(complement_unambiguous(parse(text, sigma), sigma)) + "\n"
 
 
+DETERMINISM_ARGVS = [
+    ("parse", "--alphabet", "abc", "(a|b)*a|bc"),
+    ("to-nfa", "--alphabet", "ab", "(a|b)*abb"),
+    ("witness", "--family", "k-dfa", "--n", "3"),
+    ("witness", "--family", "unamb-family", "--n", "2"),
+    ("complement", "--alphabet", "ab", "aa*"),
+    ("intersect", "--alphabet", "abc", "ab*", "a(b|c)*"),
+]
+
+# Runs each argv of a JSON list through ``main`` and prints the exit codes
+# and stdouts as JSON.
+HASH_SEED_PROBE = """\
+import contextlib, io, json, sys
+from rexlab.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize("argv", [
-        ("parse", "--alphabet", "abc", "(a|b)*a|bc"),
-        ("to-nfa", "--alphabet", "ab", "(a|b)*abb"),
-        ("witness", "--family", "k-dfa", "--n", "3"),
-        ("witness", "--family", "unamb-family", "--n", "2"),
-        ("complement", "--alphabet", "ab", "aa*"),
-        ("intersect", "--alphabet", "abc", "ab*", "a(b|c)*"),
-    ])
+    @pytest.mark.parametrize("argv", DETERMINISM_ARGVS)
     def test_byte_identical_stdout(self, capsys, argv):
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+    def test_stdout_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # String hashes, and with them the order of sets of symbol names,
+        # change with PYTHONHASHSEED; two calls in one process cannot see it.
+        sigma = tmp_path / "sigma.alpha"
+        sigma.write_text("x1\nx2\ny\n")
+        named = ["--alphabet-file", str(sigma)]
+        argvs = [list(argv) for argv in DETERMINISM_ARGVS] + [
+            ["witness", "--family", "m-sore-pair", "--n", "2"],
+            *(["intersect", *named, "--method", method, "('x1'|'x2')*'y'", "'x1'*('x2'|'y')*"]
+              for method in ("sore", "product")),
+            ["complement", *named, "'x1''x2'*'y'"],
+            ["complement", *named, "--force-naive", "'x1''x2'*'y'"],
+        ]
+        src = str(Path(rexlab.__file__).resolve().parents[1])
+        runs = []
+        for seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            out = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE, json.dumps(argvs)],
+                                 capture_output=True, text=True, env=env, timeout=120)
+            assert out.returncode == 0, out.stderr
+            runs.append(json.loads(out.stdout))
+        assert [code for code, _ in runs[0]] == [0] * len(argvs)
+        assert runs[0] == runs[1]
 
 
 def run_argv(capsys, argv):

@@ -249,6 +249,14 @@ class TestGlushkovSets:
             position_sets(parse("ab", AB))
 
 
+def test_alphabet_polls_the_budget():
+    # ``m_alphabet(300)`` hands 180,600 names to one construction.
+    token = CancelToken()
+    token.cancel()
+    with budget.active(token), pytest.raises(BudgetExceededError, match="cancelled"):
+        Alphabet.of("a", "b")
+
+
 @pytest.mark.parametrize("walk", [size, format_regex])
 def test_size_and_format_poll_the_budget(walk):
     # The witness verb sizes and prints expressions of millions of nodes.
