@@ -644,7 +644,13 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     ``(shift, mask)`` pair.  The memo stores a miss only while it holds
     fewer entries than there are subsets so far, and is released before the
     result is built.
+
+    A :class:`Dfa` has only singleton subsets, so its subset automaton is
+    its reachable part renumbered: that walk reads the table in place and
+    gives the same result and the same ``max_states`` refusal.
     """
+    if isinstance(a, Dfa):
+        return _renumber(a, max_states)
     n = a.n_states
     row, pairs = _successor_masks(a)
     finals_mask = 0
@@ -703,6 +709,34 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     del ids, memo
     finals = frozenset(q for q, m in enumerate(order) if m & finals_mask)
     return Dfa.from_table(a.alphabet, len(order), 0, finals, table)
+
+
+def _renumber(d: Dfa, max_states: int) -> Dfa:
+    """The reachable part of ``d``, numbered in BFS discovery order with
+    symbols in alphabet order, as :func:`determinize` numbers subsets."""
+    k = len(d.alphabet)
+    old = d.table
+    ids = array("i", [-1]) * d.n_states
+    ids[d.initial] = 0
+    order = [d.initial]
+    table = array("i")
+    emit = table.append
+    for q in order:  # ``order`` grows as the walk goes
+        budget.checkpoint()
+        for t in old[q * k:(q + 1) * k]:
+            if t >= 0:
+                dst = ids[t]
+                if dst < 0:
+                    if len(order) >= max_states:
+                        raise budget.BudgetExceededError(
+                            f"subset construction exceeds {max_states} states")
+                    dst = ids[t] = len(order)
+                    order.append(t)
+                emit(dst)
+            else:
+                emit(-1)
+    finals = frozenset(ids[q] for q in d.finals if ids[q] >= 0)
+    return Dfa.from_table(d.alphabet, len(order), 0, finals, table)
 
 
 def _successor_masks(a: Nfa) -> tuple[list[int], list[tuple[int, int]]]:

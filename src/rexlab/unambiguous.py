@@ -13,7 +13,9 @@ one small state elimination.
 
 from __future__ import annotations
 
+import gc
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -248,6 +250,19 @@ def prefix_to(r: Regex, x: MarkedSymbol) -> Regex:
     return _prefix(*_prefix_chains(r)[_position_of(_masks(r)[0], x) - 1])
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, and resume it on the way out only
+    if it was running on the way in."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def complement_unambiguous(r: Regex, alphabet: Alphabet) -> Regex:
     """Plain regex for the complement of a one-unambiguous expression.
 
@@ -258,16 +273,23 @@ def complement_unambiguous(r: Regex, alphabet: Alphabet) -> Regex:
     simplified away (``%0 . r = %0``, ``%0 | r = r``) before size reporting.
     The output is a plain regex of size polynomial in the input; it takes
     time about quadratic in the input, one prefix per position.
+
+    The output is built bottom up from immutable nodes and holds no cycle,
+    so the cyclic garbage collector, which would otherwise walk the growing
+    tree over and over, is paused for the call.  The collector's switch is
+    process-wide: other threads run without it until the call returns or
+    raises, and then it is on again only if it was on before.
     """
-    masks = syms, _, _, last, follow = _unambiguous_masks(r)
-    sigma_star = Star(set_expr(alphabet, alphabet))
-    out = _init_expr(masks, alphabet)
-    for x, (leaf, chain) in enumerate(_prefix_chains(r), 1):
-        budget.checkpoint()
-        gap = _gap(syms, follow[x], alphabet, sigma_star)
-        tail = gap if last >> x & 1 else sunion(EPSILON, gap)
-        out = sunion(out, sconcat(_prefix(leaf, chain), tail))
-    return out
+    with _collector_paused():
+        masks = syms, _, _, last, follow = _unambiguous_masks(r)
+        sigma_star = Star(set_expr(alphabet, alphabet))
+        out = _init_expr(masks, alphabet)
+        for x, (leaf, chain) in enumerate(_prefix_chains(r), 1):
+            budget.checkpoint()
+            gap = _gap(syms, follow[x], alphabet, sigma_star)
+            tail = gap if last >> x & 1 else sunion(EPSILON, gap)
+            out = sunion(out, sconcat(_prefix(leaf, chain), tail))
+        return out
 
 
 # ---------------------------------------------------------------------------

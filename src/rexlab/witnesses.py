@@ -16,6 +16,10 @@ The families:
 * ``m_sore_pair(n)`` - two single-occurrence expressions of quadratic size
   whose intersection is the circled-walk language ``M_n``.
 
+``k_dfa`` and ``l_dfa`` come from one breadth-first walk over the block
+acceptor's states; for ``l_dfa`` the states also carry the parity of the
+``#``s read, so it never builds ``k_dfa`` first.
+
 The end marker is a single symbol named ``$end``; triangles and flags of the
 circled alphabet are spelled ``tr(i)`` and ``rt(i)``, circled indices with a
 trailing ``*`` inside the pair, e.g. ``a(2,4*)``.
@@ -152,81 +156,86 @@ def rho_encode(w: PathWord) -> str:
     return "".join(f"{encode_int(j, n)}${encode_int(i, n)}#" for i, j in w.edges)
 
 
-def k_dfa(n: int) -> Dfa:
-    """Acceptor of the block encodings of walks, built phase by phase.
+def _block_walk(n: int, parity: bool) -> tuple[array, list[int]]:
+    """Breadth-first walk over the block acceptor's states.
 
     Within a block the machine reads the first number (remembering it as the
     carry for the next block), the ``$``, the second number, and the ``#``.
     The second number of every block after the first is compared bit by bit
     against the previous block's first number; a mismatch simply has no
-    transition.  States are (phase, carry, bit position, partial value)
-    tuples, so the automaton stays within O(n^2 log n).
+    transition.  States are (phase, carry, bit position, value, parity)
+    tuples, so the automaton stays within O(n^2 log n).  The parity of the
+    ``#``s read flips only when ``parity`` is set, and then each row has one
+    more column, last, for the end marker.
+
+    A state's successors come out in alphabet order, so states are numbered
+    in discovery order.  Only a ``#`` state, one per carry and parity, has
+    more than one in-edge; every other state is new when its edge is walked,
+    so the ``#`` states are the only ones looked up.  Returns the table and
+    the states that end a block after an even number of blocks.
     """
     if n < 2:
         raise ValueError("block encodings need n >= 2")
     w = enc_width(n)
-
-    def fits(value: int, bits_read: int) -> bool:
-        # Can the partial first/second number still complete below n?
-        return (value << (w - bits_read)) < n
-
-    start = ("A", None, 0, 0)
-    ids: dict[tuple, int] = {start: 0}
-    order: list[tuple] = [start]
-    code, k = SIGMA_K.index, len(SIGMA_K)
-    table = array("i", [-1]) * k  # slot p * k + c: state p's target on symbol c
-
-    def goto(src: tuple, symbol: str, dst: tuple):
-        if dst not in ids:
-            ids[dst] = len(ids)
-            order.append(dst)
-            table.extend((-1,) * k)
-        table[ids[src] * k + code[symbol]] = ids[dst]
-
-    i = 0
-    while i < len(order):
-        budget.checkpoint()
-        state = order[i]
-        phase = state[0]
-        if phase == "A":  # reading the current block's first number
-            _, carry, pos, value = state
+    k = len(SIGMA_K) + parity
+    dollar, hash_ = SIGMA_K.index["$"], SIGMA_K.index["#"]
+    blank = array("i", [-1]) * k
+    order = [("A", None, 0, 0, 0)]
+    table = array("i", blank)
+    hashes: dict[tuple, int] = {}
+    checkpoint = budget.checkpoint
+    # ``order`` grows as it is walked.  ``carry`` is the latest complete
+    # first number; ``value`` the number being read, or the one just read
+    # before ``$``, or the one a later block's second number must equal.
+    for src, (phase, carry, pos, value, par) in enumerate(order):
+        checkpoint()
+        if phase == "B2":  # a later block: must equal the previous first number
+            c = (value >> (w - 1 - pos)) & 1
+            if pos + 1 < w:  # most states: one successor, and it is new
+                table[src * k + c] = len(order)
+                order.append(("B2", carry, pos + 1, value, par))
+                table.extend(blank)
+                continue
+            succ = [(c, ("#", carry, 0, 0, par))]
+        elif phase == "A" or phase == "B1":  # any number below n
+            succ = []
             for bit in (0, 1):
                 v2 = (value << 1) | bit
                 if pos + 1 < w:
-                    if fits(v2, pos + 1):
-                        goto(state, str(bit), ("A", carry, pos + 1, v2))
+                    # Can the partial number still complete below n?
+                    if (v2 << (w - pos - 1)) < n:
+                        succ.append((bit, (phase, carry, pos + 1, v2, par)))
                 elif v2 < n:
-                    goto(state, str(bit), ("dollar", carry, v2))
-        elif phase == "dollar":
-            _, carry, first = state
-            if carry is None:
-                goto(state, "$", ("B1", first, 0, 0))
-            else:
-                goto(state, "$", ("B2", first, carry, 0))
-        elif phase == "B1":  # first block: any second number below n
-            _, first, pos, value = state
-            for bit in (0, 1):
-                v2 = (value << 1) | bit
-                if pos + 1 < w:
-                    if fits(v2, pos + 1):
-                        goto(state, str(bit), ("B1", first, pos + 1, v2))
-                elif v2 < n:
-                    goto(state, str(bit), ("hash", first))
-        elif phase == "B2":  # later block: must equal the previous first number
-            _, first, expected, pos = state
-            bit = (expected >> (w - 1 - pos)) & 1
-            if pos + 1 < w:
-                goto(state, str(bit), ("B2", first, expected, pos + 1))
-            else:
-                goto(state, str(bit), ("hash", first))
-        else:  # "hash": end of block; accepting continuation state
-            _, first = state
-            goto(state, "#", ("A", first, 0, 0))
-        i += 1
+                    succ.append((bit, ("$", carry, 0, v2, par) if phase == "A"
+                                 else ("#", carry, 0, 0, par)))
+        elif phase == "$":
+            succ = [(dollar, ("B1", value, 0, 0, par) if carry is None
+                     else ("B2", value, 0, carry, par))]
+        else:  # "#": end of block
+            succ = [(hash_, ("A", carry, 0, 0, par ^ parity))]
+        row = src * k
+        for c, dst in succ:
+            t = len(order)
+            if dst[0] == "#":
+                t = hashes.setdefault(dst, t)
+            if t == len(order):
+                order.append(dst)
+                table.extend(blank)
+            table[row + c] = t
+    ends = [q for q, (phase, carry, pos, _, par) in enumerate(order)
+            if phase == "A" and carry is not None and pos == 0 and not par]
+    return table, ends
 
-    finals = frozenset(ids[s] for s in order
-                       if s[0] == "A" and s[1] is not None and s[2] == 0)
-    return Dfa.from_table(SIGMA_K, len(ids), 0, finals, table)
+
+def k_dfa(n: int) -> Dfa:
+    """Acceptor of the block encodings of walks: the block walk with the
+    parity held even, whose final states sit right after a block's ``#``.
+
+    States are numbered in BFS discovery order with symbols in alphabet
+    order, so the serialisation is fixed by ``n``.
+    """
+    table, ends = _block_walk(n, False)
+    return Dfa.from_table(SIGMA_K, len(table) // len(SIGMA_K), 0, frozenset(ends), table)
 
 
 # ---------------------------------------------------------------------------
@@ -300,37 +309,19 @@ def l_member(w: PathWord) -> tuple[str, ...]:
 
 def l_dfa(n: int) -> Dfa:
     """Direct acceptor: the block acceptor, restricted to an even number of
-    blocks, followed by the end marker."""
-    base = k_dfa(n)
-    base_table = base.table
-    k = len(SIGMA_K)  # SIGMA_L is SIGMA_K plus the end marker, last
-    hash_code = SIGMA_K.index["#"]
-    ids: dict[tuple[int, int], int] = {(base.initial, 0): 0}
-    order = [(base.initial, 0)]
-    table = array("i")
-    i = 0
-    while i < len(order):
-        budget.checkpoint()
-        q, parity = order[i]
-        for c in range(k):
-            t = base_table[q * k + c]
-            if t < 0:
-                table.append(-1)
-                continue
-            key = (t, parity ^ (c == hash_code))
-            dst = ids.get(key)
-            if dst is None:
-                dst = len(ids)
-                ids[key] = dst
-                order.append(key)
-            table.append(dst)
-        table.append(-1)  # the end marker, filled in below
-        i += 1
-    accept = len(order)
-    for sid, (q, parity) in enumerate(order):
-        if parity == 0 and q in base.finals:
-            table[sid * (k + 1) + k] = accept
-    table.extend([-1] * (k + 1))
+    blocks, followed by the end marker.
+
+    The block walk of :func:`k_dfa`, with the parity of the ``#``s read in
+    each state and a fifth column for the marker; it does not build
+    :func:`k_dfa` first.  The marker leads from every block end after an
+    even number of blocks to the one accept state, numbered last.
+    """
+    table, ends = _block_walk(n, True)
+    k = len(SIGMA_L)  # SIGMA_L is SIGMA_K plus the end marker, last
+    accept = len(table) // k
+    for q in ends:
+        table[q * k + k - 1] = accept
+    table.extend(array("i", [-1]) * k)
     return Dfa.from_table(SIGMA_L, accept + 1, 0, frozenset([accept]), table)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from array import array
 from typing import Iterable, Iterator, Optional
 
 from rexlab import budget
@@ -44,7 +45,7 @@ from rexlab.unambiguous import (
     NotSoreError,
     UnambiguityReport,
 )
-from rexlab.witnesses import PathWord, enc_width
+from rexlab.witnesses import SIGMA_K, SIGMA_L, PathWord, enc_width
 
 Word = tuple
 
@@ -734,6 +735,123 @@ def is_k_string(s: str, n: int) -> bool:
             return False
         prev_first = first
     return True
+
+
+def k_dfa_by_phases(n: int) -> Dfa:
+    """The reference for ``k_dfa``: a BFS over phase tuples, probing its
+    dictionary on every edge.
+
+    The acceptor of the block encodings of walks, built phase by phase.
+
+    Within a block the machine reads the first number (remembering it as the
+    carry for the next block), the ``$``, the second number, and the ``#``.
+    The second number of every block after the first is compared bit by bit
+    against the previous block's first number; a mismatch simply has no
+    transition.  States are (phase, carry, bit position, partial value)
+    tuples, so the automaton stays within O(n^2 log n).
+    """
+    if n < 2:
+        raise ValueError("block encodings need n >= 2")
+    w = enc_width(n)
+
+    def fits(value: int, bits_read: int) -> bool:
+        # Can the partial first/second number still complete below n?
+        return (value << (w - bits_read)) < n
+
+    start = ("A", None, 0, 0)
+    ids: dict[tuple, int] = {start: 0}
+    order: list[tuple] = [start]
+    code, k = SIGMA_K.index, len(SIGMA_K)
+    table = array("i", [-1]) * k  # slot p * k + c: state p's target on symbol c
+
+    def goto(src: tuple, symbol: str, dst: tuple):
+        if dst not in ids:
+            ids[dst] = len(ids)
+            order.append(dst)
+            table.extend((-1,) * k)
+        table[ids[src] * k + code[symbol]] = ids[dst]
+
+    i = 0
+    while i < len(order):
+        budget.checkpoint()
+        state = order[i]
+        phase = state[0]
+        if phase == "A":  # reading the current block's first number
+            _, carry, pos, value = state
+            for bit in (0, 1):
+                v2 = (value << 1) | bit
+                if pos + 1 < w:
+                    if fits(v2, pos + 1):
+                        goto(state, str(bit), ("A", carry, pos + 1, v2))
+                elif v2 < n:
+                    goto(state, str(bit), ("dollar", carry, v2))
+        elif phase == "dollar":
+            _, carry, first = state
+            if carry is None:
+                goto(state, "$", ("B1", first, 0, 0))
+            else:
+                goto(state, "$", ("B2", first, carry, 0))
+        elif phase == "B1":  # first block: any second number below n
+            _, first, pos, value = state
+            for bit in (0, 1):
+                v2 = (value << 1) | bit
+                if pos + 1 < w:
+                    if fits(v2, pos + 1):
+                        goto(state, str(bit), ("B1", first, pos + 1, v2))
+                elif v2 < n:
+                    goto(state, str(bit), ("hash", first))
+        elif phase == "B2":  # later block: must equal the previous first number
+            _, first, expected, pos = state
+            bit = (expected >> (w - 1 - pos)) & 1
+            if pos + 1 < w:
+                goto(state, str(bit), ("B2", first, expected, pos + 1))
+            else:
+                goto(state, str(bit), ("hash", first))
+        else:  # "hash": end of block; accepting continuation state
+            _, first = state
+            goto(state, "#", ("A", first, 0, 0))
+        i += 1
+
+    finals = frozenset(ids[s] for s in order
+                       if s[0] == "A" and s[1] is not None and s[2] == 0)
+    return Dfa.from_table(SIGMA_K, len(ids), 0, finals, table)
+
+
+def l_dfa_by_parity_product(n: int) -> Dfa:
+    """The reference for ``l_dfa``: a second BFS over (block-acceptor state,
+    parity of ``#``s) pairs of :func:`k_dfa_by_phases`, followed by the end
+    marker from even block ends."""
+    base = k_dfa_by_phases(n)
+    base_table = base.table
+    k = len(SIGMA_K)  # SIGMA_L is SIGMA_K plus the end marker, last
+    hash_code = SIGMA_K.index["#"]
+    ids: dict[tuple[int, int], int] = {(base.initial, 0): 0}
+    order = [(base.initial, 0)]
+    table = array("i")
+    i = 0
+    while i < len(order):
+        budget.checkpoint()
+        q, parity = order[i]
+        for c in range(k):
+            t = base_table[q * k + c]
+            if t < 0:
+                table.append(-1)
+                continue
+            key = (t, parity ^ (c == hash_code))
+            dst = ids.get(key)
+            if dst is None:
+                dst = len(ids)
+                ids[key] = dst
+                order.append(key)
+            table.append(dst)
+        table.append(-1)  # the end marker, filled in below
+        i += 1
+    accept = len(order)
+    for sid, (q, parity) in enumerate(order):
+        if parity == 0 and q in base.finals:
+            table[sid * (k + 1) + k] = accept
+    table.extend([-1] * (k + 1))
+    return Dfa.from_table(SIGMA_L, accept + 1, 0, frozenset([accept]), table)
 
 
 def dataclass_repr(value) -> str:

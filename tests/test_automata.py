@@ -371,6 +371,21 @@ class TestDeterminize:
             assert (_subset_outcome(determinize, nfa, cap)
                     == _subset_outcome(_oracle_subsets, nfa, cap))
 
+    def test_dfa_input_matches_subset_route(self):
+        # A Dfa is renumbered in place; the same automaton as an Nfa takes
+        # the subset route.  Both must write the same file, poll as often and
+        # refuse at the same ``max_states``.
+        for seed in range(300):
+            rng = random.Random(seed)
+            d = _dfa_with_unreachable_states(rng, rng.choice([A, AB, ABC]))
+            nfa = Nfa(d.alphabet, d.n_states, d.initial, d.finals, frozenset(d.transitions))
+            reachable = determinize(nfa).n_states
+            assert reachable < d.n_states
+            for cap in (reachable - 1, reachable, budget.DEFAULT_MAX_STATES):
+                got = _subset_outcome(determinize, d, cap)
+                assert got == _subset_outcome(determinize, nfa, cap)
+                assert (got[0] is None) == (cap < reachable and reachable > 1)
+
     def test_complement_witness_n1_shape(self):
         # Criterion 1's n=1 subset DFA, as the benchmark records it.
         d = determinize(glushkov(complement_witness(1), SIGMA_K))
@@ -992,6 +1007,22 @@ def _random_partial_dfa(rng: random.Random, sigma: Alphabet) -> Dfa:
                         for _ in range(n * len(sigma))))
     finals = frozenset(q for q in range(n) if rng.random() < 0.4)
     return Dfa.from_table(sigma, n, 0, finals, table)
+
+
+def _dfa_with_unreachable_states(rng: random.Random, sigma: Alphabet) -> Dfa:
+    """A random partial DFA with 1-3 unreachable states, numbered anywhere:
+    they may have out-edges, but only they have edges into them."""
+    live, dead = rng.randint(1, 6), rng.randint(1, 3)
+    n, k = live + dead, len(sigma)
+    fill = rng.choice([0.0, 0.4, 0.8, 1.0])
+    name = rng.sample(range(n), n)  # state q is written as name[q]
+    table = array("i", [-1]) * (n * k)
+    for q in range(n):
+        for c in range(k):
+            if rng.random() < fill:
+                table[name[q] * k + c] = name[rng.randrange(n if q >= live else live)]
+    finals = frozenset(q for q in range(n) if rng.random() < 0.4)
+    return Dfa.from_table(sigma, n, name[rng.randrange(live)], finals, table)
 
 
 def _random_equivalence_pair(rng: random.Random) -> tuple[Nfa, Nfa]:

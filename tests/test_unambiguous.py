@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rexlab import budget
 from rexlab.automata import (
     complement_dfa,
     determinize,
@@ -14,6 +16,7 @@ from rexlab.automata import (
     product,
     serialize,
 )
+from rexlab.budget import BudgetExceededError, CancelToken
 from rexlab.rex import (
     EMPTY,
     EPSILON,
@@ -231,6 +234,38 @@ class TestComplementUnambiguous:
         from rexlab.rex import has_extended
         s = complement_unambiguous(parse("(ab)*", AB), AB)
         assert not has_extended(s)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_paused_then_restored(self, enabled):
+        # The collector is off while the call runs, and afterwards as it was
+        # before, whether the call returns, refuses or is cancelled.
+        r = parse("a(ba)*", AB)
+        want = format_regex(complement_by_marking(r, AB))
+
+        class Probe(CancelToken):
+            def check(self):
+                seen.append(gc.isenabled())
+                super().check()
+
+        seen = []
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with budget.active(Probe()):
+                got = complement_unambiguous(r, AB)
+            assert seen and not any(seen)
+            assert format_regex(got) == want
+            assert gc.isenabled() == enabled
+            with pytest.raises(NotOneUnambiguousError):
+                complement_unambiguous(parse("a*a", AB), AB)
+            assert gc.isenabled() == enabled
+            token = Probe()
+            token.cancel()
+            with budget.active(token), pytest.raises(BudgetExceededError, match="cancelled"):
+                complement_unambiguous(r, AB)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_language_is_complement(self):
         for r in one_unambiguous_corpus(4242, 60, 20, "abc"):

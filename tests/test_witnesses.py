@@ -40,7 +40,14 @@ from rexlab.witnesses import (
     z_dfa,
 )
 
-from oracles import is_k_string, is_z_word, path_words, words_upto
+from oracles import (
+    is_k_string,
+    is_z_word,
+    k_dfa_by_phases,
+    l_dfa_by_parity_product,
+    path_words,
+    words_upto,
+)
 
 
 def serialization_digest(dfas) -> str:
@@ -76,6 +83,26 @@ class TestSerializationPins:
         token.cancel()
         with budget.active(token), pytest.raises(BudgetExceededError, match="cancelled"):
             build(4)
+
+
+class TestBlockWalk:
+    """``k_dfa`` and ``l_dfa`` share one walk; each must write the same file
+    as the builder it replaced, past the pinned sizes and up to the ones the
+    product checks use."""
+
+    @pytest.mark.parametrize("n", [*range(2, 34), 48, 63, 64, 65])
+    def test_matches_reference_builders(self, n):
+        assert serialize(k_dfa(n)) == serialize(k_dfa_by_phases(n))
+        assert serialize(l_dfa(n)) == serialize(l_dfa_by_parity_product(n))
+
+    @pytest.mark.parametrize("build, reference", [(k_dfa, k_dfa_by_phases),
+                                                  (l_dfa, l_dfa_by_parity_product)])
+    def test_n1_refused_alike(self, build, reference):
+        with pytest.raises(ValueError) as want:
+            reference(1)
+        with pytest.raises(ValueError) as got:
+            build(1)
+        assert str(got.value) == str(want.value)
 
 
 class TestZDfa:
