@@ -19,7 +19,7 @@ from . import budget
 from .automata import (
     Dfa,
     Nfa,
-    TransitionIndex,
+    _slot_index,
     determinize,
     eliminate_states,
     equivalent,
@@ -115,16 +115,15 @@ class LanguageOracle:
 
 def enumerate_language(source: TUnion[Regex, Nfa], max_len: int,
                        alphabet: Optional[Alphabet] = None,
-                       max_len_limit: int = DEFAULT_MAX_LEN,
                        max_words: int = DEFAULT_MAX_WORDS) -> LanguageOracle:
     """Enumerate the language slice by BFS over the determinised automaton.
 
     A plain ``Regex`` compiles by :func:`glushkov`, an extended one by
     :func:`extended_to_nfa`; an automaton is used as given.  Prefixes that
     cannot be completed to an accepted word within the length bound are
-    pruned, so sparse languages enumerate quickly even at the default bound
-    of 16.  The number of accepted words is capped by ``max_words`` (a typed
-    budget error when exceeded).
+    pruned, so sparse languages enumerate quickly even at the fixed bound
+    ``DEFAULT_MAX_LEN`` = 16.  A longer ``max_len``, or a slice of more than
+    ``max_words`` words, is a typed budget error.
 
     The words come out in length-lex order with no sort: level L + 1 extends
     level L's prefixes in their order, each by the symbols in alphabet
@@ -133,9 +132,9 @@ def enumerate_language(source: TUnion[Regex, Nfa], max_len: int,
     """
     if max_len < 0:
         raise ValueError(f"max_len {max_len} is negative")
-    if max_len > max_len_limit:
+    if max_len > DEFAULT_MAX_LEN:
         raise budget.BudgetExceededError(
-            f"max_len {max_len} above the configured bound {max_len_limit}")
+            f"max_len {max_len} above the configured bound {DEFAULT_MAX_LEN}")
     nfa = _as_nfa(source, alphabet)
     dfa = nfa if isinstance(nfa, Dfa) else determinize(nfa)
     sigma = dfa.alphabet
@@ -205,14 +204,13 @@ class EqualUpto:
 
 
 def equal_upto(a: TUnion[Regex, Nfa], b: TUnion[Regex, Nfa], max_len: int,
-               alphabet: Optional[Alphabet] = None,
-               max_words: int = DEFAULT_MAX_WORDS) -> EqualUpto:
+               alphabet: Optional[Alphabet] = None) -> EqualUpto:
     """Compare the enumerated slices; reports the length-lex least disagreement.
 
-    A negative ``max_len`` raises ``ValueError``, as in :func:`enumerate_language`.
+    Each slice is bounded and refused as by :func:`enumerate_language`.
     """
-    oa = enumerate_language(a, max_len, alphabet, max_words=max_words)
-    ob = enumerate_language(b, max_len, alphabet, max_words=max_words)
+    oa = enumerate_language(a, max_len, alphabet)
+    ob = enumerate_language(b, max_len, alphabet)
     if oa.alphabet != ob.alphabet:
         raise ValueError("slices taken over different alphabets")
     if oa.words == ob.words:
@@ -251,19 +249,13 @@ def _check_word(word: Word, alphabet: Alphabet):
 
 
 def _factor_nfa(word: Word, alphabet: Alphabet) -> Nfa:
-    """Sigma* word Sigma* as a (len(word) + 1)-state NFA, written slot by slot."""
+    """Sigma* word Sigma* as a (len(word) + 1)-state NFA looping at both ends;
+    edge ``(p, c, q)`` is the slot index key ``(p * k + c) * n + q``."""
     last = len(word)
-    codes = [alphabet.index[s] for s in word]
-    starts, targets = [0], []
-    for p in range(last + 1):
-        for c in range(len(alphabet)):
-            if p == 0 or p == last:  # the loops at both ends
-                targets.append(p)
-            if p < last and c == codes[p]:
-                targets.append(p + 1)
-            starts.append(len(targets))
-    return Nfa(alphabet, last + 1, 0, frozenset([last]),
-               TransitionIndex(alphabet, starts, targets))
+    n, k = last + 1, len(alphabet)
+    keys = [(p * k + c) * n + p for p in (0, last) for c in range(k)]
+    keys += [(p * k + alphabet.index[s]) * n + p + 1 for p, s in enumerate(word)]
+    return Nfa(alphabet, n, 0, frozenset([last]), _slot_index(alphabet, n, set(keys)))
 
 
 def covers(r: Regex, word: Sequence[str], alphabet: Optional[Alphabet] = None) -> bool:
@@ -507,20 +499,20 @@ def _candidates(s: int, atoms: list[Regex], memo: dict[int, list[Regex]]) -> lis
     return out
 
 
-def minimal_regex_size(target: Dfa, max_size: int,
-                       max_candidates: int = DEFAULT_MAX_WORDS,
-                       search_budget: int = MAX_SEARCH_SIZE) -> RegexSearch:
+def minimal_regex_size(target: Dfa, max_size: int) -> RegexSearch:
     """Exhaustively search plain regexes (no negation/intersection/plus) over
     the target's alphabet for the least reverse-Polish size defining its
     language.
 
     Candidates are generated in size order with language-preserving pruning;
     each survivor is first screened by a finite language slice and only slice
-    matches pay for a full equivalence check.
+    matches pay for a full equivalence check.  A ``max_size`` above
+    ``MAX_SEARCH_SIZE``, or more than ``DEFAULT_MAX_WORDS`` candidates, is a
+    typed budget error.
     """
-    if max_size > search_budget:
+    if max_size > MAX_SEARCH_SIZE:
         raise budget.BudgetExceededError(
-            f"max_size {max_size} above the search budget {search_budget}")
+            f"max_size {max_size} above the search budget {MAX_SEARCH_SIZE}")
     atoms: list[Regex] = [EMPTY, EPSILON] + [Sym(s) for s in target.alphabet]
     fingerprint_len = min(2 * max(target.n_states, 1) + 2, DEFAULT_MAX_LEN)
     target_slice = enumerate_language(target, fingerprint_len).words
@@ -531,9 +523,9 @@ def minimal_regex_size(target: Dfa, max_size: int,
         for cand in _candidates(s, atoms, memo):
             budget.checkpoint()
             examined += 1
-            if examined > max_candidates:
+            if examined > DEFAULT_MAX_WORDS:
                 raise budget.BudgetExceededError(
-                    f"search exceeds {max_candidates} candidates")
+                    f"search exceeds {DEFAULT_MAX_WORDS} candidates")
             cand_nfa = glushkov(cand, target.alphabet)
             try:
                 cand_slice = enumerate_language(

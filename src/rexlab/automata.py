@@ -481,8 +481,8 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
     n = len(rows)
     k = len(sigma)
     table = array("i", [-1]) * (n * k)
-    # A row holds up to n targets, so the budget is polled once per row.
-    for p, row in _polled(enumerate(rows)):
+    for p, row in enumerate(rows):
+        budget.checkpoint()  # a row holds up to n targets
         base = p * k
         for q in iter_bits(row):
             slot = base + codes[q]
@@ -494,13 +494,6 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
                 return Nfa(sigma, n, 0, finals, TransitionMasks(sigma, rows, entries))
             table[slot] = q
     return Dfa.from_table(sigma, n, 0, finals, table)
-
-
-def _polled(items: Iterable):
-    """``items``, polling the budget before each one."""
-    for item in items:
-        budget.checkpoint()
-        yield item
 
 
 # ---------------------------------------------------------------------------
@@ -679,17 +672,14 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
                 continue
             u = memo.get(v)
             if u is None:
-                if v & (v - 1):
-                    key, u = v, 0
-                    while v:
-                        low = v & -v
-                        u |= row[low.bit_length() - 1]
-                        v ^= low
-                    # Never more entries than subsets discovered so far.
-                    if len(memo) < len(order):
-                        memo[key] = u
-                else:  # a one-bit slice is its row
-                    u = row[v.bit_length() - 1]
+                key, u = v, 0
+                while v:
+                    low = v & -v
+                    u |= row[low.bit_length() - 1]
+                    v ^= low
+                # Never more entries than subsets discovered so far.
+                if len(memo) < len(order):
+                    memo[key] = u
             succ |= u
         for shift, sel in pairs:
             t = (succ >> shift) & sel

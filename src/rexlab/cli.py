@@ -172,14 +172,9 @@ def _cmd_to_regex(args) -> int:
 def _cmd_complement(args) -> int:
     sigma = _get_alphabet(args)
     r = _read_regex(args, sigma)
-    use_poly = None
-    if args.force_unambiguous:
-        use_poly = True
-    elif args.force_naive:
-        use_poly = False
-    else:
-        use_poly = not has_extended(r) and is_one_unambiguous(r).is_one_unambiguous
-    if use_poly:
+    # The flags are mutually exclusive; with neither, the input picks the route.
+    if args.force_unambiguous or (not (args.force_naive or has_extended(r))
+                                  and is_one_unambiguous(r).is_one_unambiguous):
         _emit_regex(complement_unambiguous(r, sigma))
     else:
         # The minimal DFA is canonical, so the compile route cannot show.

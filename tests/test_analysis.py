@@ -75,6 +75,12 @@ class TestEnumerate:
         with pytest.raises(BudgetExceededError):
             enumerate_language(parse("a*", A), 40)
 
+    def test_max_len_bound_edge(self):
+        assert len(enumerate_language(parse("a*", A), 16).words) == 17
+        with pytest.raises(BudgetExceededError,
+                           match="^max_len 17 above the configured bound 16$"):
+            enumerate_language(parse("a*", A), 17)
+
     def test_budget_on_words(self):
         with pytest.raises(BudgetExceededError):
             enumerate_language(parse("(a|b)*", AB), 10, max_words=100)
@@ -392,6 +398,13 @@ class TestMinimalRegexSize:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             minimal_regex_size(z_dfa(2), 12)
+
+    def test_search_bound_edge(self):
+        target = minimize(determinize(glushkov(parse("a", A), A)))
+        with pytest.raises(BudgetExceededError,
+                           match="^max_size 10 above the search budget 9$"):
+            minimal_regex_size(target, 10)
+        assert minimal_regex_size(target, 9).minimal_size == 1
 
     @settings(max_examples=15)
     @given(st.integers(0, 100_000))

@@ -42,6 +42,7 @@ from rexlab.rex import (
     Plus,
     Star,
     Sym,
+    Union,
     has_extended,
     occurrence_count,
     parse,
@@ -55,6 +56,8 @@ from rexlab.witnesses import (
     complement_witness,
     k_dfa,
     l_dfa,
+    m_alphabet,
+    m_sore_pair,
     unamb_family,
     z_dfa,
 )
@@ -385,6 +388,32 @@ class TestDeterminize:
                 got = _subset_outcome(determinize, d, cap)
                 assert got == _subset_outcome(determinize, nfa, cap)
                 assert (got[0] is None) == (cap < reachable and reachable > 1)
+
+    def test_homogeneous_index_keeps_entry_mask_layout(self):
+        # Every state of the combinators' NFA is entered on one symbol, so the
+        # successor ints are the plain target masks, cut by per-symbol entry
+        # masks at shift 0.  Packing such an input at bit offset c * n instead
+        # made determinize of the m_sore_pair(12) union about 14 times slower.
+        sigma = m_alphabet(3)
+        a = extended_to_nfa(Union(*m_sore_pair(3)), sigma)
+        assert type(a.transitions) is TransitionIndex
+        n, k = a.n_states, len(sigma)
+        want_rows, want_into = [0] * n, [0] * k
+        for p, symbol, q in a.transitions:
+            want_rows[p] |= 1 << q
+            want_into[sigma.index[symbol]] |= 1 << q
+        rows, pairs = automata._successor_masks(a)
+        assert rows == want_rows and all(row >> n == 0 for row in rows)
+        assert pairs == [(0, sel) for sel in want_into]
+
+    def test_non_homogeneous_index_packs_per_symbol(self):
+        # State 1 is entered on both a and b: symbol c's targets sit at bit
+        # offset c * n, and every pair cuts a full n-bit block.
+        nfa = Nfa(AB, 3, 0, frozenset([2]),
+                  frozenset([(0, "a", 1), (0, "b", 1), (1, "b", 2), (2, "a", 0)]))
+        rows, pairs = automata._successor_masks(nfa)
+        assert rows == [1 << 1 | 1 << (3 + 1), 1 << (3 + 2), 1 << 0]
+        assert pairs == [(0, 0b111), (3, 0b111)]
 
     def test_complement_witness_n1_shape(self):
         # Criterion 1's n=1 subset DFA, as the benchmark records it.
