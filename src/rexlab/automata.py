@@ -33,7 +33,7 @@ walks the slice's bits and ORs their ints.  This is the Four Russians table
 of Arlazarov, Dinic, Kronrod and Faradzev (1970), filled lazily: the n = 2
 complement witness visits 1.8M subsets but fewer than 10,000 distinct
 slices.  A miss is stored only while the memo holds fewer entries than the
-subsets discovered so far, so it never holds more ints than the subset list
+subsets discovered so far, so it never holds more ints than the subset store
 itself.  Glushkov automata are homogeneous (every state is entered on one
 symbol only), so symbol ``c``'s successor set is the union masked by the
 states entered on ``c``.  Other inputs pack symbol ``c``'s targets at bit
@@ -79,7 +79,7 @@ equivalence, and state elimination back to a plain regex.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -626,6 +626,12 @@ def extended_to_nfa(r: Regex, alphabet: Optional[Alphabet] = None,
 # Subset construction, complement, product
 # ---------------------------------------------------------------------------
 
+# Subset construction writes its table in blocks of at least this many slots
+# and joins them at the end: one array grown slot by slot to millions of slots
+# is copied as it grows and leaves its old buffers as holes in the heap.
+_TABLE_BLOCK = 1 << 16
+
+
 def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     """Subset construction restricted to reachable subsets.
 
@@ -635,8 +641,11 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     its four slices' unions, each read from the slice memo or, on a miss,
     by walking the slice's bits; it is split per symbol by a
     ``(shift, mask)`` pair.  The memo stores a miss only while it holds
-    fewer entries than there are subsets so far, and is released before the
-    result is built.
+    fewer entries than there are subsets so far.  The rows are written in
+    blocks of ``_TABLE_BLOCK`` slots or more, and a queue holds only the
+    subsets whose rows are still to come.  When the walk ends, each subset's
+    final flag is read into a byte string; the subsets and the memo are
+    released before the finals set is built and the blocks are joined.
 
     A :class:`Dfa` has only singleton subsets, so its subset automaton is
     its reachable part renumbered: that walk reads the table in place and
@@ -656,16 +665,23 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     slices = [((1 << width) - 1) << lo for lo in range(0, n, width)]
     memo: dict[int, int] = {}
 
+    # ``ids`` numbers the subsets in discovery order; ``queue`` holds those
+    # whose rows are not written yet.
     start = 1 << a.initial
     ids: dict[int, int] = {start: 0}
-    order = [start]
-    table = array("i")
-    emit = table.append
-    i = 0
-    while i < len(order):
+    queue = deque(ids)
+    cap = _TABLE_BLOCK
+    block = array("i")
+    blocks = [block]
+    emit = block.append
+    while queue:
         budget.checkpoint()
+        if len(block) >= cap:
+            block = array("i")
+            blocks.append(block)
+            emit = block.append
         succ = 0
-        m = order[i]
+        m = queue.popleft()
         for part in slices:
             v = m & part
             if not v:
@@ -678,7 +694,7 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
                     u |= row[low.bit_length() - 1]
                     v ^= low
                 # Never more entries than subsets discovered so far.
-                if len(memo) < len(order):
+                if len(memo) < len(ids):
                     memo[key] = u
             succ |= u
         for shift, sel in pairs:
@@ -693,12 +709,18 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
                         f"subset construction exceeds {max_states} states")
                 dst = len(ids)
                 ids[t] = dst
-                order.append(t)
+                queue.append(t)
             emit(dst)
-        i += 1
-    del ids, memo
-    finals = frozenset(q for q, m in enumerate(order) if m & finals_mask)
-    return Dfa.from_table(a.alphabet, len(order), 0, finals, table)
+    # The subsets go before the result is built, so that its finals set and
+    # joined table can take their memory.
+    n_out = len(ids)
+    fin = bytes(map(bool, map(finals_mask.__and__, ids)))
+    del ids, memo, queue
+    finals = frozenset(compress(range(n_out), fin))
+    table = blocks[0]
+    for block in blocks[1:]:
+        table.extend(block)
+    return Dfa.from_table(a.alphabet, n_out, 0, finals, table)
 
 
 def _renumber(d: Dfa, max_states: int) -> Dfa:
@@ -1070,18 +1092,41 @@ def parse_automaton(text: str, max_states: int = budget.DEFAULT_MAX_STATES) -> N
         initial = int(field(3, "initial"))
         finals_text = field(4, "finals")
         finals = frozenset(int(t) for t in finals_text.split()) if finals_text else frozenset()
-        transitions = set()
+        # Each line's target goes straight into its slot.  A slot that already
+        # holds another target puts the edge, coded ``slot * n + q``, in
+        # ``extra``: the file is then an NFA.  The first triple that fits no
+        # slot is kept for the constructor to reject, once every line has
+        # passed the format checks.
+        index, k, n = alphabet.index, len(alphabet), n_states
+        table = array("i", [-1]) * (n * k)
+        extra: set[int] = set()
+        bad = None
         for ln in lines[5:]:
             if not ln.startswith("trans:"):
                 raise AutomatonFormatError(f"unexpected line {ln!r}")
             parts = ln[len("trans:"):].split()
             if len(parts) != 3:
                 raise AutomatonFormatError(f"bad transition line {ln!r}")
-            transitions.add((int(parts[0]), parts[1], int(parts[2])))
-        # Deterministic when no two triples share a (state, symbol) head.
-        heads = {(p, a) for p, a, _ in transitions}
-        cls = Dfa if len(heads) == len(transitions) else Nfa
-        return cls(alphabet, n_states, initial, finals, frozenset(transitions))
+            p, a, q = int(parts[0]), parts[1], int(parts[2])
+            c = index.get(a)
+            if c is None or not (0 <= p < n and 0 <= q < n):
+                if bad is None:
+                    bad = (p, a, q)
+                continue
+            slot = p * k + c
+            t = table[slot]
+            if t < 0:
+                table[slot] = q
+            elif t != q:
+                extra.add(slot * n + q)
+        if bad is not None:
+            # Checks initial, finals, then the triple, and raises.
+            Nfa(alphabet, n_states, initial, finals, (bad,))
+        if not extra:
+            return Dfa.from_table(alphabet, n_states, initial, finals, table)
+        extra.update(slot * n + q for slot, q in enumerate(table) if q >= 0)
+        del table
+        return Nfa(alphabet, n_states, initial, finals, _slot_index(alphabet, n, extra))
     except (ValueError, IndexError) as exc:
         raise AutomatonFormatError(str(exc)) from exc
 

@@ -308,6 +308,12 @@ def _differential_input(kind: str, rng: random.Random) -> Nfa:
     return glushkov(random_plain_regex(rng, sigma.names, rng.randint(10, 120)), sigma)
 
 
+@pytest.fixture(scope="module")
+def n1_subset_text():
+    """Criterion 1's n=1 subset DFA, serialised: 255,972 slots."""
+    return serialize(determinize(glushkov(complement_witness(1), SIGMA_K)))
+
+
 class TestDeterminize:
     def test_already_deterministic_subsets_are_singletons(self):
         d = determinize(glushkov(parse("aa*", A)))
@@ -419,6 +425,23 @@ class TestDeterminize:
         # Criterion 1's n=1 subset DFA, as the benchmark records it.
         d = determinize(glushkov(complement_witness(1), SIGMA_K))
         assert (d.n_states, len(d.transitions), len(d.finals)) == (63_993, 255_972, 63_991)
+
+    def test_complement_witness_n1_serialisation(self, n1_subset_text):
+        # The table spans several blocks of ``_TABLE_BLOCK`` slots.
+        assert hashlib.sha256(n1_subset_text.encode()).hexdigest() == (
+            "97ac2fa459566b9bfc8d77b8deec5447712034ea8a33203eac474a7f279d5d82")
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_table_blocks_match_frozenset_construction(self, monkeypatch, block):
+        # With blocks this small nearly every row starts a new one, so every
+        # join between blocks is exercised.
+        monkeypatch.setattr(automata, "_TABLE_BLOCK", block)
+        for seed in range(20):
+            rng = random.Random(seed)
+            nfa = _differential_input(rng.choice(["dense", "layered", "glushkov"]), rng)
+            for max_states in (rng.randint(1, 10), budget.DEFAULT_MAX_STATES):
+                want = _subset_outcome(_oracle_subsets, nfa, max_states)
+                assert _subset_outcome(determinize, nfa, max_states) == want
 
 
 class TestTableCore:
@@ -1271,12 +1294,41 @@ class TestSerialization:
         assert peak < 100_000
         assert parse_automaton(text.replace("4000000", "10"), max_states=10).n_states == 10
 
+    def test_n1_subset_dfa_peak(self, n1_subset_text):
+        # Each line's target goes into its slot as the line is read; no set
+        # of triples is collected first.
+        tracemalloc.start()
+        try:
+            d = parse_automaton(n1_subset_text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(d, Dfa) and serialize(d) == n1_subset_text
+        assert peak < 32_000_000
+
     def test_deterministic_iff_no_shared_head(self):
         head = "automaton v1\nalphabet: a b\nstates: 2\ninitial: 0\nfinals: 1\n"
         d = parse_automaton(head + "trans: 0 a 1\ntrans: 0 b 1\ntrans: 1 a 1\n")
         nfa = parse_automaton(head + "trans: 0 a 1\ntrans: 0 a 0\n")
         assert isinstance(d, Dfa) and d.transitions == {(0, "a", 1), (0, "b", 1), (1, "a", 1)}
         assert type(nfa) is Nfa and nfa.successors(0, 0) == array("i", [0, 1])
+
+    @pytest.mark.parametrize("body, message", [
+        # A format error on any line comes before every range or symbol error.
+        ("initial: 9\nfinals: 7\ntrans: 0 z 1\ntrans: 0 a\n", "bad transition line 'trans: 0 a'"),
+        # Then the constructor's order: initial, finals, transitions.
+        ("initial: 9\nfinals: 7\ntrans: 0 z 1\n", "initial state out of range"),
+        ("initial: 0\nfinals: 7\ntrans: 0 z 1\n", "final state out of range"),
+        # Of several bad triples, the first in the file is named.
+        ("initial: 0\nfinals: 1\ntrans: 0 a 1\ntrans: 0 z 1\ntrans: 5 a 0\n",
+         "transition symbol 'z' not in alphabet"),
+        ("initial: 0\nfinals: 1\ntrans: 5 a 0\ntrans: 0 z 1\n",
+         "transition endpoint out of range: (5, 'a', 0)"),
+    ])
+    def test_refusal_order(self, body, message):
+        with pytest.raises(AutomatonFormatError) as exc:
+            parse_automaton("automaton v1\nalphabet: a b\nstates: 2\n" + body)
+        assert str(exc.value) == message
 
     @given(st.integers(0, 10_000))
     def test_round_trip(self, seed):
