@@ -19,6 +19,7 @@ from . import budget
 from .automata import (
     Dfa,
     Nfa,
+    _derived_alphabet,
     _slot_index,
     determinize,
     eliminate_states,
@@ -264,12 +265,8 @@ def covers(r: Regex, word: Sequence[str], alphabet: Optional[Alphabet] = None) -
     Decided by emptiness of the product with the factor automaton.
     """
     w = tuple(word)
-    sigma = alphabet
-    if sigma is None:
-        names = sorted(set(symbols_of(r)) | set(w))
-        if not names:
-            names = ["a"]  # symbol-free expression: emptiness is all that matters
-        sigma = Alphabet(tuple(names))
+    # With no symbol at all, emptiness is all that matters: any one will do.
+    sigma = alphabet or _derived_alphabet([*symbols_of(r), *w] or ["a"], None)
     nfa = _as_nfa(r, sigma)
     _check_word(w, sigma)
     prod = product(nfa, _factor_nfa(w, sigma))
@@ -311,10 +308,7 @@ def word_index(r: Regex, word: Sequence[str],
     w = tuple(word)
     if not w:
         raise ValueError("the repeated word must be non-empty")
-    sigma = alphabet
-    if sigma is None:
-        names = sorted(set(symbols_of(r)) | set(w))
-        sigma = Alphabet(tuple(names))
+    sigma = alphabet or _derived_alphabet([*symbols_of(r), *w], None)
     nfa = _as_nfa(r, sigma)
     _check_word(w, sigma)
     succ = _successors_on(nfa, range(len(sigma)))
@@ -392,10 +386,10 @@ def sidekicks(r: Regex, alphabet: Optional[Alphabet] = None) -> frozenset[int]:
     """
     sigma = alphabet
     if sigma is None:
-        names = sorted(set(symbols_of(r)))
+        names = symbols_of(r)
         if not names:
             return frozenset()
-        sigma = Alphabet(tuple(names))
+        sigma = _derived_alphabet(names, None)
     edges = [_edge_indices(name) for name in sigma]
     indices = {i for edge in edges for i in edge}
     nfa = _as_nfa(r, sigma)
@@ -544,15 +538,13 @@ def minimal_regex_size(target: Dfa, max_size: int) -> RegexSearch:
 # Blow-up bench
 # ---------------------------------------------------------------------------
 
-PIPELINES = ("complement-naive", "complement-unambiguous",
-             "intersect-product", "intersect-sore")
-
-_PIPELINE_FAMILIES = {
-    "complement-naive": {"complement-witness"},
-    "complement-unambiguous": {"unamb-family"},
-    "intersect-product": {"unamb-family", "m-sore-pair"},
-    "intersect-sore": {"m-sore-pair"},
+_PIPELINE_SPECS = {  # pipeline: (families it applies to, the paper's bound)
+    "complement-naive": ({"complement-witness"}, "doubly exponential"),
+    "complement-unambiguous": ({"unamb-family"}, "polynomial"),
+    "intersect-product": ({"unamb-family", "m-sore-pair"}, "doubly exponential"),
+    "intersect-sore": ({"m-sore-pair"}, "singly exponential"),
 }
+PIPELINES = tuple(_PIPELINE_SPECS)
 
 
 @dataclass(frozen=True)
@@ -586,12 +578,12 @@ def blowup_report(family: str, ns: Sequence[int], pipeline: str,
     Budget blow-ups mark the row (output size absent) rather than dropping it.
     """
     from .unambiguous import complement_unambiguous, intersect_sores
-    from .witnesses import (SIGMA_K, SIGMA_L, complement_witness, m_alphabet,
-                            m_sore_pair, unamb_family)
+    from .witnesses import _family_alphabet, build_bundle
 
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}; choose from {PIPELINES}")
-    if family not in _PIPELINE_FAMILIES[pipeline]:
+    families, bound = _PIPELINE_SPECS[pipeline]
+    if family not in families:
         raise ValueError(f"pipeline {pipeline!r} does not apply to family {family!r}")
     if list(ns) != sorted(set(ns)):
         raise ValueError("parameter values must be strictly increasing")
@@ -599,49 +591,24 @@ def blowup_report(family: str, ns: Sequence[int], pipeline: str,
     rows = []
     for n in ns:
         start = time.perf_counter()
-        output: Optional[int] = None
-        if pipeline == "complement-naive":
-            expr = complement_witness(n)
-            input_size = size(expr)
-            try:
-                dfa = minimize(determinize(glushkov(expr, SIGMA_K), max_states=max_states))
+        bundle = build_bundle(family, n)
+        payload = bundle.payload  # one expression, or a list or pair of them
+        sigma = _family_alphabet(family, n, payload)
+        try:
+            if pipeline == "complement-naive":
+                dfa = minimize(determinize(glushkov(payload, sigma), max_states=max_states))
                 output = size(eliminate_states(complement_dfa(dfa), max_size=max_output))
-            except budget.BudgetExceededError:
-                output = None
-        elif pipeline == "complement-unambiguous":
-            exprs = unamb_family(n)
-            input_size = sum(size(e) for e in exprs)
-            try:
-                output = max(size(complement_unambiguous(e, SIGMA_L)) for e in exprs)
-            except budget.BudgetExceededError:
-                output = None
-        elif pipeline == "intersect-sore":
-            r, s = m_sore_pair(n)
-            input_size = size(r) + size(s)
-            try:
-                output = size(intersect_sores([r, s], m_alphabet(n)))
-            except budget.BudgetExceededError:
-                output = None
-        else:  # intersect-product
-            if family == "m-sore-pair":
-                exprs = list(m_sore_pair(n))
-                sigma = m_alphabet(n)
-            else:
-                exprs = unamb_family(n)
-                sigma = SIGMA_L
-            input_size = sum(size(e) for e in exprs)
-            try:
-                acc = glushkov(exprs[0], sigma)
-                for e in exprs[1:]:
+            elif pipeline == "complement-unambiguous":
+                output = max(size(complement_unambiguous(e, sigma)) for e in payload)
+            elif pipeline == "intersect-sore":
+                output = size(intersect_sores(payload, sigma))
+            else:  # intersect-product
+                acc = glushkov(payload[0], sigma)
+                for e in payload[1:]:
                     acc = product(acc, glushkov(e, sigma), max_states=max_states)
                 output = size(eliminate_states(acc, max_size=max_output))
-            except budget.BudgetExceededError:
-                output = None
+        except budget.BudgetExceededError:
+            output = None
         wall_ms = (time.perf_counter() - start) * 1000.0
-        rows.append(BlowupRow(n, input_size, output, wall_ms))
-
-    bound = {"complement-naive": "doubly exponential",
-             "complement-unambiguous": "polynomial",
-             "intersect-product": "doubly exponential",
-             "intersect-sore": "singly exponential"}[pipeline]
+        rows.append(BlowupRow(n, bundle.declared_size, output, wall_ms))
     return BlowupReport(family, pipeline, bound, tuple(rows))

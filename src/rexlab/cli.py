@@ -139,12 +139,13 @@ def _cmd_classify(args) -> int:
         sys.stdout.write("sore: false\n")
         return 0
     report = is_one_unambiguous(r)
-    sys.stdout.write(f"one-unambiguous: {'true' if report.is_one_unambiguous else 'false'}\n")
+    text = f"one-unambiguous: {'true' if report.is_one_unambiguous else 'false'}\n"
     if report.witness is not None:
         u, x, y = report.witness
         shown = " ".join(str(m) for m in u) if u else "%e"
-        sys.stdout.write(f"witness: u={shown} x={x} y={y}\n")
-    sys.stdout.write(f"sore: {'true' if is_sore(r) else 'false'}\n")
+        text += f"witness: u={shown} x={x} y={y}\n"
+    # Written once the last check is done, so that a refusal prints nothing.
+    sys.stdout.write(text + f"sore: {'true' if is_sore(r) else 'false'}\n")
     return 0
 
 
@@ -203,15 +204,15 @@ def _cmd_intersect(args) -> int:
 
 def _cmd_witness(args) -> int:
     bundle = build_bundle(args.family, args.n)
-    sys.stderr.write(json.dumps(bundle.metadata(), sort_keys=True) + "\n")
     payload = bundle.payload
     if isinstance(payload, Nfa):
-        _emit_automaton(payload)
-    elif isinstance(payload, Regex):
-        _emit_regex(payload)
+        text = serialize(payload)
     else:
-        for r in payload:
-            _emit_regex(r)
+        exprs = [payload] if isinstance(payload, Regex) else payload
+        text = "".join(format_regex(r) + "\n" for r in exprs)
+    # Written once all of it is rendered, so that a refusal prints nothing.
+    sys.stderr.write(json.dumps(bundle.metadata(), sort_keys=True) + "\n")
+    sys.stdout.write(text)
     return 0
 
 
@@ -260,12 +261,11 @@ def _cmd_minsize(args) -> int:
     log = {"max_size": args.max_size, "examined": result.examined,
            "found": result.minimal_size is not None,
            "minimal_size": result.minimal_size}
+    text = "none\n"
+    if result.minimal_size is not None:
+        text = f"{result.minimal_size}\n{format_regex(result.witness)}\n"
     sys.stderr.write(json.dumps(log, sort_keys=True) + "\n")
-    if result.minimal_size is None:
-        sys.stdout.write("none\n")
-    else:
-        sys.stdout.write(f"{result.minimal_size}\n")
-        sys.stdout.write(format_regex(result.witness) + "\n")
+    sys.stdout.write(text)
     return 0
 
 

@@ -461,17 +461,15 @@ def m_sore_pair(n: int) -> tuple[Regex, Regex]:
 # Bundles
 # ---------------------------------------------------------------------------
 
-FAMILIES = ("z-dfa", "k-dfa", "complement-witness", "l-family", "m-sore-pair",
-            "unamb-family")
-
-_BOUNDS = {
-    "z-dfa": "O(n^2)",
-    "k-dfa": "O(n^2 log n)",
-    "complement-witness": "O(n)",
-    "l-family": "O(n^2 log n)",
-    "m-sore-pair": "O(n^2)",
-    "unamb-family": "O(n) each",
+_BUILDERS = {  # family: (builder of member n, bound on its size)
+    "z-dfa": (z_dfa, "O(n^2)"),
+    "k-dfa": (k_dfa, "O(n^2 log n)"),
+    "complement-witness": (complement_witness, "O(n)"),
+    "l-family": (l_dfa, "O(n^2 log n)"),
+    "m-sore-pair": (m_sore_pair, "O(n^2)"),
+    "unamb-family": (unamb_family, "O(n) each"),
 }
+FAMILIES = tuple(_BUILDERS)
 
 
 @dataclass(frozen=True)
@@ -490,25 +488,25 @@ class WitnessBundle:
                 "bound": self.bound_label}
 
 
+def _family_alphabet(family: str, n: int, payload) -> Alphabet:
+    """The alphabet of member ``n``: an automaton's own, else the family's."""
+    if isinstance(payload, Nfa):
+        return payload.alphabet
+    if family == "m-sore-pair":
+        return m_alphabet(n)
+    return SIGMA_K if family == "complement-witness" else SIGMA_L
+
+
 def build_bundle(family: str, n: int) -> WitnessBundle:
-    if family == "z-dfa":
-        payload: TUnion[Regex, Nfa, list[Regex], tuple[Regex, ...]] = z_dfa(n)
-        declared, sigma = payload.size, len(payload.alphabet)
-    elif family == "k-dfa":
-        payload = k_dfa(n)
-        declared, sigma = payload.size, len(payload.alphabet)
-    elif family == "complement-witness":
-        payload = complement_witness(n)
-        declared, sigma = size(payload), len(SIGMA_K)
-    elif family == "l-family":
-        payload = l_dfa(n)
-        declared, sigma = payload.size, len(payload.alphabet)
-    elif family == "m-sore-pair":
-        payload = m_sore_pair(n)
-        declared, sigma = sum(size(r) for r in payload), len(m_alphabet(n))
-    elif family == "unamb-family":
-        payload = unamb_family(n)
-        declared, sigma = sum(size(r) for r in payload), len(SIGMA_L)
-    else:
+    if family not in _BUILDERS:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    return WitnessBundle(family, n, payload, declared, _BOUNDS[family], sigma)
+    build, bound = _BUILDERS[family]
+    payload = build(n)
+    if isinstance(payload, Nfa):
+        declared = payload.size
+    elif isinstance(payload, Regex):
+        declared = size(payload)
+    else:
+        declared = sum(size(r) for r in payload)
+    return WitnessBundle(family, n, payload, declared, bound,
+                         len(_family_alphabet(family, n, payload)))

@@ -45,7 +45,7 @@ from rexlab.unambiguous import (
     NotSoreError,
     UnambiguityReport,
 )
-from rexlab.witnesses import SIGMA_K, SIGMA_L, PathWord, enc_width
+from rexlab.witnesses import SIGMA_K, SIGMA_L, PathWord, enc_width, m_alphabet
 
 Word = tuple
 
@@ -852,6 +852,40 @@ def l_dfa_by_parity_product(n: int) -> Dfa:
             table[sid * (k + 1) + k] = accept
     table.extend([-1] * (k + 1))
     return Dfa.from_table(SIGMA_L, accept + 1, 0, frozenset([accept]), table)
+
+
+def circled_walk_dfa(n: int, free_from: Optional[int] = None) -> Dfa:
+    """Acceptor of the circled-walk language ``M_n``, from the walk's definition.
+
+    A word is one or more blocks ``rt(i) a(i,j*) a(j*,k)``, each block's
+    flag naming the vertex the block before it ended at, then the triangle
+    ``tr(k)`` of the last block's end vertex.  The states are the start, one
+    per vertex after a flag, after an into-circle symbol and after an
+    out-of-circle symbol, and the accepting state: 3n + 2 in all.
+
+    With ``free_from`` set, the flag of every block from that one on may name
+    any vertex.  That acceptor is wrong only on words of at least
+    ``free_from`` blocks, three symbols each, and serves as a negative control.
+    """
+    cap = free_from or 1  # blocks counted up to here; one count when exact
+    ids = {"start": 0}
+    triples = set()
+
+    def edge(src, name: str, dst):
+        triples.add((ids.setdefault(src, len(ids)), name, ids.setdefault(dst, len(ids))))
+
+    for i in range(n):
+        edge("start", f"rt({i})", ("flag", i, 1))
+    for b in range(1, cap + 1):
+        jump = free_from is not None and b + 1 >= free_from
+        for i in range(n):
+            for j in range(n):
+                edge(("flag", i, b), f"a({i},{j}*)", ("circle", j, b))
+                edge(("circle", i, b), f"a({i}*,{j})", ("out", j, b))
+            for v in (range(n) if jump else [i]):
+                edge(("out", i, b), f"rt({v})", ("flag", v, min(b + 1, cap)))
+            edge(("out", i, b), f"tr({i})", "accept")
+    return Dfa(m_alphabet(n), len(ids), 0, frozenset([ids["accept"]]), frozenset(triples))
 
 
 def dataclass_repr(value) -> str:

@@ -456,6 +456,29 @@ class TestBlowupReport:
         assert rep.rows[0].output_size is None
         assert ",NA," in rep.to_csv()
 
+    def test_rows_pinned(self):
+        # (n, input_size, output_size) per accepted (pipeline, family) pair;
+        # 70,000 states admit the 63,993-subset n=1 complement and refuse n=2.
+        want = {
+            ("complement-naive", "complement-witness"):
+                ("doubly exponential", [(1, 280, 108), (2, 384, None)]),
+            ("complement-unambiguous", "unamb-family"):
+                ("polynomial", [(1, 246, 8386), (2, 746, 21806)]),
+            ("intersect-product", "m-sore-pair"):
+                ("doubly exponential", [(1, 20, 14), (2, 56, 190)]),
+            ("intersect-product", "unamb-family"):
+                ("doubly exponential", [(1, 246, 418), (2, 746, 25074)]),
+            ("intersect-sore", "m-sore-pair"):
+                ("singly exponential", [(1, 20, 14), (2, 56, 190)]),
+        }
+        got = {}
+        for pipeline, family in want:
+            rep = blowup_report(family, [1, 2], pipeline, max_states=70_000)
+            assert (rep.family, rep.pipeline) == (family, pipeline)
+            got[pipeline, family] = (rep.bound_label, [
+                (row.n, row.input_size, row.output_size) for row in rep.rows])
+        assert got == want
+
     def test_invalid_combination(self):
         with pytest.raises(ValueError):
             blowup_report("m-sore-pair", [1], "complement-naive")

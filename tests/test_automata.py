@@ -789,8 +789,9 @@ class TestProduct:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dfa_table_walk_matches_nfa_route(self, seed):
-        # Nfa copies of the same DFAs go through the ``moves`` route; the
-        # numbering, the output and the budget error point must agree.
+        # Nfa copies of the same DFAs go through the slot walk over
+        # ``successors``, not the table walk; the numbering, the output and
+        # the budget error point must agree.
         rng = random.Random(seed)
         for _ in range(150):
             sigma = rng.choice([AB, ABC])

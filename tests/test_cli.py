@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import rexlab
 import rexlab.cli as cli
+from rexlab.budget import BudgetExceededError
 from rexlab.cli import main
 
 
@@ -209,6 +211,25 @@ class TestBenchAndBudget:
         elapsed = time.perf_counter() - t0
         assert code == 3 and err.startswith("rexlab: budget exceeded: ")
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("verb, last_step", [
+        ("witness", "format_regex"), ("classify", "is_sore"), ("minsize", "format_regex")])
+    def test_refused_last_step_prints_nothing(self, capsys, monkeypatch, tmp_path,
+                                              verb, last_step):
+        # A deadline can fire in the verb's last step, after the work that
+        # decides its output; the refusal must still be the only output.
+        f = tmp_path / "a.aut"
+        f.write_text(run_cli(capsys, "to-nfa", "--alphabet", "ab", "a")[1])
+        argv = {"witness": ["--family", "unamb-family", "--n", "2"],
+                "classify": ["--alphabet", "ab", "a*a"],
+                "minsize": [str(f), "--max-size", "3"]}[verb]
+
+        def refuse(*_):
+            raise BudgetExceededError("wall-clock budget exhausted")
+
+        monkeypatch.setattr(cli, last_step, refuse)
+        assert run_cli(capsys, verb, *argv) == (
+            3, "", "rexlab: budget exceeded: wall-clock budget exhausted\n")
 
     def test_index_verb(self, capsys):
         code, out, _ = run_cli(capsys, "index", "--alphabet", "ab",
@@ -529,6 +550,90 @@ def test_fuzzed_argv_ends_in_a_documented_exit(case):
         argv = [arg.format(*paths) for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    err = err.getvalue()
+    assert code in ((0, 1, 2, 3) if verb == "verify" else (0, 2, 3)), (argv, err)
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert err.startswith("rexlab: ") and err.count("\n") == 1, (argv, err)
+        assert out.getvalue() == ""
+
+
+_N_RANGES = ["1..2", "1..3", "2..1", "1,1", "1,2", "x", "1..", "..", "", "1", "0..1",
+             "-1", "1 3", "2"]
+_DEADLINES = ["0", "1", "20", "50"]  # caps witness, bench and minsize draws
+
+
+@st.composite
+def fuzz_other_argv(draw):
+    """``(verb, argv, files, stdin, deadline)`` for the verbs ``fuzz_argv``
+    does not draw: ``{0}`` in the argv names the one file, ``-`` (or no
+    automaton) reads ``stdin``, and ``deadline`` is ``REXLAB_BUDGET_MS``."""
+    from rexlab.analysis import PIPELINES
+    from rexlab.witnesses import FAMILIES
+    verb = draw(st.sampled_from(["parse", "size", "classify", "intersect", "witness",
+                                 "bench", "minsize", "verify"]))
+    budget = draw(st.sampled_from(_BUDGETS))
+    deadline = draw(st.sampled_from(_DEADLINES + ["", "", "inf", "nan", "-5", "abc"]))
+    files, stdin = [], ""
+    if verb in ("parse", "size", "classify"):
+        regex = draw(_REGEX_TEXTS)
+        if draw(st.booleans()):
+            regex, stdin = "-", regex
+        argv = [verb, "--alphabet", draw(st.sampled_from(_LETTERS)), regex]
+    elif verb == "intersect":
+        regexes = draw(st.lists(_REGEX_TEXTS, min_size=1, max_size=3))
+        method = draw(st.sampled_from(["auto", "sore", "product"]))
+        argv = [verb, "--alphabet", draw(st.sampled_from(_LETTERS)), *regexes,
+                "--method", method, "--max-states", budget]
+        if draw(st.booleans()):
+            argv += ["--max-size", draw(st.sampled_from(_BUDGETS))]
+    elif verb == "witness":
+        deadline = draw(st.sampled_from(_DEADLINES))
+        argv = [verb, "--family", draw(st.sampled_from(FAMILIES)),
+                "--n", draw(st.sampled_from(["-1", "0", "1", "2", "3", "5", "40"]))]
+    elif verb == "bench":
+        deadline = draw(st.sampled_from(_DEADLINES))
+        argv = [verb, "--family", draw(st.sampled_from(FAMILIES)),
+                "--pipeline", draw(st.sampled_from(PIPELINES)),
+                "--n-range", draw(st.sampled_from(_N_RANGES)), "--max-states", budget]
+        if draw(st.booleans()):
+            argv += ["--max-size", draw(st.sampled_from(_BUDGETS))]
+    else:
+        text = draw(automaton_files())
+        source = draw(st.sampled_from([["{0}"], ["-"], []]))
+        if source == ["{0}"]:
+            files = [text]
+        else:
+            stdin = text
+        if verb == "minsize":
+            deadline = draw(st.sampled_from(_DEADLINES))
+            argv = [verb, *source, "--max-size",
+                    draw(st.sampled_from(["-1", "0", "1", "3", "5", "9", "10"])),
+                    "--max-states", budget]
+        else:
+            word = draw(st.sampled_from(["", "a", "ab", "ba", "a b", "abba", "c"]))
+            argv = [verb, "--accepts", word, *source, "--max-states", budget]
+    return verb, argv, files, stdin, deadline
+
+
+@settings(max_examples=200, derandomize=True)
+@given(fuzz_other_argv())
+def test_fuzzed_other_verbs_end_in_a_documented_exit(case):
+    # The same contract as above, for the verbs left: stdin input and a
+    # wall-clock deadline included.
+    verb, argv, files, stdin, deadline = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, text in enumerate(files):
+            path = Path(tmp) / f"{i}.aut"
+            path.write_text(text)
+            paths.append(str(path))
+        argv = [arg.format(*paths) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"REXLAB_BUDGET_MS": deadline}), \
+                mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     err = err.getvalue()
     assert code in ((0, 1, 2, 3) if verb == "verify" else (0, 2, 3)), (argv, err)

@@ -14,10 +14,11 @@ from rexlab.automata import (
     serialize,
 )
 from rexlab import budget
-from rexlab.analysis import enumerate_language
+from rexlab.analysis import enumerate_language, equal_upto
 from rexlab.budget import BudgetExceededError, CancelToken
 from rexlab.rex import size
-from rexlab.unambiguous import is_one_unambiguous, is_sore
+from rexlab.unambiguous import (is_one_unambiguous, is_sore, local_profile,
+                                profile_intersection, profile_to_dfa)
 from rexlab.witnesses import (
     END_MARKER,
     SIGMA_K,
@@ -41,6 +42,7 @@ from rexlab.witnesses import (
 )
 
 from oracles import (
+    circled_walk_dfa,
     is_k_string,
     is_z_word,
     k_dfa_by_phases,
@@ -331,6 +333,35 @@ class TestMFamily:
         got = set(enumerate_language(prod, 7).words)
         want = {m_member(w) for w in path_words(n, 4, even_only=True)}
         assert got == want
+
+
+class TestCircledWalkExact:
+    """Both intersection routes of the SORE pair against an acceptor built
+    from the walk's definition, exactly and not only on a length slice."""
+
+    @staticmethod
+    def routes(n):
+        sigma = m_alphabet(n)
+        r, s = m_sore_pair(n)
+        merged = profile_intersection([local_profile(r), local_profile(s)])
+        return product(glushkov(r, sigma), glushkov(s, sigma)), profile_to_dfa(merged, sigma)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_routes_equal_the_walk_acceptor(self, n):
+        direct = circled_walk_dfa(n)
+        assert direct.n_states == 3 * n + 2
+        prod, merged = self.routes(n)
+        assert equivalent(prod, direct) and equivalent(merged, direct)
+        assert minimize(determinize(prod)).n_states == 3 * n + 2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_negative_control_beyond_the_slice(self, n):
+        # A third block that may start anywhere changes only words of ten
+        # symbols or more: criterion 3's length-7 slice cannot see it.
+        broken = circled_walk_dfa(n, free_from=3)
+        for route in self.routes(n):
+            assert equal_upto(route, broken, 7).equal
+            assert not equivalent(route, broken)
 
 
 class TestBundles:
