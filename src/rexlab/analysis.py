@@ -576,9 +576,15 @@ def blowup_report(family: str, ns: Sequence[int], pipeline: str,
     """Measure input/output sizes for a witness family through a pipeline.
 
     Budget blow-ups mark the row (output size absent) rather than dropping it.
+    ``max_states`` caps each subset construction and product.  ``max_output``
+    caps the nodes that :func:`eliminate_states` creates, not the reported
+    output ``size``: those nodes share subtrees, so a row within the cap can
+    report a far larger size.  ``blowup_report("unamb-family", [1, 3],
+    "intersect-product", max_states=5000, max_output=50_000)`` reports
+    16,921,714 at n=3.
     """
     from .unambiguous import complement_unambiguous, intersect_sores
-    from .witnesses import _family_alphabet, build_bundle
+    from .witnesses import _bundle_and_alphabet
 
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}; choose from {PIPELINES}")
@@ -591,9 +597,8 @@ def blowup_report(family: str, ns: Sequence[int], pipeline: str,
     rows = []
     for n in ns:
         start = time.perf_counter()
-        bundle = build_bundle(family, n)
+        bundle, sigma = _bundle_and_alphabet(family, n)
         payload = bundle.payload  # one expression, or a list or pair of them
-        sigma = _family_alphabet(family, n, payload)
         try:
             if pipeline == "complement-naive":
                 dfa = minimize(determinize(glushkov(payload, sigma), max_states=max_states))

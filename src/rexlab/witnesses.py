@@ -430,9 +430,11 @@ def m_sore_pair(n: int) -> tuple[Regex, Regex]:
     a window `(into-vertex? flag-or-triangle out-of-vertex?)*` that matches the
     plain indices around every flag and triangle.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    sigma = m_alphabet(n)
+    return _sore_pair(n, m_alphabet(n))
+
+
+def _sore_pair(n: int, sigma: Alphabet) -> tuple[Regex, Regex]:
+    """:func:`m_sore_pair` over ``sigma``, which is ``m_alphabet(n)``."""
 
     def polled_set(names: list[str]) -> Regex:
         budget.checkpoint()
@@ -488,25 +490,26 @@ class WitnessBundle:
                 "bound": self.bound_label}
 
 
-def _family_alphabet(family: str, n: int, payload) -> Alphabet:
-    """The alphabet of member ``n``: an automaton's own, else the family's."""
-    if isinstance(payload, Nfa):
-        return payload.alphabet
-    if family == "m-sore-pair":
-        return m_alphabet(n)
-    return SIGMA_K if family == "complement-witness" else SIGMA_L
-
-
-def build_bundle(family: str, n: int) -> WitnessBundle:
+def _bundle_and_alphabet(family: str, n: int) -> tuple[WitnessBundle, Alphabet]:
+    """Member ``n``'s bundle and alphabet, each built once: an automaton's
+    own alphabet, else the family's."""
     if family not in _BUILDERS:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     build, bound = _BUILDERS[family]
-    payload = build(n)
+    if family == "m-sore-pair":  # the pair is built over this alphabet
+        sigma = m_alphabet(n)
+        payload = _sore_pair(n, sigma)
+    else:
+        sigma = SIGMA_K if family == "complement-witness" else SIGMA_L
+        payload = build(n)
     if isinstance(payload, Nfa):
-        declared = payload.size
+        declared, sigma = payload.size, payload.alphabet
     elif isinstance(payload, Regex):
         declared = size(payload)
     else:
         declared = sum(size(r) for r in payload)
-    return WitnessBundle(family, n, payload, declared, bound,
-                         len(_family_alphabet(family, n, payload)))
+    return WitnessBundle(family, n, payload, declared, bound, len(sigma)), sigma
+
+
+def build_bundle(family: str, n: int) -> WitnessBundle:
+    return _bundle_and_alphabet(family, n)[0]

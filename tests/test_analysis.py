@@ -36,7 +36,7 @@ from rexlab.rex import (
     size,
 )
 from rexlab.unambiguous import complement_unambiguous
-from rexlab.witnesses import k_dfa, rho_encode, z_alphabet, z_dfa
+from rexlab.witnesses import k_dfa, m_alphabet, rho_encode, z_alphabet, z_dfa
 
 from corpus import random_dfa, random_extended_regex, random_nfa, random_plain_regex
 from conftest import extended_regexes
@@ -478,6 +478,23 @@ class TestBlowupReport:
             got[pipeline, family] = (rep.bound_label, [
                 (row.n, row.input_size, row.output_size) for row in rep.rows])
         assert got == want
+
+    def test_sore_pair_alphabet_built_once_per_row(self, monkeypatch):
+        # m_alphabet(n) has 2n^2 + 2n names; at n=200 one build is about a
+        # fifth of the bundle.  The pair, the bundle's alphabet_size and the
+        # pipeline share one build.
+        from rexlab import witnesses
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return m_alphabet(n)
+
+        monkeypatch.setattr(witnesses, "m_alphabet", counting)
+        assert witnesses.build_bundle("m-sore-pair", 2).alphabet_size == 12
+        assert calls == [2]
+        blowup_report("m-sore-pair", [1, 3], "intersect-sore")
+        assert calls == [2, 1, 3]
 
     def test_invalid_combination(self):
         with pytest.raises(ValueError):

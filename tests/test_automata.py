@@ -812,6 +812,42 @@ class TestProduct:
             got = product(a, b, max_states=limit)
             assert isinstance(got, Dfa) and serialize(got) == want
 
+    @pytest.mark.parametrize("family, n", [
+        ("unamb-family", 1), ("unamb-family", 2), ("unamb-family", 3), ("unamb-family", 4),
+        ("m-sore-pair", 1), ("m-sore-pair", 2), ("m-sore-pair", 3)])
+    def test_dfa_table_walk_on_sparse_wide_alphabets(self, family, n):
+        # Glushkov DFAs leave most slots empty, and the SORE pair's alphabet
+        # has up to 24 symbols; the table walk reads only the right operand's
+        # edges.  Operands are the family's DFAs and the accumulators of its
+        # left fold, in both orders, against Nfa copies through the slot walk.
+        if family == "unamb-family":
+            sigma, members = SIGMA_L, unamb_family(n)
+        else:
+            sigma, members = m_alphabet(n), m_sore_pair(n)
+        dfas = [glushkov(e, sigma) for e in members]
+        assert all(isinstance(d, Dfa) for d in dfas)
+        pairs = [(a, b) for a in dfas for b in dfas]
+        acc = dfas[0]
+        for d in dfas[1:]:
+            pairs += [(acc, d), (d, acc)]
+            acc = product(acc, d)
+
+        def outcome(a, b, limit):
+            token = _CountingToken()
+            with budget.active(token):
+                try:
+                    got = product(a, b, max_states=limit)
+                except BudgetExceededError as exc:
+                    return str(exc), token.polls
+            return type(got), serialize(got), token.polls
+
+        def nfa_copy(d):
+            return Nfa(sigma, d.n_states, d.initial, d.finals, frozenset(d.transitions))
+
+        for a, b in pairs:
+            for limit in (1, 3, 50, budget.DEFAULT_MAX_STATES):
+                assert outcome(a, b, limit) == outcome(nfa_copy(a), nfa_copy(b), limit)
+
     def test_nfa_targets_walked_in_ascending_order(self):
         # State 0 enters 1 and 8 on "a", and a frozenset of the two iterates
         # 8 first.  Pairs are numbered in ascending target order, so the pair
