@@ -49,9 +49,9 @@ positions, and a ``Concat`` denoting the empty language clears the rows of
 its positions.  No node copies a follow set.  While no two targets of a row
 share a symbol the rows are written straight into ``Dfa.table``; otherwise
 the NFA keeps them in a mask store.  The product of two DFAs likewise
-writes a table, reading the left operand's table only at the edges the right
-operand defines; any other product walks the slots of both inputs and writes
-an index, which becomes a table when both inputs are deterministic.
+walks both tables and writes its own; any other product walks the slots of
+both inputs and writes an index, which becomes a table when both inputs are
+deterministic.
 
 Minimisation sorts a DFA's transitions by target slot into one preimage
 index, ``sources[starts[s]:starts[s + 1]]`` the states entering slot ``s``.
@@ -830,14 +830,8 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
     Pairs are numbered in BFS discovery order with symbols scanned in
     alphabet order and each side's targets in ascending order; the pair
     ``(p, q)`` is coded as ``p * b.n_states + q``.  Two DFAs are walked
-    through their tables, any other inputs through their slots.
-
-    The table walk lists ``b``'s edges once per call and reads ``a``'s table
-    only at the symbols ``b`` defines, so a pair costs its defined edges
-    rather than ``k`` reads of each table; 76% of the slots of the
-    62,207-state product of the ``unamb_family(6)`` chain are empty.  Fold a
-    chain with the accumulator as ``a`` and the small operand as ``b``: the
-    list then costs O(|b| * k) per call.
+    through their tables, any other inputs through their slots.  The table
+    walk reads ``a``'s table only at the symbols ``b`` defines.
     """
     _require_same_alphabet(a, b)
     if isinstance(a, Dfa) and isinstance(b, Dfa):
@@ -887,8 +881,9 @@ def _dfa_product(a: Dfa, b: Dfa, max_states: int) -> Dfa:
     fa, fb = a.finals, b.finals
     # A slot that ``b`` leaves undefined stays -1 whatever ``a`` holds there,
     # so each pair reads ``a``'s row only at the symbols of ``b``'s edges.
-    b_edges = [[(c, t) for c, t in enumerate(tb[q * k:(q + 1) * k]) if t >= 0]
-               for q in range(width)]
+    # A state's edges are listed when a popped pair first reaches it, so the
+    # cost follows the reachable pairs, under their polls, not ``b``'s size.
+    b_edges = [None] * width
     start = a.initial * width + b.initial
     ids = {start: 0}
     order = [start]
@@ -900,7 +895,11 @@ def _dfa_product(a: Dfa, b: Dfa, max_states: int) -> Dfa:
         p, q = divmod(key, width)
         rp, row = p * k, len(table)
         table += blank
-        for c, q2 in b_edges[q]:
+        edges = b_edges[q]
+        if edges is None:
+            edges = b_edges[q] = [(c, t) for c, t in enumerate(tb[q * k:(q + 1) * k])
+                                  if t >= 0]
+        for c, q2 in edges:
             p2 = ta[rp + c]
             if p2 < 0:
                 continue

@@ -848,6 +848,28 @@ class TestProduct:
             for limit in (1, 3, 50, budget.DEFAULT_MAX_STATES):
                 assert outcome(a, b, limit) == outcome(nfa_copy(a), nfa_copy(b), limit)
 
+    def test_dfa_table_walk_cost_follows_reachable_pairs(self):
+        # A large total right operand whose product with "ab" has 3 pairs: the
+        # walk lists edges only for the states of b it reaches, so its memory
+        # stays near one pointer per state of b and it polls once per pair.
+        width = 50_000
+        table = array("i")
+        for q in range(width):
+            table += array("i", [(q + 1) % width, q])
+        big = Dfa.from_table(AB, width, 0, frozenset(range(width)), table)
+        ab = glushkov(parse("ab", AB), AB)
+        token = _CountingToken()
+        tracemalloc.start()
+        try:
+            with budget.active(token):
+                p = product(ab, big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.transitions == {(0, "a", 1), (1, "b", 2)} and p.finals == {2}
+        assert token.polls == 3
+        assert peak < 16 * width
+
     def test_nfa_targets_walked_in_ascending_order(self):
         # State 0 enters 1 and 8 on "a", and a frozenset of the two iterates
         # 8 first.  Pairs are numbered in ascending target order, so the pair
