@@ -17,8 +17,11 @@ The families:
   whose intersection is the circled-walk language ``M_n``.
 
 ``k_dfa`` and ``l_dfa`` come from one breadth-first walk over the block
-acceptor's states; for ``l_dfa`` the states also carry the parity of the
-``#``s read, so it never builds ``k_dfa`` first.
+acceptor's states, a whole layer at a time: a state's depth fixes its phase
+and bit position, so a layer is a list of (carry, value) pairs, and the walk
+polls the budget once per layer, of at most n^2 states.  For ``l_dfa`` the
+block's index also fixes the parity of the ``#``s read, so it never builds
+``k_dfa`` first.
 
 The end marker is a single symbol named ``$end``; triangles and flags of the
 circled alphabet are spelled ``tr(i)`` and ``rt(i)``, circled indices with a
@@ -157,22 +160,27 @@ def rho_encode(w: PathWord) -> str:
 
 
 def _block_walk(n: int, parity: bool) -> tuple[array, list[int]]:
-    """Breadth-first walk over the block acceptor's states.
+    """Breadth-first walk over the block acceptor's states, one layer at a time.
 
     Within a block the machine reads the first number (remembering it as the
     carry for the next block), the ``$``, the second number, and the ``#``.
     The second number of every block after the first is compared bit by bit
     against the previous block's first number; a mismatch simply has no
-    transition.  States are (phase, carry, bit position, value, parity)
-    tuples, so the automaton stays within O(n^2 log n).  The parity of the
-    ``#``s read flips only when ``parity`` is set, and then each row has one
-    more column, last, for the end marker.
+    transition.  The depth of a state fixes its phase and bit position, and
+    with ``parity`` set the block's index fixes the parity of the ``#``s
+    read, which then adds a last column per row for the end marker.  So a
+    layer is a list of (carry, value) payloads: ``carry`` the latest
+    complete first number, ``value`` the number being read, or the one just
+    read before ``$``, or the one a later block's second number must equal.
 
-    A state's successors come out in alphabet order, so states are numbered
-    in discovery order.  Only a ``#`` state, one per carry and parity, has
-    more than one in-edge; every other state is new when its edge is walked,
-    so the ``#`` states are the only ones looked up.  Returns the table and
-    the states that end a block after an even number of blocks.
+    States are numbered in discovery order with successors in alphabet
+    order, so each layer takes the next run of numbers, and a ``$`` or ``#``
+    layer's column is written as one slice.  Only a ``#`` state, one per
+    carry and parity, has more than one in-edge, and the last block's ``#``
+    edges lead back to the first block's, so the ``#`` states stay in one
+    dict for the whole walk.  The budget is polled once per layer, of at
+    most n^2 states.  Returns the table and the states that end a block
+    after an even number of blocks.
     """
     if n < 2:
         raise ValueError("block encodings need n >= 2")
@@ -180,50 +188,55 @@ def _block_walk(n: int, parity: bool) -> tuple[array, list[int]]:
     k = len(SIGMA_K) + parity
     dollar, hash_ = SIGMA_K.index["$"], SIGMA_K.index["#"]
     blank = array("i", [-1]) * k
-    order = [("A", None, 0, 0, 0)]
     table = array("i", blank)
-    hashes: dict[tuple, int] = {}
+    hashes: dict[tuple[int, int], int] = {}
     checkpoint = budget.checkpoint
-    # ``order`` grows as it is walked.  ``carry`` is the latest complete
-    # first number; ``value`` the number being read, or the one just read
-    # before ``$``, or the one a later block's second number must equal.
-    for src, (phase, carry, pos, value, par) in enumerate(order):
+    layer: list[tuple] = [(None, 0)]
+    ends: list[int] = []
+    base = depth = 0
+    while layer:
         checkpoint()
-        if phase == "B2":  # a later block: must equal the previous first number
-            c = (value >> (w - 1 - pos)) & 1
-            if pos + 1 < w:  # most states: one successor, and it is new
-                table[src * k + c] = len(order)
-                order.append(("B2", carry, pos + 1, value, par))
-                table.extend(blank)
-                continue
-            succ = [(c, ("#", carry, 0, 0, par))]
-        elif phase == "A" or phase == "B1":  # any number below n
-            succ = []
-            for bit in (0, 1):
-                v2 = (value << 1) | bit
-                if pos + 1 < w:
-                    # Can the partial number still complete below n?
-                    if (v2 << (w - pos - 1)) < n:
-                        succ.append((bit, (phase, carry, pos + 1, v2, par)))
-                elif v2 < n:
-                    succ.append((bit, ("$", carry, 0, v2, par) if phase == "A"
-                                 else ("#", carry, 0, 0, par)))
-        elif phase == "$":
-            succ = [(dollar, ("B1", value, 0, 0, par) if carry is None
-                     else ("B2", value, 0, carry, par))]
-        else:  # "#": end of block
-            succ = [(hash_, ("A", carry, 0, 0, par ^ parity))]
-        row = src * k
-        for c, dst in succ:
-            t = len(order)
-            if dst[0] == "#":
-                t = hashes.setdefault(dst, t)
-            if t == len(order):
-                order.append(dst)
-                table.extend(blank)
-            table[row + c] = t
-    ends = [q for q, (phase, carry, pos, _, par) in enumerate(order)
-            if phase == "A" and carry is not None and pos == 0 and not par]
+        block, r = divmod(depth, 2 * w + 2)
+        par, m = block & parity, len(layer)
+        top = base + m  # the next layer's first state
+        rows = range(base * k, top * k, k)
+        if r == 0 and block and not par:  # after an even number of blocks
+            ends = list(range(base, top))
+        if r == w:  # "$": block 0's second number is free, a later one the carry
+            table[base * k + dollar:top * k:k] = array("i", range(top, top + m))
+            nxt = [(v, c) for c, v in layer] if block else [(v, 0) for _, v in layer]
+        elif r == 2 * w + 1:  # "#": the next block starts from the same carries
+            table[base * k + hash_:top * k:k] = array("i", range(top, top + m))
+            nxt = layer
+        elif r < w or (r < 2 * w and not block):  # a free bit, then a new state
+            shift = w - 1 - r if r < w else 2 * w - r
+            nxt = []
+            for row, (c, v) in zip(rows, layer):
+                v <<= 1
+                table[row] = top + len(nxt)
+                nxt.append((c, v))
+                if (v | 1) << shift < n:  # can the number still complete below n?
+                    table[row + 1] = top + len(nxt)
+                    nxt.append((c, v | 1))
+        elif r < 2 * w:  # a later second number: the previous first number's bit
+            shift, nxt = 2 * w - r, layer
+            for row, t, (_, v) in zip(rows, range(top, top + m), layer):
+                table[row + (v >> shift & 1)] = t
+        else:  # a second number's last bit leads to the "#" of the block's carry
+            nxt = []
+            for row, (c, v) in zip(rows, layer):
+                t = hashes.get((c, par))
+                if t is None:
+                    t = hashes[c, par] = top + len(nxt)
+                    nxt.append((c, 0))
+                if block:
+                    table[row + (v & 1)] = t
+                else:
+                    table[row] = t
+                    if v << 1 | 1 < n:
+                        table[row + 1] = t
+        table.extend(blank * len(nxt))
+        base, layer, depth = top, nxt, depth + 1
     return table, ends
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from rexlab.budget import CancelToken
 from rexlab.rex import (EMPTY, EPSILON, Concat, Intersect, MarkedSymbol, Negate, Plus, Star,
                         Sym, Union)
 
@@ -17,6 +18,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("rexlab")
+
+
+class CountingToken(CancelToken):
+    """A token that counts the checkpoints polled under it."""
+
+    def __init__(self):
+        super().__init__()
+        self.polls = 0
+
+    def check(self):
+        self.polls += 1
+        super().check()
 
 
 def regexes(syms="ab", max_leaves=6, with_empty=True):

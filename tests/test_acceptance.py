@@ -5,6 +5,7 @@ here; corpus seeds are frozen so recorded constants are reproducible.
 """
 
 import functools
+import math
 import random
 import time
 
@@ -277,3 +278,22 @@ def test_criterion_10_blowup_trends():
     p_ins = [row.input_size for row in poly.rows]
     p_outs = [row.output_size for row in poly.rows]
     assert p_outs[2] / p_outs[0] <= (p_ins[2] / p_ins[0]) ** 3
+
+
+def test_sore_intersection_trend():
+    # The paper's bound for two single-occurrence expressions: their
+    # intersection can need size 2^Omega(n) while each has size O(n^2).  The
+    # pair's size is quadratic here (one positive second difference), so
+    # against the input m the output grows like 2^Omega(sqrt m), and its
+    # log-log slope rises without bound, where a polynomial's tends to its
+    # degree.  The slope between consecutive points must rise at every step.
+    ins, outs = [], []
+    for n in range(1, 7):
+        r, s = m_sore_pair(n)
+        ins.append(size(r) + size(s))
+        outs.append(size(intersect_sores([r, s], m_alphabet(n))))
+    second_differences = {ins[i + 2] - 2 * ins[i + 1] + ins[i] for i in range(4)}
+    assert len(second_differences) == 1 and min(second_differences) > 0
+    slopes = [math.log(outs[i + 1] / outs[i]) / math.log(ins[i + 1] / ins[i])
+              for i in range(5)]
+    assert all(a < b for a, b in zip(slopes, slopes[1:])), slopes

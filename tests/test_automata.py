@@ -62,7 +62,7 @@ from rexlab.witnesses import (
     z_dfa,
 )
 
-from conftest import extended_regexes, regexes
+from conftest import CountingToken, extended_regexes, regexes
 from corpus import random_dfa, random_layered_nfa, random_nfa, random_plain_regex
 from oracles import extended_to_nfa_by_triples, glushkov_by_marking, mark, marked_position_sets
 from oracles import nfa_slice as slice_of
@@ -269,21 +269,9 @@ def test_glushkov_polls_the_budget_per_state(text):
         glushkov(parse(text, AB), AB)
 
 
-class _CountingToken(CancelToken):
-    """A token that counts the checkpoints polled under it."""
-
-    def __init__(self):
-        super().__init__()
-        self.polls = 0
-
-    def check(self):
-        self.polls += 1
-        super().check()
-
-
 def _subset_outcome(construct, nfa: Nfa, max_states: int):
     """(serialisation or None on a budget error, checkpoints polled)."""
-    token = _CountingToken()
+    token = CountingToken()
     with budget.active(token):
         try:
             return serialize(construct(nfa, max_states)), token.polls
@@ -833,7 +821,7 @@ class TestProduct:
             acc = product(acc, d)
 
         def outcome(a, b, limit):
-            token = _CountingToken()
+            token = CountingToken()
             with budget.active(token):
                 try:
                     got = product(a, b, max_states=limit)
@@ -858,7 +846,7 @@ class TestProduct:
             table += array("i", [(q + 1) % width, q])
         big = Dfa.from_table(AB, width, 0, frozenset(range(width)), table)
         ab = glushkov(parse("ab", AB), AB)
-        token = _CountingToken()
+        token = CountingToken()
         tracemalloc.start()
         try:
             with budget.active(token):
@@ -986,7 +974,7 @@ class TestMinimize:
     def test_polls_the_budget_per_state(self, witness_n1):
         # Polls in the passes over the states, not only per splitter, so a
         # deadline also fires while the index is built and the DFA trimmed.
-        token = _CountingToken()
+        token = CountingToken()
         with budget.active(token):
             minimize(witness_n1)
         assert token.polls >= witness_n1.n_states

@@ -41,6 +41,7 @@ from rexlab.witnesses import (
     z_dfa,
 )
 
+from conftest import CountingToken
 from oracles import (
     circled_walk_dfa,
     is_k_string,
@@ -86,6 +87,20 @@ class TestSerializationPins:
         with budget.active(token), pytest.raises(BudgetExceededError, match="cancelled"):
             build(4)
 
+    @pytest.mark.parametrize("build, polls", [(k_dfa, 27), (l_dfa, 41)])
+    def test_block_walk_polls_once_per_layer(self, build, polls):
+        # The block walk polls once per breadth-first layer, and nothing else
+        # in the two builders polls.  A block is w bits, "$", w bits and "#":
+        # 2w + 2 layers, with w = enc_width(64) = 6.  k_dfa walks block 1 and
+        # block 2 but for block 2's "#" layer: the edges on its last bit lead
+        # back to block 1's "#" states, so 4w + 3 = 27.  l_dfa's "#" states
+        # also hold the parity, so block 2's are new and block 3's lead back:
+        # 6w + 5 = 41.
+        token = CountingToken()
+        with budget.active(token):
+            build(64)
+        assert token.polls == polls
+
 
 class TestBlockWalk:
     """``k_dfa`` and ``l_dfa`` share one walk; each must write the same file
@@ -96,6 +111,18 @@ class TestBlockWalk:
     def test_matches_reference_builders(self, n):
         assert serialize(k_dfa(n)) == serialize(k_dfa_by_phases(n))
         assert serialize(l_dfa(n)) == serialize(l_dfa_by_parity_product(n))
+
+    @pytest.mark.parametrize("n", [128, 129])
+    def test_matches_reference_builders_at_the_next_width(self, n):
+        # enc_width grows from 7 to 8 bits between these two.  The fields are
+        # compared directly: serialising the four DFAs, of up to 352,306
+        # states, would take more than half as long again as building them.
+        for got, want in [(k_dfa(n), k_dfa_by_phases(n)),
+                          (l_dfa(n), l_dfa_by_parity_product(n))]:
+            assert (got.alphabet, got.n_states) == (want.alphabet, want.n_states)
+            assert got.initial == want.initial
+            assert got.finals == want.finals
+            assert got.table == want.table
 
     @pytest.mark.parametrize("build, reference", [(k_dfa, k_dfa_by_phases),
                                                   (l_dfa, l_dfa_by_parity_product)])
