@@ -79,16 +79,14 @@ def _as_nfa(source: TUnion[Regex, Nfa], alphabet: Optional[Alphabet],
 
     A plain expression compiles by :func:`glushkov`, one state per symbol
     occurrence; one with intersection or negation by :func:`extended_to_nfa`.
-    Callers read only the language, so the route cannot show.  Input that
-    ``glushkov`` refuses with a ``ValueError`` (a marked or undeclared
-    symbol, no alphabet to derive) goes to the combinators too, which refuse
-    it as they always have.
+    Callers read only the language, so the route cannot show.  Any other
+    refusal of ``glushkov`` stands: the combinators refuse the same input.
     """
     if isinstance(source, Nfa):
         return source
     try:
         return glushkov(source, alphabet)
-    except (ExtendedOperatorError, ValueError):
+    except ExtendedOperatorError:
         return extended_to_nfa(source, alphabet, max_states)
 
 

@@ -411,10 +411,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError:
         sys.stderr.write("rexlab: budget exceeded: out of memory\n")
         return BUDGET_ERROR
-    except RecursionError:
-        # Last resort for a recursive path that deep input still reaches.
-        sys.stderr.write("rexlab: error: input nested too deeply\n")
-        return USAGE_ERROR
     except (RexlabError, ValueError) as exc:
         sys.stderr.write(f"rexlab: error: {exc}\n")
         return USAGE_ERROR

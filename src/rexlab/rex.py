@@ -453,131 +453,107 @@ def repeat_upto(r: Regex, n: int) -> Regex:
 # Whitespace is insignificant outside quotes.  A bare symbol token is any
 # single printable character that carries no syntactic meaning; multi-char
 # symbol names are single-quoted with \' escaping the quote.
+#
+# ``parse`` reads this grammar in one loop, without recursion, so nesting
+# depth is bounded only by memory.  Each open parenthesis pushes a frame that
+# saves the union, intersection and concatenation built so far around it,
+# plus the count of '!'s pending before it; all three operators associate to
+# the left.
 # ---------------------------------------------------------------------------
 
-class _Parser:
-    def __init__(self, text: str, alphabet: Alphabet):
-        self.text = text
-        self.alphabet = alphabet
-        self.i = 0
-
-    def error(self, message: str) -> RegexSyntaxError:
-        return RegexSyntaxError(message, self.i)
-
-    def peek(self) -> Optional[str]:
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else None
-
-    def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def parse(self) -> Regex:
-        node = self.union()
-        if self.peek() is not None:
-            raise self.error(f"unexpected {self.text[self.i]!r}")
-        return node
-
-    def union(self) -> Regex:
-        node = self.isect()
-        while self.peek() == "|":
-            self.i += 1
-            node = Union(node, self.isect())
-        return node
-
-    def isect(self) -> Regex:
-        node = self.concat()
-        while self.peek() == "&":
-            self.i += 1
-            node = Intersect(node, self.concat())
-        return node
-
-    _STOP = {None, "|", "&", ")"}
-
-    def concat(self) -> Regex:
-        node = self.prefixed()
-        while self.peek() not in self._STOP:
-            node = Concat(node, self.prefixed())
-        return node
-
-    def prefixed(self) -> Regex:
-        if self.peek() == "!":
-            self.i += 1
-            return Negate(self.prefixed())
-        return self.postfix()
-
-    def postfix(self) -> Regex:
-        node = self.atom()
-        while True:
-            c = self.peek()
-            if c == "*":
-                self.i += 1
-                node = Star(node)
-            elif c == "+":
-                self.i += 1
-                node = Plus(node)
-            else:
-                return node
-
-    def atom(self) -> Regex:
-        c = self.peek()
-        if c is None:
-            raise self.error("expected an atom, found end of input")
-        if c == "(":
-            self.i += 1
-            node = self.union()
-            if self.peek() != ")":
-                raise self.error("expected ')'")
-            self.i += 1
-            return node
-        if c == "%":
-            self.i += 1
-            if self.i >= len(self.text):
-                raise self.error("dangling '%'")
-            kind = self.text[self.i]
-            self.i += 1
-            if kind == "e":
-                return EPSILON
-            if kind == "0":
-                return EMPTY
-            raise self.error(f"unknown escape %{kind}")
-        if c == "'":
-            return Sym(self.quoted())
-        if c in _META or not c.isascii():
-            raise self.error(f"unexpected {c!r}")
-        self.i += 1
-        return Sym(self.check_symbol(c))
-
-    def quoted(self) -> str:
-        self.i += 1  # opening quote
-        out = []
-        while self.i < len(self.text):
-            c = self.text[self.i]
-            if c == "\\" and self.i + 1 < len(self.text) and self.text[self.i + 1] == "'":
-                out.append("'")
-                self.i += 2
-                continue
-            if c == "'":
-                self.i += 1
-                return self.check_symbol("".join(out))
-            out.append(c)
-            self.i += 1
-        raise self.error("unterminated quoted symbol")
-
-    def check_symbol(self, name: str) -> str:
-        if name not in self.alphabet:
-            raise UnknownSymbolError(name)
-        return name
+_STOP = frozenset({None, "|", "&", ")"})
 
 
 def parse(text: str, alphabet: Alphabet) -> Regex:
     """Parse regex text over the given alphabet; inverse of :func:`format_regex`."""
-    parser = _Parser(text, alphabet)
-    try:
-        return parser.parse()
-    except RecursionError:
-        # The parser recurses a few frames per nesting level.
-        raise RegexSyntaxError("nesting too deep", parser.i) from None
+    n = len(text)
+    i = 0
+    frames: list[tuple] = []
+    union = isect = cat = None
+    negs = 0
+    while True:
+        # An operand: prefix '!'s, then an open parenthesis or an atom.
+        while i < n and text[i].isspace():
+            i += 1
+        c = text[i] if i < n else None
+        if c == "!":
+            negs += 1
+            i += 1
+            continue
+        if c == "(":
+            frames.append((union, isect, cat, negs))
+            union = isect = cat = None
+            negs = 0
+            i += 1
+            continue
+        if c is None:
+            raise RegexSyntaxError("expected an atom, found end of input", i)
+        i += 1
+        if c == "%":
+            if i >= n:
+                raise RegexSyntaxError("dangling '%'", i)
+            kind = text[i]
+            i += 1
+            if kind == "e":
+                node = EPSILON
+            elif kind == "0":
+                node = EMPTY
+            else:
+                raise RegexSyntaxError(f"unknown escape %{kind}", i)
+        else:
+            name = c
+            if c == "'":
+                j = i
+                while True:
+                    j = text.find("'", j)
+                    if j < 0:
+                        raise RegexSyntaxError("unterminated quoted symbol", n)
+                    if text[j - 1] != "\\":
+                        break
+                    j += 1
+                name = text[i:j].replace("\\'", "'")
+                i = j + 1
+            elif c in _META or not c.isascii():
+                raise RegexSyntaxError(f"unexpected {c!r}", i - 1)
+            if name not in alphabet:
+                raise UnknownSymbolError(name)
+            node = Sym(name)
+        while True:
+            # A finished atom or group: postfix operators bind tightest, then
+            # the pending '!'s; the next token ends or extends the frame.
+            while i < n and text[i].isspace():
+                i += 1
+            c = text[i] if i < n else None
+            if c == "*":
+                node = Star(node)
+            elif c == "+":
+                node = Plus(node)
+            else:
+                for _ in range(negs):
+                    node = Negate(node)
+                negs = 0
+                cat = node if cat is None else Concat(cat, node)
+                if c not in _STOP:
+                    break
+                isect = cat if isect is None else Intersect(isect, cat)
+                cat = None
+                if c == "&":
+                    i += 1
+                    break
+                union = isect if union is None else Union(union, isect)
+                isect = None
+                if c == "|":
+                    i += 1
+                    break
+                if c is None:
+                    if frames:
+                        raise RegexSyntaxError("expected ')'", i)
+                    return union
+                if not frames:
+                    raise RegexSyntaxError(f"unexpected {c!r}", i)
+                node = union
+                union, isect, cat, negs = frames.pop()
+            i += 1
 
 
 # Precedence levels used by the printer; higher binds tighter.

@@ -341,8 +341,10 @@ def intersect_sores(rs: Sequence[Regex], alphabet: Alphabet) -> Regex:
 
     Profiles are intersected component-wise, realised as the local-language
     DFA over at most len(alphabet)+1 states, and converted back by state
-    elimination, so the work stays linear in the total input size (times the
-    usual elimination factor for a fixed alphabet).
+    elimination.  Only the profile step is linear in the total input size;
+    elimination grows with the alphabet, about fourfold per symbol on a
+    complete local automaton: ``(a|b|c|d|e|f)*`` intersected with itself
+    prints as 8,872 characters, with ``g`` added 35,496 and with ``h`` 141,992.
     """
     if not rs:
         raise ValueError("need at least one expression")

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Optional
 from rexlab import budget
 from rexlab.automata import Dfa, Nfa, determinize
 from rexlab.rex import (
+    EMPTY,
     EPSILON,
     Alphabet,
     Concat,
@@ -27,9 +28,11 @@ from rexlab.rex import (
     Negate,
     Plus,
     Regex,
+    RegexSyntaxError,
     Star,
     Sym,
     Union,
+    UnknownSymbolError,
     children,
     has_extended,
     iter_postorder,
@@ -886,6 +889,135 @@ def circled_walk_dfa(n: int, free_from: Optional[int] = None) -> Dfa:
                 edge(("out", i, b), f"rt({v})", ("flag", v, min(b + 1, cap)))
             edge(("out", i, b), f"tr({i})", "accept")
     return Dfa(m_alphabet(n), len(ids), 0, frozenset([ids["accept"]]), frozenset(triples))
+
+
+# ---------------------------------------------------------------------------
+# Regex text by recursive descent
+# ---------------------------------------------------------------------------
+
+_DESCENT_META = set("|&!*+()%'")
+
+
+class _DescentParser:
+    """One method per grammar rule of ``rex.parse``; recurses per nesting level."""
+
+    _STOP = {None, "|", "&", ")"}
+
+    def __init__(self, text: str, alphabet: Alphabet):
+        self.text = text
+        self.alphabet = alphabet
+        self.i = 0
+
+    def error(self, message: str) -> RegexSyntaxError:
+        return RegexSyntaxError(message, self.i)
+
+    def peek(self) -> Optional[str]:
+        while self.i < len(self.text) and self.text[self.i].isspace():
+            self.i += 1
+        return self.text[self.i] if self.i < len(self.text) else None
+
+    def parse(self) -> Regex:
+        node = self.union()
+        if self.peek() is not None:
+            raise self.error(f"unexpected {self.text[self.i]!r}")
+        return node
+
+    def union(self) -> Regex:
+        node = self.isect()
+        while self.peek() == "|":
+            self.i += 1
+            node = Union(node, self.isect())
+        return node
+
+    def isect(self) -> Regex:
+        node = self.concat()
+        while self.peek() == "&":
+            self.i += 1
+            node = Intersect(node, self.concat())
+        return node
+
+    def concat(self) -> Regex:
+        node = self.prefixed()
+        while self.peek() not in self._STOP:
+            node = Concat(node, self.prefixed())
+        return node
+
+    def prefixed(self) -> Regex:
+        if self.peek() == "!":
+            self.i += 1
+            return Negate(self.prefixed())
+        return self.postfix()
+
+    def postfix(self) -> Regex:
+        node = self.atom()
+        while True:
+            c = self.peek()
+            if c == "*":
+                self.i += 1
+                node = Star(node)
+            elif c == "+":
+                self.i += 1
+                node = Plus(node)
+            else:
+                return node
+
+    def atom(self) -> Regex:
+        c = self.peek()
+        if c is None:
+            raise self.error("expected an atom, found end of input")
+        if c == "(":
+            self.i += 1
+            node = self.union()
+            if self.peek() != ")":
+                raise self.error("expected ')'")
+            self.i += 1
+            return node
+        if c == "%":
+            self.i += 1
+            if self.i >= len(self.text):
+                raise self.error("dangling '%'")
+            kind = self.text[self.i]
+            self.i += 1
+            if kind == "e":
+                return EPSILON
+            if kind == "0":
+                return EMPTY
+            raise self.error(f"unknown escape %{kind}")
+        if c == "'":
+            return Sym(self.quoted())
+        if c in _DESCENT_META or not c.isascii():
+            raise self.error(f"unexpected {c!r}")
+        self.i += 1
+        return Sym(self.check_symbol(c))
+
+    def quoted(self) -> str:
+        self.i += 1  # opening quote
+        out = []
+        while self.i < len(self.text):
+            c = self.text[self.i]
+            if c == "\\" and self.i + 1 < len(self.text) and self.text[self.i + 1] == "'":
+                out.append("'")
+                self.i += 2
+                continue
+            if c == "'":
+                self.i += 1
+                return self.check_symbol("".join(out))
+            out.append(c)
+            self.i += 1
+        raise self.error("unterminated quoted symbol")
+
+    def check_symbol(self, name: str) -> str:
+        if name not in self.alphabet:
+            raise UnknownSymbolError(name)
+        return name
+
+
+def parse_by_descent(text: str, alphabet: Alphabet) -> Regex:
+    """``rex.parse`` by recursive descent, the reference for its loop.
+
+    Raises ``RecursionError`` on text nested deeper than the stack allows.
+    """
+    return _DescentParser(text, alphabet).parse()
 
 
 def dataclass_repr(value) -> str:

@@ -61,7 +61,7 @@ from rexlab.witnesses import (
 )
 
 from corpus import one_unambiguous_corpus, random_plain_regex, random_sore
-from oracles import mark, path_words, words_upto
+from oracles import circled_walk_dfa, mark, path_words, words_upto
 
 # Frozen tolerances and recorded constants.
 CORPUS_SEED = 20250809
@@ -139,6 +139,23 @@ def test_criterion_04_unamb_family_identity():
         for e in exprs[1:]:
             acc = product(acc, glushkov(e, SIGMA_L))
         assert equivalent(acc, l_dfa(2 ** n)), f"family identity fails at n={n}"
+
+
+def test_unamb_family_identity_up_to_n6():
+    # Criterion 4's identity on four more points: the product chain of the
+    # 2n + 1 members is the end-marked block language (62,207 states at
+    # n=6).  Without member n, a different one at each n, it is not.
+    def chain(exprs):
+        acc = glushkov(exprs[0], SIGMA_L)
+        for e in exprs[1:]:
+            acc = product(acc, glushkov(e, SIGMA_L))
+        return acc
+
+    for n in range(1, 7):
+        exprs = unamb_family(n)
+        want = l_dfa(2 ** n)
+        assert equivalent(chain(exprs), want), f"family identity fails at n={n}"
+        assert not equivalent(chain(exprs[:n] + exprs[n + 1:]), want), n
 
 
 @criterion(5, "single-occurrence intersection: 200 random lists match iterated "
@@ -297,3 +314,15 @@ def test_sore_intersection_trend():
     slopes = [math.log(outs[i + 1] / outs[i]) / math.log(ins[i + 1] / ins[i])
               for i in range(5)]
     assert all(a < b for a, b in zip(slopes, slopes[1:])), slopes
+
+
+def test_sore_intersection_is_the_walk_language():
+    # The regex ``intersect_sores`` returns, not only the acceptor it comes
+    # from, is exactly the circled-walk language (sizes 14 to 33,882).  A
+    # third block that may start anywhere is the negative control.
+    for n in range(1, 6):
+        sigma = m_alphabet(n)
+        got = glushkov(intersect_sores(m_sore_pair(n), sigma), sigma)
+        assert equivalent(got, circled_walk_dfa(n)), f"walk language differs at n={n}"
+        if n >= 2:
+            assert not equivalent(got, circled_walk_dfa(n, free_from=3)), n

@@ -18,6 +18,7 @@ import rexlab
 import rexlab.cli as cli
 from rexlab.budget import BudgetExceededError
 from rexlab.cli import main
+from rexlab.rex import Concat, Negate, Star, Sym, Union, format_regex
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -275,13 +276,43 @@ def test_bad_budget_env_is_usage_error(capsys, monkeypatch, value):
     assert err.startswith("rexlab: error: REXLAB_BUDGET_MS") and err.count("\n") == 1
 
 
-def test_deep_nesting_is_usage_error(capsys):
-    # The parser recurses per nesting level; running out of stack must end
-    # as a syntax error with exit 2, not a RecursionError traceback.
+def test_deep_nesting_parses(capsys):
     text = "(" * 600 + "a" + ")" * 600
-    code, out, err = run_cli(capsys, "size", "--alphabet", "a", text)
-    assert code == 2 and out == ""
-    assert err.startswith("rexlab: error: nesting too deep") and err.count("\n") == 1
+    assert run_cli(capsys, "size", "--alphabet", "a", text) == (0, "1\n", "")
+
+
+DEEP = 10_000
+
+
+def _nested(wrap):
+    r = Sym("a")
+    for _ in range(DEEP - 1):
+        r = wrap(r)
+    return format_regex(r)
+
+
+DEEP_TEXTS = {
+    "concat": lambda: _nested(lambda r: Concat(Sym("a"), r)),
+    "union": lambda: _nested(lambda r: Union(Sym("b"), r)),
+    "star": lambda: _nested(Star),
+    "negate": lambda: _nested(Negate),
+    "parens": lambda: "(" * DEEP + "a" + ")" * DEEP,
+}
+DEEP_VERBS = [("parse",), ("size",), ("classify",), ("to-nfa",), ("complement",),
+              ("complement", "--force-naive"), ("intersect",), ("index", "--word", "ab")]
+
+
+@pytest.mark.parametrize("shape", DEEP_TEXTS)
+def test_deep_input_ends_in_a_documented_exit(capsys, monkeypatch, shape):
+    # Text nested ten times deeper than the default recursion limit: every
+    # regex verb ends in a result or a budget exit with at most one line on
+    # stderr, and no exception escapes ``main``.
+    monkeypatch.setenv("REXLAB_BUDGET_MS", "200")
+    text = DEEP_TEXTS[shape]()
+    for verb in DEEP_VERBS:
+        texts = (text, text) if verb[0] == "intersect" else (text,)
+        code, _, err = run_cli(capsys, *verb, "--alphabet", "ab", *texts)
+        assert code in (0, 3) and err.count("\n") <= 1, (verb, code, err)
 
 
 def test_index_foreign_symbol_is_usage_error(capsys):
@@ -310,18 +341,6 @@ def test_memory_error_is_budget_exit(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "size", "--alphabet", "a", "a")
     assert code == 3 and out == ""
     assert err.startswith("rexlab: budget exceeded: ") and err.count("\n") == 1
-
-
-def test_recursion_error_is_usage_error(capsys, monkeypatch):
-    # Whatever recursive path deep input still reaches ends as exit 2 with
-    # one error line, never as a traceback with exit 1.
-    def too_deep(_):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    monkeypatch.setattr("rexlab.cli.size", too_deep)
-    code, out, err = run_cli(capsys, "size", "--alphabet", "a", "a")
-    assert code == 2 and out == ""
-    assert err == "rexlab: error: input nested too deeply\n"
 
 
 def test_polynomial_complement_of_long_chain(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from rexlab.rex import (
     Negate,
     Plus,
     RegexSyntaxError,
+    RexlabError,
     Star,
     Sym,
     Union,
@@ -30,7 +33,8 @@ from rexlab import budget
 from rexlab.budget import BudgetExceededError, CancelToken
 
 from conftest import regexes
-from oracles import dataclass_repr, first_last_adjacent, mark, regex_slice, unmark
+from oracles import (dataclass_repr, first_last_adjacent, mark, parse_by_descent, regex_slice,
+                     unmark)
 
 ABC = Alphabet.of("a", "b", "c")
 AB = Alphabet.of("a", "b")
@@ -113,6 +117,68 @@ class TestFormat:
         assert parse(format_regex(r), ABC) == r
         r = Concat(Sym("a"), Concat(Sym("b"), Sym("c")))
         assert parse(format_regex(r), ABC) == r
+
+
+# Tokens of the differential texts: every token class of the grammar, an
+# unknown and a non-ASCII character, blanks other than the space, and quoted
+# names with and without an escaped quote.
+PARSE_TOKENS = [*"ab()|&!*+%e0' \\x", "\t", "\x1c", "\u00e9", "'ab'", "'x\\'y'", "''"]
+# Whole tokens only, so that more of the texts parse.
+WELL_FORMED_TOKENS = [*"ab()|&!*+ ", "%e", "%0", "'ab'", "'x\\'y'"]
+PARSE_SIGMA = Alphabet.of("a", "b", "e", "ab", "x'y")
+
+
+def parse_outcome(parse_fn, text):
+    """The tree, or the refusal's class, message and position."""
+    try:
+        return parse_fn(text, PARSE_SIGMA)
+    except RexlabError as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+
+
+class TestParseAgainstDescent:
+    """``parse`` is one loop; ``oracles.parse_by_descent`` is the recursive
+    parser it replaced.  Both must give the same outcome on every text the
+    reference can finish."""
+
+    DEPTH = 10_000
+
+    @staticmethod
+    def agree(text):
+        try:
+            want = parse_outcome(parse_by_descent, text)
+        except RecursionError:
+            return
+        assert parse_outcome(parse, text) == want, repr(text)
+
+    @settings(max_examples=300)
+    @given(st.one_of(*(st.lists(st.sampled_from(tokens), max_size=24).map("".join)
+                       for tokens in (PARSE_TOKENS, WELL_FORMED_TOKENS)),
+                     st.text(max_size=12)))
+    def test_differential(self, text):
+        self.agree(text)
+
+    def test_seeded_fuzz(self):
+        rng = random.Random(23)
+        for _ in range(100_000):
+            tokens = rng.choice((PARSE_TOKENS, WELL_FORMED_TOKENS))
+            self.agree("".join(rng.choices(tokens, k=rng.randint(0, 14))))
+
+    @pytest.mark.parametrize("wrap", [
+        lambda r: Concat(Sym("a"), r), lambda r: Union(Sym("b"), r), Star, Negate,
+    ], ids=["concat", "union", "star", "negate"])
+    def test_deep_round_trip(self, wrap):
+        r = Sym("a")
+        for _ in range(self.DEPTH):
+            r = wrap(r)
+        assert parse(format_regex(r), AB) == r
+
+    def test_deep_parentheses(self):
+        n = self.DEPTH
+        assert parse("(" * n + "a" + ")" * n, AB) == Sym("a")
+        with pytest.raises(RegexSyntaxError) as err:
+            parse("(" * n + "a", AB)
+        assert str(err.value) == f"expected ')' (at position {n + 1})"
 
 
 class TestAlphabet:
