@@ -12,15 +12,13 @@ import re
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from graphlib import CycleError, TopologicalSorter
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union as TUnion
+from typing import Callable, Iterable, Optional, Sequence, Union as TUnion
 
 from . import budget
 from .automata import (
     Dfa,
     Nfa,
     _derived_alphabet,
-    _slot_index,
     determinize,
     eliminate_states,
     equivalent,
@@ -42,10 +40,14 @@ from .rex import (
     Star,
     Sym,
     Union,
+    children,
+    iter_postorder,
     size,
     subexpressions,
     symbols_of,
 )
+from .unambiguous import complement_unambiguous, intersect_sores
+from .witnesses import _bundle_and_alphabet
 
 __all__ = [
     "Word",
@@ -67,7 +69,6 @@ __all__ = [
 ]
 
 Word = tuple[str, ...]
-T = TypeVar("T")
 
 DEFAULT_MAX_LEN = 16
 DEFAULT_MAX_WORDS = 500_000
@@ -146,12 +147,7 @@ def enumerate_language(source: TUnion[Regex, Nfa], max_len: int,
     frontier = list(dfa.finals)
     for q in frontier:
         dist[q] = 0
-    preds: list[list[int]] = [[] for _ in range(dfa.n_states)]
-    for p in range(dfa.n_states):
-        for ci in range(k):
-            q = table[p * k + ci]
-            if q >= 0:
-                preds[q].append(p)
+    preds = _predecessors(dfa)
     step = 0
     while frontier and step < INF:
         step += 1
@@ -224,11 +220,12 @@ def equal_upto(a: TUnion[Regex, Nfa], b: TUnion[Regex, Nfa], max_len: int,
 # Cover and repetition index
 # ---------------------------------------------------------------------------
 
-def _reach(starts: Iterable[T], succ: Callable[[T], Iterable[T]]) -> set[T]:
-    """The nodes reachable from ``starts`` (included) along ``succ``."""
+def _reach(starts: Iterable[int], succ: Callable[[int], Iterable[int]]) -> set[int]:
+    """The nodes reachable from ``starts`` (included) along ``succ``; polls once per node."""
     seen = set(starts)
     stack = list(seen)
     while stack:
+        budget.checkpoint()
         for node in succ(stack.pop()):
             if node not in seen:
                 seen.add(node)
@@ -241,6 +238,18 @@ def _successors_on(a: Nfa, codes: Iterable[int]) -> Callable[[int], list[int]]:
     return lambda p: [q for c in codes for q in a.successors(p, c)]
 
 
+def _predecessors(a: Nfa) -> list[list[int]]:
+    """Each state's predecessors in ``a``, one per edge; polls once per state."""
+    preds: list[list[int]] = [[] for _ in range(a.n_states)]
+    succ, codes = a.successors, range(len(a.alphabet))
+    for p in range(a.n_states):
+        budget.checkpoint()
+        for c in codes:
+            for q in succ(p, c):
+                preds[q].append(p)
+    return preds
+
+
 def _check_word(word: Word, alphabet: Alphabet):
     for s in word:
         if s not in alphabet:
@@ -248,28 +257,25 @@ def _check_word(word: Word, alphabet: Alphabet):
 
 
 def _factor_nfa(word: Word, alphabet: Alphabet) -> Nfa:
-    """Sigma* word Sigma* as a (len(word) + 1)-state NFA looping at both ends;
-    edge ``(p, c, q)`` is the slot index key ``(p * k + c) * n + q``."""
+    """Sigma* word Sigma* as a (len(word) + 1)-state NFA looping at both ends."""
     last = len(word)
-    n, k = last + 1, len(alphabet)
-    keys = [(p * k + c) * n + p for p in (0, last) for c in range(k)]
-    keys += [(p * k + alphabet.index[s]) * n + p + 1 for p, s in enumerate(word)]
-    return Nfa(alphabet, n, 0, frozenset([last]), _slot_index(alphabet, n, set(keys)))
+    edges = [(p, s, p) for p in (0, last) for s in alphabet.names]
+    edges += [(p, s, p + 1) for p, s in enumerate(word)]
+    return Nfa(alphabet, last + 1, 0, frozenset([last]), edges)
 
 
 def covers(r: Regex, word: Sequence[str], alphabet: Optional[Alphabet] = None) -> bool:
     """Does some word of the language contain ``word`` as a factor?
 
-    Decided by emptiness of the product with the factor automaton.
+    Decided by emptiness of the product with the factor automaton, which
+    numbers only the pairs it reaches.
     """
     w = tuple(word)
     # With no symbol at all, emptiness is all that matters: any one will do.
     sigma = alphabet or _derived_alphabet([*symbols_of(r), *w] or ["a"], None)
     nfa = _as_nfa(r, sigma)
     _check_word(w, sigma)
-    prod = product(nfa, _factor_nfa(w, sigma))
-    reached = _reach([prod.initial], _successors_on(prod, range(len(sigma))))
-    return not reached.isdisjoint(prod.finals)
+    return bool(product(nfa, _factor_nfa(w, sigma)).finals)
 
 
 @dataclass(frozen=True)
@@ -309,55 +315,48 @@ def word_index(r: Regex, word: Sequence[str],
     sigma = alphabet or _derived_alphabet([*symbols_of(r), *w], None)
     nfa = _as_nfa(r, sigma)
     _check_word(w, sigma)
-    succ = _successors_on(nfa, range(len(sigma)))
-    reach = _reach([nfa.initial], succ)
-    rev: list[list[int]] = [[] for _ in range(nfa.n_states)]
-    for p in range(nfa.n_states):
-        for q in succ(p):
-            rev[q].append(p)
-    co = _reach(nfa.finals, rev.__getitem__)
-
-    L = len(w)
-    codes = [sigma.index[s] for s in w]
-
-    # Nodes (q, pos); edge (q,pos) -> (q', pos+1 mod L) on symbol w[pos].
-    def succs(node: tuple[int, int]) -> Iterator[tuple[tuple[int, int], int]]:
-        q, pos = node
-        for q2 in nfa.successors(q, codes[pos]):
-            yield (q2, (pos + 1) % L), 1 if pos + 1 == L else 0
-
-    starts = {(q, 0) for q in reach}
-    desc = _reach(starts, lambda node: [nxt for nxt, _ in succs(node)])
-    # The useful part: nodes whose state still reaches a final state.  A path
-    # from a start to a useful node stays inside it, because those states are
-    # closed under predecessors.
-    nodes = {node for node in desc if node[0] in co}
-    if not nodes:
+    # The useful states still reach a final state.  They are closed under
+    # predecessors, so a path that ends in one stays inside them.
+    useful = _reach(nfa.finals, _predecessors(nfa).__getitem__)
+    if nfa.initial not in useful:
         return FINITE(0)  # empty language covers nothing; degenerate by convention
-    preds: dict[tuple[int, int], list[tuple[int, int]]] = {node: [] for node in nodes}
-    for node in nodes:
-        for nxt, _ in succs(node):
-            if nxt in nodes:
-                preds[nxt].append(node)
-    try:
-        topo = list(TopologicalSorter(preds).static_order())
-    except CycleError:
-        return INFINITE  # any cycle inside the useful part pumps
 
-    best = {node: (0 if node in starts and node[0] in reach else None)
-            for node in nodes}
-    for node in topo:
-        b = best.get(node)
-        if b is None:
-            continue
-        for nxt, weight in succs(node):
-            if nxt in nodes:
-                cand = b + weight
-                if best[nxt] is None or cand > best[nxt]:
-                    best[nxt] = cand
-    candidates = [b for node, b in best.items()
-                  if b is not None and node[0] in co]
-    return FINITE(max(candidates)) if candidates else FINITE(0)
+    # Node q * L + pos: state q, next position pos of the word; its edges
+    # read w[pos] and enter a node of position 0 when they complete a copy.
+    L, codes = len(w), [sigma.index[s] for s in w]
+    reach = _reach([nfa.initial], _successors_on(nfa, range(len(sigma))))
+    starts = [q * L for q in reach if q in useful]
+    edges: dict[int, list[int]] = {}
+    indegree = dict.fromkeys(starts, 0)
+    stack = list(starts)
+    while stack:
+        budget.checkpoint()
+        node = stack.pop()
+        q, pos = divmod(node, L)
+        nxt = (pos + 1) % L
+        out = edges[node] = [q2 * L + nxt for q2 in nfa.successors(q, codes[pos])
+                             if q2 in useful]
+        for t in out:
+            if t not in indegree:
+                stack.append(t)
+            indegree[t] = indegree.get(t, 0) + 1
+
+    # Kahn's order: a node is ready once all its predecessors are done, so a
+    # node on or behind a cycle keeps a positive in-degree.
+    best = dict.fromkeys(indegree, 0)
+    ready = [node for node, d in indegree.items() if not d]
+    while ready:
+        budget.checkpoint()
+        node = ready.pop()
+        b = best[node]
+        for t in edges[node]:
+            best[t] = max(best[t], b + (t % L == 0))
+            indegree[t] -= 1
+            if not indegree[t]:
+                ready.append(t)
+    if any(indegree.values()):
+        return INFINITE  # any cycle inside the useful part pumps
+    return FINITE(max(best.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -423,20 +422,23 @@ class RegexSearch:
     examined: int
 
 
+_KEY_TAGS = {Empty: 0, Epsilon: 1, Sym: 2, Star: 3, Concat: 4, Union: 5}
+
+
 def _ast_key(r: Regex) -> tuple:
-    if isinstance(r, Sym):
-        return (2, r.sym)
-    if isinstance(r, Empty):
-        return (0,)
-    if isinstance(r, Epsilon):
-        return (1,)
-    if isinstance(r, Star):
-        return (3, _ast_key(r.inner))
-    if isinstance(r, Concat):
-        return (4, _ast_key(r.left), _ast_key(r.right))
-    if isinstance(r, Union):
-        return (5, _ast_key(r.left), _ast_key(r.right))
-    raise TypeError(r)
+    """A tuple that orders plain expressions: a tag per node class, then the
+    symbol or the children's keys, built bottom-up over the post-order walk."""
+    keys: list[tuple] = []  # keys of the finished subtrees, leftmost first
+    for node in iter_postorder(r):
+        tag = _KEY_TAGS.get(type(node))
+        if tag is None:
+            raise TypeError(node)
+        if tag == 2:
+            keys.append((2, node.sym))
+        else:
+            first = len(keys) - len(children(node))
+            keys[first:] = [(tag, *keys[first:])]
+    return keys[0]
 
 
 def _canonical_candidate(r: Regex) -> bool:
@@ -470,25 +472,18 @@ def _canonical_candidate(r: Regex) -> bool:
 
 
 def _candidates(s: int, atoms: list[Regex], memo: dict[int, list[Regex]]) -> list[Regex]:
-    if s in memo:
-        return memo[s]
-    out: list[Regex] = []
-    if s == 1:
-        out = list(atoms)
-    else:
-        for t in _candidates(s - 1, atoms, memo):
-            c = Star(t)
-            if _canonical_candidate(c):
-                out.append(c)
-        for left_size in range(1, s - 1):
-            for left in _candidates(left_size, atoms, memo):
-                for right in _candidates(s - 1 - left_size, atoms, memo):
-                    for cls in (Concat, Union):
-                        c = cls(left, right)
-                        if _canonical_candidate(c):
-                            out.append(c)
-    memo[s] = out
-    return out
+    """The canonical candidates of size ``s``; ``memo`` holds those of sizes
+    1 to ``len(memo)`` and is filled bottom-up to ``s``."""
+    if not memo:
+        memo[1] = list(atoms)
+    for m in range(len(memo) + 1, s + 1):
+        out = [c for c in map(Star, memo[m - 1]) if _canonical_candidate(c)]
+        for left_size in range(1, m - 1):
+            out += [c for left in memo[left_size] for right in memo[m - 1 - left_size]
+                    for c in (Concat(left, right), Union(left, right))
+                    if _canonical_candidate(c)]
+        memo[m] = out
+    return memo[s]
 
 
 def minimal_regex_size(target: Dfa, max_size: int) -> RegexSearch:
@@ -581,9 +576,6 @@ def blowup_report(family: str, ns: Sequence[int], pipeline: str,
     "intersect-product", max_states=5000, max_output=50_000)`` reports
     16,921,714 at n=3.
     """
-    from .unambiguous import complement_unambiguous, intersect_sores
-    from .witnesses import _bundle_and_alphabet
-
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}; choose from {PIPELINES}")
     families, bound = _PIPELINE_SPECS[pipeline]

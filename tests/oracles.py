@@ -11,10 +11,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from array import array
-from typing import Iterable, Iterator, Optional
+from graphlib import CycleError, TopologicalSorter
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from rexlab import budget
-from rexlab.automata import Dfa, Nfa, determinize
+from rexlab.analysis import FINITE, INFINITE, IndexResult, _as_nfa, _check_word, _successors_on
+from rexlab.automata import Dfa, Nfa, _derived_alphabet, determinize
 from rexlab.rex import (
     EMPTY,
     EPSILON,
@@ -1037,3 +1039,80 @@ def dataclass_repr(value) -> str:
 def length_lex_sorted(words: Iterable[Word], alphabet: Alphabet) -> tuple[Word, ...]:
     """Words sorted by length, then symbol by symbol in the alphabet's order."""
     return tuple(sorted(words, key=lambda w: (len(w), [alphabet.sort_key(s) for s in w])))
+
+
+T = TypeVar("T")
+
+
+def _reach_unpolled(starts: Iterable[T], succ: Callable[[T], Iterable[T]]) -> set[T]:
+    """The nodes reachable from ``starts`` (included) along ``succ``."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for node in succ(stack.pop()):
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return seen
+
+
+def word_index_by_toposort(r: Regex, word: Sequence[str],
+                           alphabet: Optional[Alphabet] = None) -> IndexResult:
+    """The repetition index through a graph of ``(state, position)`` tuples,
+    ``graphlib`` for the cycle and a topological order for the heaviest path:
+    the reference for ``analysis.word_index``."""
+    w = tuple(word)
+    if not w:
+        raise ValueError("the repeated word must be non-empty")
+    sigma = alphabet or _derived_alphabet([*symbols_of(r), *w], None)
+    nfa = _as_nfa(r, sigma)
+    _check_word(w, sigma)
+    succ = _successors_on(nfa, range(len(sigma)))
+    reach = _reach_unpolled([nfa.initial], succ)
+    rev: list[list[int]] = [[] for _ in range(nfa.n_states)]
+    for p in range(nfa.n_states):
+        for q in succ(p):
+            rev[q].append(p)
+    co = _reach_unpolled(nfa.finals, rev.__getitem__)
+
+    L = len(w)
+    codes = [sigma.index[s] for s in w]
+
+    # Nodes (q, pos); edge (q,pos) -> (q', pos+1 mod L) on symbol w[pos].
+    def succs(node: tuple[int, int]) -> Iterator[tuple[tuple[int, int], int]]:
+        q, pos = node
+        for q2 in nfa.successors(q, codes[pos]):
+            yield (q2, (pos + 1) % L), 1 if pos + 1 == L else 0
+
+    starts = {(q, 0) for q in reach}
+    desc = _reach_unpolled(starts, lambda node: [nxt for nxt, _ in succs(node)])
+    # The useful part: nodes whose state still reaches a final state.  A path
+    # from a start to a useful node stays inside it, because those states are
+    # closed under predecessors.
+    nodes = {node for node in desc if node[0] in co}
+    if not nodes:
+        return FINITE(0)  # empty language covers nothing; degenerate by convention
+    preds: dict[tuple[int, int], list[tuple[int, int]]] = {node: [] for node in nodes}
+    for node in nodes:
+        for nxt, _ in succs(node):
+            if nxt in nodes:
+                preds[nxt].append(node)
+    try:
+        topo = list(TopologicalSorter(preds).static_order())
+    except CycleError:
+        return INFINITE  # any cycle inside the useful part pumps
+
+    best = {node: (0 if node in starts and node[0] in reach else None)
+            for node in nodes}
+    for node in topo:
+        b = best.get(node)
+        if b is None:
+            continue
+        for nxt, weight in succs(node):
+            if nxt in nodes:
+                cand = b + weight
+                if best[nxt] is None or cand > best[nxt]:
+                    best[nxt] = cand
+    candidates = [b for node, b in best.items()
+                  if b is not None and node[0] in co]
+    return FINITE(max(candidates)) if candidates else FINITE(0)

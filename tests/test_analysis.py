@@ -19,7 +19,7 @@ from rexlab.analysis import (
     word_index,
 )
 from rexlab.automata import Nfa, determinize, eliminate_states, equivalent, glushkov, minimize
-from rexlab.budget import DEFAULT_MAX_STATES, BudgetExceededError
+from rexlab.budget import DEFAULT_MAX_STATES, BudgetExceededError, active
 from rexlab.rex import (
     EMPTY,
     EPSILON,
@@ -42,8 +42,9 @@ from rexlab.unambiguous import complement_unambiguous
 from rexlab.witnesses import k_dfa, m_alphabet, rho_encode, z_alphabet, z_dfa
 
 from corpus import random_dfa, random_extended_regex, random_nfa, random_plain_regex
-from conftest import extended_regexes
-from oracles import extended_to_nfa_by_triples, length_lex_sorted, mark, path_words, regex_slice
+from conftest import CountingToken, extended_regexes, regexes
+from oracles import (extended_to_nfa_by_triples, length_lex_sorted, mark, path_words,
+                     regex_slice, word_index_by_toposort)
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
@@ -230,6 +231,81 @@ class TestWordIndex:
         res = word_index(r, w, AB)
         if res.finite and res.value > 0:
             assert res.value < 2 * size(r)
+
+
+class _CancelAfter(CountingToken):
+    """A counting token that cancels once it has been polled ``limit`` times."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def check(self):
+        if self.polls == self.limit:
+            self.cancel()
+        super().check()
+
+
+class TestWordIndexAgainstToposort:
+    """The Kahn pass over coded nodes against the tuple graph and graphlib."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_corpus(self, seed):
+        rng = random.Random(seed)
+        kinds = {"infinite": 0, "zero": 0, "positive": 0, "error": 0, "empty": 0}
+        for _ in range(550):
+            syms = rng.choice(["ab", "abc"])
+            grow = rng.choice([random_plain_regex, random_extended_regex])
+            r = grow(rng, syms, rng.randint(1, 12))
+            sigma = rng.choice([AB, ABC, None])
+            # A word over "abc" is sometimes foreign to the alphabet.
+            w = tuple(rng.choice(syms if rng.random() < 0.9 else "abc")
+                      for _ in range(rng.randint(1, 3)))
+            got, want = _answers([lambda: word_index(r, w, sigma),
+                                  lambda: word_index_by_toposort(r, w, sigma)])
+            assert got == want, (r, w, sigma)
+            if isinstance(got, tuple):
+                kinds["error"] += 1
+            elif not got.finite:
+                kinds["infinite"] += 1
+            else:
+                kinds["positive" if got.value else "zero"] += 1
+                if not covers(r, (), sigma or ABC):
+                    kinds["empty"] += 1
+        assert min(kinds.values()) >= 5, kinds
+
+    def test_unreachable_cycle_does_not_pump(self):
+        # {a}, plus the cycle 2 -a-> 3 -b-> 2 through a final state that no
+        # walk from the initial state enters.
+        nfa = Nfa(AB, 4, 0, frozenset({1, 2}), [(0, "a", 1), (2, "a", 3), (3, "b", 2)])
+        assert word_index(nfa, ("a", "b"), AB) == FINITE(0)
+        assert word_index_by_toposort(nfa, ("a", "b"), AB) == FINITE(0)
+
+    @settings(max_examples=120)
+    @given(st.one_of(regexes("abc", max_leaves=8), extended_regexes("abc", max_leaves=7)),
+           st.sampled_from([AB, ABC, None]),
+           st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(tuple))
+    def test_matches_toposort(self, r, sigma, w):
+        got, want = _answers([lambda: word_index(r, w, sigma),
+                              lambda: word_index_by_toposort(r, w, sigma)])
+        assert got == want
+
+    def test_polls_after_the_compile_step(self):
+        r = Sym("a")
+        for _ in range(9_999):
+            r = Concat(Sym("a"), r)  # a(a(...a)) of depth 10,000
+        counter = CountingToken()
+        with active(counter):
+            _as_nfa(r, AB)
+        with active(_CancelAfter(counter.polls)), pytest.raises(BudgetExceededError):
+            word_index(r, ("a",), AB)
+        # One poll per node in each walk: the predecessor lists, the two
+        # reachability walks, the product walk and Kahn's pass each meet all
+        # 10,001 states (the word has one position).
+        total = CountingToken()
+        with active(total):
+            assert word_index(r, ("a",), AB) == FINITE(10_000)
+        assert total.polls == counter.polls + 5 * 10_001
 
 
 class TestSidekicks:

@@ -1,7 +1,9 @@
-"""Every exported name resolves, so a removal cannot leave a stale export."""
+"""Every exported name resolves, so a removal cannot leave a stale export, and
+the package imports nothing outside the standard library."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,19 @@ def test_package_imports_resolve():
 def test_error_root_is_shared():
     assert rexlab.RexlabError is rexlab.rex.RexlabError is rexlab.errors.RexlabError
     assert issubclass(rexlab.BudgetExceededError, rexlab.RexlabError)
+
+
+@pytest.mark.parametrize("name", ["__init__", *MODULES])
+def test_imports_only_the_stdlib(name):
+    """``dependencies = []`` holds: every import names a standard-library
+    module or the package itself."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("rexlab" if node.level else node.module)
+    foreign = [m for m in imported
+               if m.partition(".")[0] not in sys.stdlib_module_names | {"rexlab"}]
+    assert not foreign, f"rexlab.{name} imports outside the standard library: {foreign}"

@@ -12,10 +12,7 @@ import pytest
 
 from test_exports import MODULES, PACKAGE
 
-# Both recurse on candidate expressions of at most ``MAX_SEARCH_SIZE`` (9)
-# nodes, which ``minimal_regex_size`` checks before it searches, so their
-# depth never depends on the input.
-ALLOWED = {"analysis._ast_key", "analysis._candidates"}
+ALLOWED: set[str] = set()
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
