@@ -18,7 +18,9 @@ per symbol, the states entered on it.  Each store is a read-only set of
 ``(p, symbol, q)`` triples that reads one slot (:meth:`Nfa.successors`) or
 walks its ``(slot, q)`` edges.  The constructors turn triples, or a store of
 another kind, into their own kind and keep nothing else; the constructions
-write a table or an index directly.
+write a table or an index directly.  :func:`parse_automaton` streams a
+file's triples into the DFA constructor and, when two of them share a slot,
+into the NFA constructor.
 
 The extended-regex combinators of :func:`extended_to_nfa` pass int edge
 lists from node to node, an edge ``(p, c, q)`` coded as one int so that
@@ -397,7 +399,11 @@ class Nfa:
 @dataclass(frozen=True)
 class Dfa(Nfa):
     """An NFA whose transitions form a partial function, kept as a
-    :class:`TransitionTable`."""
+    :class:`TransitionTable`.
+
+    Given as triples, a repeated triple is one edge; two targets for one
+    state and symbol raise ``ValueError``.
+    """
 
     _stores = (TransitionTable,)
 
@@ -406,7 +412,7 @@ class Dfa(Nfa):
         k = len(names)
         table = array("i", [-1]) * (self.n_states * k)
         for slot, q in edges:
-            if table[slot] >= 0:
+            if table[slot] >= 0 and table[slot] != q:
                 raise ValueError(f"multiple transitions from state {slot // k} "
                                  f"on {names[slot % k]!r}")
             table[slot] = q
@@ -1076,7 +1082,10 @@ def serialize(a: Nfa) -> str:
 def parse_automaton(text: str, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
     """Read the format :func:`serialize` writes.
 
-    A ``states:`` count above ``max_states`` raises ``BudgetExceededError``
+    The result is a :class:`Dfa` unless two ``trans:`` lines give one state
+    two targets on one symbol; a repeated line is one edge.  A format error
+    on any line is raised before a state or symbol out of range.  A
+    ``states:`` count above ``max_states`` raises ``BudgetExceededError``
     before anything of that size is allocated.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -1087,6 +1096,15 @@ def parse_automaton(text: str, max_states: int = budget.DEFAULT_MAX_STATES) -> N
         if i >= len(lines) or not lines[i].startswith(key + ":"):
             raise AutomatonFormatError(f"expected '{key}:' on line {i + 1}")
         return lines[i][len(key) + 1:].strip()
+
+    def triples():
+        for ln in lines[5:]:
+            if not ln.startswith("trans:"):
+                raise AutomatonFormatError(f"unexpected line {ln!r}")
+            parts = ln[len("trans:"):].split()
+            if len(parts) != 3:
+                raise AutomatonFormatError(f"bad transition line {ln!r}")
+            yield int(parts[0]), parts[1], int(parts[2])
 
     try:
         alphabet = Alphabet(tuple(field(1, "alphabet").split()))
@@ -1099,41 +1117,17 @@ def parse_automaton(text: str, max_states: int = budget.DEFAULT_MAX_STATES) -> N
         initial = int(field(3, "initial"))
         finals_text = field(4, "finals")
         finals = frozenset(int(t) for t in finals_text.split()) if finals_text else frozenset()
-        # Each line's target goes straight into its slot.  A slot that already
-        # holds another target puts the edge, coded ``slot * n + q``, in
-        # ``extra``: the file is then an NFA.  The first triple that fits no
-        # slot is kept for the constructor to reject, once every line has
-        # passed the format checks.
-        index, k, n = alphabet.index, len(alphabet), n_states
-        table = array("i", [-1]) * (n * k)
-        extra: set[int] = set()
-        bad = None
-        for ln in lines[5:]:
-            if not ln.startswith("trans:"):
-                raise AutomatonFormatError(f"unexpected line {ln!r}")
-            parts = ln[len("trans:"):].split()
-            if len(parts) != 3:
-                raise AutomatonFormatError(f"bad transition line {ln!r}")
-            p, a, q = int(parts[0]), parts[1], int(parts[2])
-            c = index.get(a)
-            if c is None or not (0 <= p < n and 0 <= q < n):
-                if bad is None:
-                    bad = (p, a, q)
-                continue
-            slot = p * k + c
-            t = table[slot]
-            if t < 0:
-                table[slot] = q
-            elif t != q:
-                extra.add(slot * n + q)
-        if bad is not None:
-            # Checks initial, finals, then the triple, and raises.
-            Nfa(alphabet, n_states, initial, finals, (bad,))
-        if not extra:
-            return Dfa.from_table(alphabet, n_states, initial, finals, table)
-        extra.update(slot * n + q for slot, q in enumerate(table) if q >= 0)
-        del table
-        return Nfa(alphabet, n_states, initial, finals, _slot_index(alphabet, n, extra))
+        # One pass writes each line's target into its slot.  On a refusal,
+        # every line is read once more so that a format error anywhere comes
+        # first; the NFA constructor then raises the same refusal, as it
+        # shares the checks and their order, or takes the lines when a slot
+        # with two targets was the only fault.
+        try:
+            return Dfa(alphabet, n_states, initial, finals, triples())
+        except ValueError:
+            pass
+        deque(triples(), 0)
+        return Nfa(alphabet, n_states, initial, finals, triples())
     except (ValueError, IndexError) as exc:
         raise AutomatonFormatError(str(exc)) from exc
 

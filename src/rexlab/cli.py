@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 from . import budget
 from .analysis import (
+    MAX_SEARCH_SIZE,
     PIPELINES,
     _as_nfa,
     blowup_report,
@@ -111,10 +112,10 @@ def _emit_automaton(a: Nfa):
     sys.stdout.write(serialize(a))
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> Sequence[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        return range(int(lo), int(hi) + 1)
     return [int(part) for part in text.replace(",", " ").split()]
 
 
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("minsize", _cmd_minsize, "exhaustive minimal defining-regex search")
     p.add_argument("automaton", nargs="?")
-    p.add_argument("--max-size", type=int, default=9)
+    p.add_argument("--max-size", type=int, default=MAX_SEARCH_SIZE)
     p.add_argument("--max-states", type=int, default=budget.DEFAULT_MAX_STATES)
 
     return parser

@@ -325,6 +325,9 @@ def profile_intersection(profiles: Sequence[LocalProfile]) -> LocalProfile:
 def profile_to_dfa(profile: LocalProfile, alphabet: Alphabet) -> Dfa:
     """The canonical local-language acceptor: one state per symbol plus start."""
     code, k = alphabet.index, len(alphabet)
+    foreign = (profile.first | profile.last).union(*profile.follow) - code.keys()
+    if foreign:
+        raise ValueError(f"symbol {min(foreign)!r} not in the declared alphabet")
     table = array("i", [-1]) * ((k + 1) * k)
     for a in profile.first:
         table[code[a]] = code[a] + 1

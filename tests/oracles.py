@@ -16,7 +16,14 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from rexlab import budget
 from rexlab.analysis import FINITE, INFINITE, IndexResult, _as_nfa, _check_word, _successors_on
-from rexlab.automata import Dfa, Nfa, _derived_alphabet, determinize
+from rexlab.automata import (
+    AutomatonFormatError,
+    Dfa,
+    Nfa,
+    _derived_alphabet,
+    _slot_index,
+    determinize,
+)
 from rexlab.rex import (
     EMPTY,
     EPSILON,
@@ -1116,3 +1123,70 @@ def word_index_by_toposort(r: Regex, word: Sequence[str],
     candidates = [b for node, b in best.items()
                   if b is not None and node[0] in co]
     return FINITE(max(candidates)) if candidates else FINITE(0)
+
+
+def parse_automaton_by_slots(text: str, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
+    """Read the format ``automata.serialize`` writes, filling the DFA table
+    slot by slot and collecting a second target of a slot as a coded NFA
+    edge: the reference for ``automata.parse_automaton``.
+
+    A ``states:`` count above ``max_states`` raises ``BudgetExceededError``
+    before anything of that size is allocated.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != "automaton v1":
+        raise AutomatonFormatError("missing 'automaton v1' header")
+
+    def field(i: int, key: str) -> str:
+        if i >= len(lines) or not lines[i].startswith(key + ":"):
+            raise AutomatonFormatError(f"expected '{key}:' on line {i + 1}")
+        return lines[i][len(key) + 1:].strip()
+
+    try:
+        alphabet = Alphabet(tuple(field(1, "alphabet").split()))
+        n_states = int(field(2, "states"))
+        if n_states > 2 ** 31 - 1:  # state numbers live in array('i') slots
+            raise AutomatonFormatError(f"states: {n_states} is above 2**31 - 1")
+        if n_states > max_states:
+            raise budget.BudgetExceededError(
+                f"automaton file of {n_states} states exceeds {max_states} states")
+        initial = int(field(3, "initial"))
+        finals_text = field(4, "finals")
+        finals = frozenset(int(t) for t in finals_text.split()) if finals_text else frozenset()
+        # Each line's target goes straight into its slot.  A slot that already
+        # holds another target puts the edge, coded ``slot * n + q``, in
+        # ``extra``: the file is then an NFA.  The first triple that fits no
+        # slot is kept for the constructor to reject, once every line has
+        # passed the format checks.
+        index, k, n = alphabet.index, len(alphabet), n_states
+        table = array("i", [-1]) * (n * k)
+        extra: set[int] = set()
+        bad = None
+        for ln in lines[5:]:
+            if not ln.startswith("trans:"):
+                raise AutomatonFormatError(f"unexpected line {ln!r}")
+            parts = ln[len("trans:"):].split()
+            if len(parts) != 3:
+                raise AutomatonFormatError(f"bad transition line {ln!r}")
+            p, a, q = int(parts[0]), parts[1], int(parts[2])
+            c = index.get(a)
+            if c is None or not (0 <= p < n and 0 <= q < n):
+                if bad is None:
+                    bad = (p, a, q)
+                continue
+            slot = p * k + c
+            t = table[slot]
+            if t < 0:
+                table[slot] = q
+            elif t != q:
+                extra.add(slot * n + q)
+        if bad is not None:
+            # Checks initial, finals, then the triple, and raises.
+            Nfa(alphabet, n_states, initial, finals, (bad,))
+        if not extra:
+            return Dfa.from_table(alphabet, n_states, initial, finals, table)
+        extra.update(slot * n + q for slot, q in enumerate(table) if q >= 0)
+        del table
+        return Nfa(alphabet, n_states, initial, finals, _slot_index(alphabet, n, extra))
+    except (ValueError, IndexError) as exc:
+        raise AutomatonFormatError(str(exc)) from exc

@@ -19,7 +19,7 @@ from rexlab.analysis import (
     word_index,
 )
 from rexlab.automata import Nfa, determinize, eliminate_states, equivalent, glushkov, minimize
-from rexlab.budget import DEFAULT_MAX_STATES, BudgetExceededError, active
+from rexlab.budget import DEFAULT_MAX_STATES, BudgetExceededError, CancelToken, active
 from rexlab.rex import (
     EMPTY,
     EPSILON,
@@ -586,6 +586,27 @@ class TestBlowupReport:
         assert calls == [2]
         blowup_report("m-sore-pair", [1, 3], "intersect-sore")
         assert calls == [2, 1, 3]
+
+    @pytest.mark.parametrize("ns", [[1, 3, 2], [2, 2], [1, 2, 0, 5]])
+    def test_values_out_of_order_refused(self, ns):
+        with pytest.raises(ValueError, match="parameter values must be strictly increasing"):
+            blowup_report("m-sore-pair", ns, "intersect-sore")
+
+    def test_values_read_as_the_rows_are_reached(self):
+        # A cancelled run stops at its first row and draws no further value,
+        # so ``bench --n-range 1..10**12`` meets its deadline.
+        drawn = []
+
+        def values():
+            for n in range(1, 1000):
+                drawn.append(n)
+                yield n
+
+        token = CancelToken()
+        token.cancel()
+        with active(token), pytest.raises(BudgetExceededError):
+            blowup_report("unamb-family", values(), "complement-unambiguous")
+        assert drawn == [1]
 
     def test_invalid_combination(self):
         with pytest.raises(ValueError):

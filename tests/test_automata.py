@@ -40,6 +40,7 @@ from rexlab.rex import (
     Intersect,
     Negate,
     Plus,
+    RexlabError,
     Star,
     Sym,
     Union,
@@ -68,6 +69,7 @@ from oracles import extended_to_nfa_by_triples, glushkov_by_marking, mark, marke
 from oracles import nfa_slice as slice_of
 from oracles import minimize_by_moore, regex_slice, subset_construction, words_upto
 from oracles import equivalent_by_totalising, shortest_divergence_by_totalising
+from oracles import parse_automaton_by_slots
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
@@ -1377,6 +1379,17 @@ class TestSerialization:
             parse_automaton("automaton v1\nalphabet: a b\nstates: 2\n" + body)
         assert str(exc.value) == message
 
+    def test_repeated_line_is_one_edge(self):
+        text = serialize(random_dfa(random.Random(7), AB, 4))
+        lines = text.splitlines(keepends=True)
+        for i in range(5, len(lines)):
+            d = parse_automaton("".join(lines[:i + 1] + lines[i:]))
+            assert isinstance(d, Dfa) and serialize(d) == text
+
+    def test_dfa_takes_a_repeated_triple(self):
+        d = Dfa(AB, 2, 0, frozenset([1]), [(0, "a", 1), (0, "a", 1)])
+        assert d.table == array("i", [1, -1, -1, -1])
+
     @given(st.integers(0, 10_000))
     def test_round_trip(self, seed):
         rng = random.Random(seed)
@@ -1387,6 +1400,110 @@ class TestSerialization:
         assert back.initial == a.initial
         assert back.finals == a.finals
         assert back.transitions == a.transitions
+
+
+def parse_outcome(parse_fn, text, max_states=budget.DEFAULT_MAX_STATES):
+    """The automaton's class and serialisation, or the refusal's class and
+    message."""
+    try:
+        a = parse_fn(text, max_states)
+    except RexlabError as exc:
+        return type(exc), str(exc)
+    return type(a), serialize(a)
+
+
+def _mutated_text(rng):
+    """A serialised automaton with a few lines repeated, changed, added or
+    moved."""
+    sigma = rng.choice([A, AB, ABC])
+    n = rng.randint(1, 5)
+    drawn = random_dfa(rng, sigma, n) if rng.random() < 0.5 else random_nfa(rng, sigma, n)
+    lines = serialize(drawn).splitlines()
+    head, trans = lines[:5], lines[5:]
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(["repeat", "conflict", "range", "symbol", "malformed",
+                           "initial", "finals", "states", "alphabet", "blank"])
+        at = rng.randint(0, len(trans))
+        p, q, s = rng.randrange(n), rng.randrange(n), rng.choice(sigma.names)
+        if kind == "repeat" and trans:
+            trans.insert(at, rng.choice(trans))
+        elif kind == "conflict":
+            trans.insert(at, f"trans: {p} {s} {q}")
+            trans.insert(rng.randint(0, len(trans)), f"trans: {p} {s} {(q + 1) % n}")
+        elif kind == "range":
+            far = rng.choice([-1, n, n + 3])
+            trans.insert(at, rng.choice([f"trans: {far} {s} {q}", f"trans: {p} {s} {far}"]))
+        elif kind == "symbol":
+            trans.insert(at, f"trans: {p} {rng.choice(['z', 'c', 'ab'])} {q}")
+        elif kind == "malformed":
+            trans.insert(at, rng.choice([f"trans: {p} {s}", f"trans: x {s} {q}",
+                                         f"trans: {p} {s} {q} {q}", "trans:", "bogus",
+                                         f"trans: {p} {s} 1.5", f"trans:{p} {s} {q}",
+                                         f"  trans: {p} {s} {q}"]))
+        elif kind == "initial":
+            head[3] = rng.choice([f"initial: {n}", "initial: -1", "initial: x",
+                                  "initial:", "init: 0", "initial: 0 1"])
+        elif kind == "finals":
+            head[4] = rng.choice([f"finals: {n}", "finals: -1", "finals: 0 x",
+                                  "finals: 0 0", "final: 0"])
+        elif kind == "states":
+            head[2] = rng.choice(["states: 0", "states: -1", f"states: {n + 1}",
+                                  f"states: {n - 1}", "states: 3000000000", "states: x"])
+        elif kind == "alphabet":
+            head[1] = rng.choice(["alphabet: a a", "alphabet: a b c", "alphabet:",
+                                  "alphabet: b a"])
+        elif kind == "blank":
+            trans.insert(at, rng.choice(["", "   "]))
+    if rng.random() < 0.2:
+        rng.shuffle(trans)
+    return "\n".join(head + trans) + "\n"
+
+
+@st.composite
+def automaton_texts(draw):
+    """Headers and ``trans:`` lines drawn over small state counts, so that
+    repeated, conflicting and out-of-range lines are common."""
+    def pick(*values):
+        return draw(st.sampled_from(values))
+
+    head = ["automaton v1",
+            pick("alphabet: a b", "alphabet: a", "alphabet: a b c", "alphabet: a a"),
+            pick("states: 1", "states: 2", "states: 3", "states: 0", "states: -1",
+                 "states: x", "states: 3000000000"),
+            pick("initial: 0", "initial: 1", "initial: 3", "initial: -1", "initial: x",
+                 "nitial: 0"),
+            pick("finals:", "finals: 0", "finals: 1 2", "finals: 3", "finals: -1",
+                 "finals: x")]
+    edge = st.builds("trans: {} {} {}".format, st.integers(-1, 3),
+                     st.sampled_from("abz"), st.integers(-1, 3))
+    other = st.sampled_from(["trans: 0 a", "trans: 0 a 1 1", "trans: x a 0", "bogus", ""])
+    body = draw(st.lists(st.one_of(edge, edge, edge, other), max_size=8))
+    return "\n".join(head + body) + "\n"
+
+
+class TestParseAgainstSlots:
+    """``parse_automaton`` streams triples into the constructors;
+    ``oracles.parse_automaton_by_slots`` is the slot-filling parser it
+    replaced.  Both give the same automaton or the same refusal."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_mutations(self, seed):
+        rng = random.Random(seed)
+        kinds = Counter()
+        for _ in range(1_200):
+            text = _mutated_text(rng)
+            max_states = rng.choice([budget.DEFAULT_MAX_STATES, 3])
+            want = parse_outcome(parse_automaton_by_slots, text, max_states)
+            assert parse_outcome(parse_automaton, text, max_states) == want, text
+            kinds[want[0].__name__] += 1
+        assert min(kinds[k] for k in ("Dfa", "Nfa", "AutomatonFormatError",
+                                      "BudgetExceededError")) >= 20, kinds
+
+    @settings(max_examples=300)
+    @given(automaton_texts())
+    def test_drawn_texts(self, text):
+        want = parse_outcome(parse_automaton_by_slots, text)
+        assert parse_outcome(parse_automaton, text) == want
 
 
 @settings(max_examples=40)

@@ -232,6 +232,12 @@ class TestBenchAndBudget:
         assert run_cli(capsys, verb, *argv) == (
             3, "", "rexlab: budget exceeded: wall-clock budget exhausted\n")
 
+    def test_n_range_stays_lazy(self, capsys):
+        assert cli._parse_n_range("1..1000000000000") == range(1, 10 ** 12 + 1)
+        assert run_cli(capsys, "bench", "--family", "m-sore-pair", "--pipeline",
+                       "intersect-sore", "--n-range", "1 3 2") == (
+            2, "", "rexlab: error: parameter values must be strictly increasing\n")
+
     def test_index_verb(self, capsys):
         code, out, _ = run_cli(capsys, "index", "--alphabet", "ab",
                                "--word", "ab", "abab")

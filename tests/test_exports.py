@@ -51,3 +51,28 @@ def test_imports_only_the_stdlib(name):
     foreign = [m for m in imported
                if m.partition(".")[0] not in sys.stdlib_module_names | {"rexlab"}]
     assert not foreign, f"rexlab.{name} imports outside the standard library: {foreign}"
+
+
+# The imports of one module's private names by another, each a known tie
+# between two modules' internals.
+PRIVATE_IMPORTS = {
+    ("automata", "rex", "_position_masks"),
+    ("unambiguous", "rex", "_position_masks"),
+    ("analysis", "automata", "_derived_alphabet"),
+    ("analysis", "witnesses", "_bundle_and_alphabet"),
+    ("cli", "analysis", "_as_nfa"),
+    ("cli", "automata", "_dfa_pair"),
+}
+
+
+def test_cross_module_private_imports_are_known():
+    found = set()
+    for name in ["__init__", *MODULES]:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.partition(".")[0] == "rexlab"):
+                source = (node.module or "").removeprefix("rexlab").lstrip(".")
+                found |= {(name, source, alias.name)
+                          for alias in node.names if alias.name.startswith("_")}
+    assert found == PRIVATE_IMPORTS

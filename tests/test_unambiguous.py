@@ -337,6 +337,14 @@ class TestIntersectSores:
         assert intersect_sores(
             [parse("(ab*)|%e", AB), parse("(ba*)|%e", AB)], AB) == EPSILON
 
+    def test_profile_dfa_refuses_an_undeclared_symbol(self):
+        # The same refusal as ``intersect_sores``, not a bare KeyError.
+        for lp in (local_profile(Sym("c")), local_profile(parse("ab*c", ABC))):
+            with pytest.raises(ValueError, match="^symbol 'c' not in the declared alphabet$"):
+                profile_to_dfa(lp, AB)
+        with pytest.raises(ValueError, match="^symbol 'c' not in the declared alphabet$"):
+            intersect_sores([Sym("c")], AB)
+
     def test_profile_dfa_state_count(self):
         lps = [local_profile(parse("ab*", ABC)), local_profile(parse("a(b|c)*", ABC))]
         dfa = profile_to_dfa(profile_intersection(lps), ABC)
