@@ -39,7 +39,10 @@ subsets discovered so far, so it never holds more ints than the subset store
 itself.  Glushkov automata are homogeneous (every state is entered on one
 symbol only), so symbol ``c``'s successor set is the union masked by the
 states entered on ``c``.  Other inputs pack symbol ``c``'s targets at bit
-offset ``c * n``.
+offset ``c * n``.  A homogeneous NFA whose non-initial states fall into
+parts with no edge between them, once its walk passes ``n * n`` subsets, is
+determinised part by part and the part DFAs are joined by a product walk
+over small int pair keys (see :func:`determinize`).
 
 The Glushkov construction makes one iterative post-order walk over the
 unmarked tree (``rex._position_masks``).  It numbers the symbol leaves 1..n
@@ -85,8 +88,8 @@ from collections import Counter, deque
 from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate, compress, islice
-from operator import gt, le, ne, or_
+from itertools import accumulate, compress, filterfalse, islice
+from operator import add, gt, le, ne, or_
 from typing import Iterable, Optional
 
 from . import budget
@@ -653,17 +656,59 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     final flag is read into a byte string; the subsets and the memo are
     released before the finals set is built and the blocks are joined.
 
+    A union of independent parts is determinised as the product of their
+    subset automata (Rabin and Scott, 1959).  Once the walk over an NFA of
+    ``n`` states has found more than ``n * n`` subsets, it looks for parts,
+    which needs three things: a homogeneous input (symbol ``c``'s successor
+    set is the OR masked by the states entered on ``c``), no edge into the
+    initial state, and two or more connected components among the other
+    states.  Then the walk is dropped.  The components are split into two
+    groups balanced by state count; each group, with the initial state,
+    is determinised the same way (so a large group splits again), and the
+    reachable pairs of the two part DFAs are walked breadth first, symbols
+    in alphabet order.  A pair is the union of its sides' subsets, and a
+    missing edge on one side steps to that side's empty subset, so the
+    pairs, their numbering and their finals are the subsets'.  ``max_states``
+    counts pairs, and no part DFA is larger than the whole.
+
     A :class:`Dfa` has only singleton subsets, so its subset automaton is
     its reachable part renumbered: that walk reads the table in place and
     gives the same result and the same ``max_states`` refusal.
     """
     if isinstance(a, Dfa):
         return _renumber(a, max_states)
-    n = a.n_states
     row, pairs = _successor_masks(a)
     finals_mask = 0
     for q in a.finals:
         finals_mask |= 1 << q
+    # ``work`` is a stack of parts still to determinise and of ``None``s,
+    # each joining the last two results on ``done``.
+    done: list[tuple[int, array, bytes]] = []
+    work: list = [(row, pairs, a.initial, finals_mask)]
+    while work:
+        part = work.pop()
+        if part is None:
+            right, left = done.pop(), done.pop()
+            done.append(_pair_walk(left, right, len(pairs), max_states))
+            continue
+        out = _subset_walk(part, len(part[0]) ** 2, max_states)
+        if isinstance(out, list):
+            work.append(None)
+            work.extend(out)
+        else:
+            done.append(out)
+    n_out, table, fin = done.pop()
+    finals = frozenset(compress(range(n_out), fin))
+    return Dfa.from_table(a.alphabet, n_out, 0, finals, table)
+
+
+def _subset_walk(part: tuple, split_at: int, max_states: int):
+    """The subset walk over ``part``, ``(rows, pairs, initial, finals
+    mask)`` as :func:`_successor_masks` gives them: ``(n_out, table,
+    finals flags)``, or the two parts of :func:`_split_parts` once more than
+    ``split_at`` subsets are found and the split exists."""
+    row, pairs, initial, finals_mask = part
+    n = len(row)
 
     # ``memo`` maps a slice value, the subset masked by one of ``slices``, to
     # the OR of its states' rows.
@@ -673,9 +718,11 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
 
     # ``ids`` numbers the subsets in discovery order; ``queue`` holds those
     # whose rows are not written yet.
-    start = 1 << a.initial
+    start = 1 << initial
     ids: dict[int, int] = {start: 0}
     queue = deque(ids)
+    # One test per new subset covers both the budget and the split point.
+    limit = min(split_at, max_states)
     cap = _TABLE_BLOCK
     block = array("i")
     blocks = [block]
@@ -688,8 +735,8 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
             emit = block.append
         succ = 0
         m = queue.popleft()
-        for part in slices:
-            v = m & part
+        for piece in slices:
+            v = m & piece
             if not v:
                 continue
             u = memo.get(v)
@@ -710,23 +757,131 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
                 continue
             dst = ids.get(t)
             if dst is None:
-                if len(ids) >= max_states:
-                    raise budget.BudgetExceededError(
-                        f"subset construction exceeds {max_states} states")
+                if len(ids) >= limit:
+                    if len(ids) >= max_states:
+                        raise budget.BudgetExceededError(
+                            f"subset construction exceeds {max_states} states")
+                    parts = _split_parts(part)
+                    if parts:
+                        return parts
+                    limit = max_states
                 dst = len(ids)
                 ids[t] = dst
                 queue.append(t)
             emit(dst)
-    # The subsets go before the result is built, so that its finals set and
-    # joined table can take their memory.
+    # The subsets go before the caller builds the result, so that its finals
+    # set and joined table can take their memory.
     n_out = len(ids)
     fin = bytes(map(bool, map(finals_mask.__and__, ids)))
     del ids, memo, queue
-    finals = frozenset(compress(range(n_out), fin))
-    table = blocks[0]
-    for block in blocks[1:]:
-        table.extend(block)
-    return Dfa.from_table(a.alphabet, n_out, 0, finals, table)
+    return n_out, _joined(blocks), fin
+
+
+def _split_parts(part: tuple) -> Optional[list[tuple]]:
+    """``part``'s non-initial states in two groups with no edge between
+    them, each a part of its own, or ``None`` when no such split exists.
+
+    The split needs a homogeneous layout (every shift 0) and no edge into
+    the initial state.  Connected components, edges read both ways, are
+    dealt largest first to the group with fewer states.  A group's part
+    numbers the initial state 0 and its own states 1.. in ascending order.
+    """
+    row, pairs, initial, finals_mask = part
+    bit = 1 << initial
+    if any(shift for shift, _ in pairs) or any(r & bit for r in row):
+        return None
+    links = [0] * len(row)
+    for p, r in enumerate(row):
+        if p != initial:
+            links[p] |= r
+            for q in iter_bits(r):
+                links[q] |= 1 << p
+    components = []
+    unseen = ((1 << len(row)) - 1) ^ bit
+    while unseen:
+        component = frontier = unseen & -unseen
+        while frontier:
+            reached = 0
+            for q in iter_bits(frontier):
+                reached |= links[q]
+            frontier = reached & ~component
+            component |= frontier
+        unseen ^= component
+        components.append(component)
+    if len(components) < 2:
+        return None
+    groups = [0, 0]
+    for component in sorted(components, key=int.bit_count, reverse=True):
+        groups[groups[0].bit_count() > groups[1].bit_count()] |= component
+    parts = []
+    for group in groups:
+        states = [initial, *iter_bits(group)]
+        moved = [0] * len(row)  # the bit a state takes in the group's part
+        for i, q in enumerate(states):
+            moved[q] = 1 << i
+        at = moved.__getitem__
+        rows = [sum(map(at, iter_bits(row[q]))) for q in states]
+        entries = [(0, sum(map(at, iter_bits(sel)))) for _, sel in pairs]
+        parts.append((rows, entries, 0, sum(map(at, iter_bits(finals_mask)))))
+    return parts
+
+
+def _pair_walk(left: tuple, right: tuple, k: int, max_states: int) -> tuple:
+    """The reachable pairs of two parts' subset DFAs, each ``(n_states,
+    table, finals flags)`` with start state 0, as the same triple.
+
+    Each side's sink is its state ``n_states``, its empty subset: a missing
+    edge steps to it and it loops.  The pair of sinks is the empty subset
+    of the whole, so a slot that steps there stays -1.  A pair ``(p, q)`` is
+    keyed by ``p * w + q``, ``w`` one more than right's state count: the
+    left table is scaled by ``w`` once, so a slot's key is one addition.
+    """
+    (n1, t1, f1), (n2, t2, f2) = left, right
+    w = n2 + 1
+    scaled = array("q", map(w.__mul__, _with_sink(t1, n1, k)))
+    t2 = _with_sink(t2, n2, k)
+    f1, f2 = f1 + b"\0", f2 + b"\0"  # the sinks are not final
+    # The pair of sinks is looked up like any pair and reads -1; it is no
+    # state, so the pair numbered next is ``len(ids) - 1``.
+    ids = {0: 0, n1 * w + n2: -1}
+    get = ids.get
+    queue = deque([0])
+    fin = bytearray()
+    cap = _TABLE_BLOCK
+    block = array("i")
+    blocks = [block]
+    emit = block.append
+    while queue:
+        budget.checkpoint()
+        if len(block) >= cap:
+            block = array("i")
+            blocks.append(block)
+            emit = block.append
+        p, q = divmod(queue.popleft(), w)
+        fin.append(f1[p] | f2[q])  # pairs are popped in the order they are numbered
+        p *= k
+        q *= k
+        for key in map(add, scaled[p:p + k], t2[q:q + k]):
+            dst = get(key)
+            if dst is None:
+                if len(ids) > max_states:
+                    raise budget.BudgetExceededError(
+                        f"subset construction exceeds {max_states} states")
+                dst = ids[key] = len(ids) - 1
+                queue.append(key)
+            emit(dst)
+    n_out = len(ids) - 1
+    del ids, get, queue
+    return n_out, _joined(blocks), fin
+
+
+def _joined(blocks: list[array]) -> array:
+    """One table from ``blocks``, each block freed as it is joined."""
+    blocks.reverse()
+    table = blocks.pop()
+    while blocks:
+        table.extend(blocks.pop())
+    return table
 
 
 def _renumber(d: Dfa, max_states: int) -> Dfa:
@@ -798,15 +953,28 @@ def _successor_masks(a: Nfa) -> tuple[list[int], list[tuple[int, int]]]:
 
 
 def _fill_missing(table: array, target: int) -> array:
-    """Copy of ``table`` with every -1 slot pointing at ``target``."""
+    """Copy of ``table`` with every -1 slot pointing at ``target``, polling
+    once per ``_TABLE_BLOCK`` slots."""
     out = array("i", table)
-    slot = 0
-    try:
-        while True:
-            slot = out.index(-1, slot)
-            out[slot] = target
-    except ValueError:
-        return out
+    cap = _TABLE_BLOCK
+    for lo in range(0, len(out), cap):
+        budget.checkpoint()
+        slot, hi = lo, min(lo + cap, len(out))
+        try:
+            while True:
+                slot = out.index(-1, slot, hi)
+                out[slot] = target
+        except ValueError:
+            pass
+    return out
+
+
+def _with_sink(table: array, n: int, k: int) -> array:
+    """``table`` of ``n`` states with a sink ``n`` appended: every -1 slot
+    and every slot of the sink points at it."""
+    table = _fill_missing(table, n)
+    table.extend(array("i", [n]) * k)
+    return table
 
 
 def _totalized(d: Dfa) -> tuple[array, int]:
@@ -817,16 +985,14 @@ def _totalized(d: Dfa) -> tuple[array, int]:
     """
     n, table = d.n_states, d.table
     if -1 in table:
-        table = _fill_missing(table, n)
-        table.extend([n] * len(d.alphabet))
-        n += 1
+        return _with_sink(table, n, len(d.alphabet)), n + 1
     return table, n
 
 
 def complement_dfa(d: Dfa) -> Dfa:
     """Accept exactly the words the input rejects: totalise, then swap finals."""
     table, n = _totalized(d)
-    finals = frozenset(range(n)) - d.finals
+    finals = frozenset(filterfalse(d.finals.__contains__, range(n)))
     return Dfa.from_table(d.alphabet, n, d.initial, finals, table)
 
 

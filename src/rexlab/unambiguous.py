@@ -279,9 +279,16 @@ def complement_unambiguous(r: Regex, alphabet: Alphabet) -> Regex:
     tree over and over, is paused for the call.  The collector's switch is
     process-wide: other threads run without it until the call returns or
     raises, and then it is on again only if it was on before.
+
+    A symbol of ``r`` outside ``alphabet`` is refused with the message of
+    :func:`intersect_sores`, since the complement is taken within
+    ``alphabet``.
     """
     with _collector_paused():
         masks = syms, _, _, last, follow = _unambiguous_masks(r)
+        for name in syms:
+            if name not in alphabet:
+                raise ValueError(f"symbol {name!r} not in the declared alphabet")
         sigma_star = Star(set_expr(alphabet, alphabet))
         out = _init_expr(masks, alphabet)
         for x, (leaf, chain) in enumerate(_prefix_chains(r), 1):

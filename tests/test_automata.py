@@ -3,9 +3,10 @@ import random
 import tracemalloc
 from array import array
 from collections import Counter
+from functools import reduce
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rexlab.automata import (
@@ -434,6 +435,123 @@ class TestDeterminize:
                 assert _subset_outcome(determinize, nfa, max_states) == want
 
 
+def _forced_union(nfa: Nfa, max_states: int):
+    """``determinize`` with every walk looking for parts at its first new
+    subset: (serialisation or None on a budget error, pair walks run)."""
+    joins = [0]
+    subset_walk, pair_walk = automata._subset_walk, automata._pair_walk
+
+    def counted(*args):
+        joins[0] += 1
+        return pair_walk(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(automata, "_subset_walk",
+                      lambda part, split_at, cap: subset_walk(part, 0, cap))
+        patch.setattr(automata, "_pair_walk", counted)
+        try:
+            return serialize(determinize(nfa, max_states)), joins[0]
+        except BudgetExceededError:
+            return None, joins[0]
+
+
+def _plain_walk(nfa: Nfa, max_states: int):
+    """``determinize`` finding no parts: serialisation or None."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(automata, "_split_parts", lambda part: None)
+        try:
+            return serialize(determinize(nfa, max_states))
+        except BudgetExceededError:
+            return None
+
+
+def _oracle_walk(nfa: Nfa, max_states: int):
+    try:
+        return serialize(subset_construction(nfa, max_states)[1])
+    except BudgetExceededError:
+        return None
+
+
+class TestUnionRoute:
+    """A union of independent parts determinised as the product of the
+    parts' subset automata, forced from the first subset on: the same file
+    as the plain walk and the frozenset construction, and the refusal at
+    the same ``max_states``."""
+
+    def assert_route_agrees(self, nfa: Nfa):
+        """The forced route against the plain walk and the frozenset
+        construction, uncapped and at one cap below and at the subset count;
+        returns the file and the number of pair walks."""
+        subsets, oracle = subset_construction(nfa, budget.DEFAULT_MAX_STATES)
+        want = serialize(oracle)
+        got, joins = _forced_union(nfa, budget.DEFAULT_MAX_STATES)
+        assert joins
+        assert got == _plain_walk(nfa, budget.DEFAULT_MAX_STATES) == want
+        for cap in (len(subsets) - 1, len(subsets)):
+            forced = _forced_union(nfa, cap)[0]
+            assert forced == _plain_walk(nfa, cap) == (want if cap == len(subsets) else None)
+        return want, joins
+
+    @given(st.integers(0, 10_000))
+    def test_unions_of_random_expressions(self, seed):
+        rng = random.Random(seed)
+        sigma = rng.choice([AB, ABC])
+        r = reduce(Union, [random_plain_regex(rng, sigma.names, rng.randint(1, 14))
+                           for _ in range(rng.randint(2, 4))])
+        nfa = glushkov(r, sigma)
+        assume(_forced_union(nfa, budget.DEFAULT_MAX_STATES)[1])
+        self.assert_route_agrees(nfa)
+
+    def test_n1_witness(self, n1_subset_text):
+        # Five offender groups: forced, the groups split again.
+        g = glushkov(complement_witness(1), SIGMA_K)
+        want, joins = self.assert_route_agrees(g)
+        assert want == n1_subset_text and joins > 1
+
+    @staticmethod
+    def recorded_splits(monkeypatch) -> list:
+        """Each look for parts, as (states of the part, whether it split)."""
+        found = []
+        split_parts = automata._split_parts
+
+        def recorded(part):
+            parts = split_parts(part)
+            found.append((len(part[0]), parts is not None))
+            return parts
+
+        monkeypatch.setattr(automata, "_split_parts", recorded)
+        return found
+
+    def test_determinize_switches_past_n_squared(self, monkeypatch):
+        # The n=1 witness's Glushkov NFA has 133 states and 63,993 subsets,
+        # so the walk looks for parts at subset 133**2 + 1 and splits.
+        found = self.recorded_splits(monkeypatch)
+        determinize(glushkov(complement_witness(1), SIGMA_K))
+        assert found[0] == (133, True)
+
+    def test_no_split_without_parts(self, monkeypatch):
+        # (a|b)*a(a|b)^8: 512 subsets over 20 states pass 20**2, but the
+        # positions form one component, so the walk goes on to the end.
+        nfa = glushkov(parse("(a|b)*a" + "(a|b)" * 8, AB))
+        found = self.recorded_splits(monkeypatch)
+        assert serialize(determinize(nfa)) == _oracle_walk(nfa, budget.DEFAULT_MAX_STATES)
+        assert found == [(20, False)]
+
+    def test_preconditions(self):
+        # An edge into the initial state, or a layout packed per symbol,
+        # leaves no split to take.
+        back = Nfa(AB, 3, 0, frozenset([1]), frozenset([(0, "a", 1), (0, "b", 2), (1, "a", 0)]))
+        packed = Nfa(AB, 3, 0, frozenset([1]),
+                     frozenset([(0, "a", 1), (0, "b", 1), (0, "b", 2)]))
+        plain = Nfa(AB, 3, 0, frozenset([1]), frozenset([(0, "a", 1), (0, "b", 2)]))
+        for nfa, splits in ((back, False), (packed, False), (plain, True)):
+            rows, pairs = automata._successor_masks(nfa)
+            parts = automata._split_parts((rows, pairs, nfa.initial, 0b10))
+            assert (parts is not None) == splits
+        assert automata._split_parts(([0b110, 0, 0], [(0, 0b10), (0, 0b100)], 0, 0b10)) == [
+            ([0b10, 0], [(0, 0b10), (0, 0)], 0, 0b10), ([0b10, 0], [(0, 0), (0, 0b10)], 0, 0)]
+
+
 class TestTableCore:
     def test_table_built_equals_triples_built(self):
         d = determinize(glushkov(parse("ab|a*b*", AB), AB))
@@ -755,6 +873,19 @@ class TestComplement:
         c = complement_dfa(d)
         for w in words_upto("ab", 4):
             assert accepts(d, w) != accepts(c, w)
+
+    def test_fill_polls_per_table_block(self):
+        # k_dfa(64) has 147,708 slots, 102,654 of them missing: filling them
+        # polls once per ``_TABLE_BLOCK`` slots, so the count follows the table.
+        polls = []
+        for d in (k_dfa(8), k_dfa(64)):
+            token = CountingToken()
+            with budget.active(token):
+                c = complement_dfa(d)
+            assert c.finals == frozenset(range(c.n_states)) - d.finals
+            assert token.polls == -(-len(d.table) // automata._TABLE_BLOCK)
+            polls.append(token.polls)
+        assert polls == [1, 3]
 
 
 class TestProduct:

@@ -337,6 +337,15 @@ class TestIntersectSores:
         assert intersect_sores(
             [parse("(ab*)|%e", AB), parse("(ba*)|%e", AB)], AB) == EPSILON
 
+    def test_complement_refuses_an_undeclared_symbol(self):
+        # The same refusal as ``intersect_sores``, where a regex naming 'c'
+        # used to come back.
+        with pytest.raises(ValueError, match="^symbol 'c' not in the declared alphabet$"):
+            complement_unambiguous(parse("ac", ABC), AB)
+        with pytest.raises(ValueError, match="^symbol 'c' not in the declared alphabet$"):
+            complement_unambiguous(parse("a(b|c)*d", Alphabet.of("a", "b", "c", "d")),
+                                   Alphabet.of("a", "b", "d"))
+
     def test_profile_dfa_refuses_an_undeclared_symbol(self):
         # The same refusal as ``intersect_sores``, not a bare KeyError.
         for lp in (local_profile(Sym("c")), local_profile(parse("ab*c", ABC))):
@@ -405,9 +414,21 @@ def outcome(f, *args):
     return value
 
 
+def complement_by_marking_within(r, sigma):
+    """``complement_by_marking``, refusing a symbol of ``r`` outside
+    ``sigma`` once ``r`` is known to be one-unambiguous, as the position
+    route does.  The marking route itself returns a regex that names the
+    symbol, which ``glushkov(., sigma)`` would refuse."""
+    out = complement_by_marking(r, sigma)
+    for name in symbols_of(r):
+        if name not in sigma:
+            raise ValueError(f"symbol {name!r} not in the declared alphabet")
+    return out
+
+
 def assert_routes_agree(r, sigma):
     calls = [
-        (complement_unambiguous, complement_by_marking, (r, sigma)),
+        (complement_unambiguous, complement_by_marking_within, (r, sigma)),
         (init_expr, init_expr_by_marking, (r, sigma)),
         (nfirst, nfirst_by_marking, (r, sigma)),
         (last_marked, last_marked_by_marking, (r,)),
@@ -441,7 +462,7 @@ class TestAgainstMarkingRoute:
             r, sigma = balanced_sore(rng, SORE_SYMBOLS), SORE_SIGMA
         elif kind == "plain":  # mostly ambiguous
             r, sigma = random_plain_regex(rng, "ab", rng.randint(1, 16)), AB
-        elif kind == "foreign":  # symbols outside the declared alphabet
+        elif kind == "foreign":  # symbols outside the declared alphabet: the complement refuses
             r, sigma = random_plain_regex(rng, "abc", rng.randint(1, 10)), AB
         elif kind == "extended":
             r, sigma = random_extended_regex(rng, "ab", rng.randint(1, 10)), AB
