@@ -42,7 +42,8 @@ states entered on ``c``.  Other inputs pack symbol ``c``'s targets at bit
 offset ``c * n``.  A homogeneous NFA whose non-initial states fall into
 parts with no edge between them, once its walk passes ``n * n`` subsets, is
 determinised part by part and the part DFAs are joined by a product walk
-over small int pair keys (see :func:`determinize`).
+that keys each pair by its sides (see :func:`determinize`); the result keeps
+its finals as flag bytes, a :class:`FinalFlags`.
 
 The Glushkov construction makes one iterative post-order walk over the
 unmarked tree (``rex._position_masks``).  It numbers the symbol leaves 1..n
@@ -88,8 +89,8 @@ from collections import Counter, deque
 from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate, compress, filterfalse, islice
-from operator import add, gt, le, ne, or_
+from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
+from operator import gt, is_, le, ne, or_
 from typing import Iterable, Optional
 
 from . import budget
@@ -120,6 +121,7 @@ from .rex import (
 __all__ = [
     "Nfa",
     "Dfa",
+    "FinalFlags",
     "TransitionTable",
     "TransitionIndex",
     "TransitionMasks",
@@ -313,6 +315,38 @@ class TransitionMasks(_TripleView):
             raise ValueError("transition mask target entered on no symbol")
 
 
+class FinalFlags(Set):
+    """Read-only set of the final states over one flag byte per state:
+    state ``q`` is final when ``flags[q]`` is 1, and any byte but 0 given
+    to the constructor is read as 1.  Equality and hash agree with the
+    frozenset of the same states; set operators (|, &, -, ^) return plain
+    frozensets."""
+
+    __slots__ = ("flags", "_len")
+
+    def __init__(self, flags: Iterable[int]):
+        self.flags = bytes(flags).translate(b"\0" + b"\1" * 255)
+        self._len = self.flags.count(1)
+
+    def __contains__(self, item: object) -> bool:
+        return isinstance(item, int) and 0 <= item < len(self.flags) and self.flags[item] == 1
+
+    def __iter__(self):
+        return compress(range(len(self.flags)), self.flags)
+
+    def __len__(self) -> int:
+        return self._len
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({sorted(self)!r})"
+
+
 def _slot_index(alphabet: Alphabet, n_states: int, keys: Iterable[int],
                 stride: int = 0) -> TransitionIndex:
     """Index of distinct edges coded as ``slot * stride + target``, in any order.
@@ -351,6 +385,8 @@ class Nfa:
     ``transitions`` may be given as ``(p, symbol, q)`` triples or as any
     store; it is kept as a :class:`TransitionIndex` or a
     :class:`TransitionMasks`, and anything else is turned into an index.
+    ``finals`` is a set of states, or a :class:`FinalFlags` with one flag
+    per state.
     """
 
     alphabet: Alphabet
@@ -365,7 +401,12 @@ class Nfa:
         n = self.n_states
         if not (0 <= self.initial < n):
             raise ValueError("initial state out of range")
-        if self.finals and not (0 <= min(self.finals) and max(self.finals) < n):
+        finals = self.finals
+        # An exact type test, as for the stores below.
+        if type(finals) is FinalFlags:
+            if len(finals.flags) != n:
+                raise ValueError(f"final flags cover {len(finals.flags)} states, expected {n}")
+        elif finals and not (0 <= min(finals) and max(finals) < n):
             raise ValueError("final state out of range")
         trans = self.transitions
         # An exact type test: isinstance against an ABC would cost more than
@@ -666,10 +707,14 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     groups balanced by state count; each group, with the initial state,
     is determinised the same way (so a large group splits again), and the
     reachable pairs of the two part DFAs are walked breadth first, symbols
-    in alphabet order.  A pair is the union of its sides' subsets, and a
-    missing edge on one side steps to that side's empty subset, so the
-    pairs, their numbering and their finals are the subsets'.  ``max_states``
-    counts pairs, and no part DFA is larger than the whole.
+    in alphabet order, a chunk of pairs at a time (see :func:`_pair_walk`).
+    A pair is the union of its sides' subsets, and a missing edge on one
+    side steps to that side's empty subset, so the pairs, their numbering
+    and their finals are the subsets'.  ``max_states`` counts pairs, and no
+    part DFA is larger than the whole.  A result joined from parts keeps
+    the last walk's final flags as a :class:`FinalFlags`, which equals and
+    hashes as the frozenset of its states; any other result has a
+    frozenset.
 
     A :class:`Dfa` has only singleton subsets, so its subset automaton is
     its reachable part renumbered: that walk reads the table in place and
@@ -685,11 +730,13 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     # each joining the last two results on ``done``.
     done: list[tuple[int, array, bytes]] = []
     work: list = [(row, pairs, a.initial, finals_mask)]
+    joined = False
     while work:
         part = work.pop()
         if part is None:
             right, left = done.pop(), done.pop()
             done.append(_pair_walk(left, right, len(pairs), max_states))
+            joined = True
             continue
         out = _subset_walk(part, len(part[0]) ** 2, max_states)
         if isinstance(out, list):
@@ -698,7 +745,7 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
         else:
             done.append(out)
     n_out, table, fin = done.pop()
-    finals = frozenset(compress(range(n_out), fin))
+    finals = FinalFlags(fin) if joined else frozenset(compress(range(n_out), fin))
     return Dfa.from_table(a.alphabet, n_out, 0, finals, table)
 
 
@@ -832,46 +879,57 @@ def _pair_walk(left: tuple, right: tuple, k: int, max_states: int) -> tuple:
 
     Each side's sink is its state ``n_states``, its empty subset: a missing
     edge steps to it and it loops.  The pair of sinks is the empty subset
-    of the whole, so a slot that steps there stays -1.  A pair ``(p, q)`` is
-    keyed by ``p * w + q``, ``w`` one more than right's state count: the
-    left table is scaled by ``w`` once, so a slot's key is one addition.
+    of the whole, so a slot that steps there stays -1.  The pairs are
+    numbered breadth first, symbols in alphabet order, and kept in that
+    order as two arrays of sides.  Pair ``(p, q)``'s number sits in the
+    dict of left state ``p`` under right state ``q``, and every state is
+    one shared int object, so a lookup hits on identity and makes no key.
+    The numbered pairs are walked in chunks of ``_TABLE_BLOCK // k``: a
+    chunk's successor pairs are listed and looked up by C iterators, and a
+    Python loop visits only the misses, numbering them in the order they
+    first occur.  The budget is polled once per chunk.
     """
     (n1, t1, f1), (n2, t2, f2) = left, right
-    w = n2 + 1
-    scaled = array("q", map(w.__mul__, _with_sink(t1, n1, k)))
-    t2 = _with_sink(t2, n2, k)
+    # Row ``p`` of each side is the tuple of its successors on every symbol,
+    # each state one shared int object.
+    shared = list(range(max(n1, n2) + 1))
+    t1, t2 = _with_sink(t1, n1, k), _with_sink(t2, n2, k)
+    rows1 = [tuple(map(shared.__getitem__, t1[p:p + k])) for p in range(0, len(t1), k)]
+    rows2 = [tuple(map(shared.__getitem__, t2[q:q + k])) for q in range(0, len(t2), k)]
+    del t1, t2
     f1, f2 = f1 + b"\0", f2 + b"\0"  # the sinks are not final
-    # The pair of sinks is looked up like any pair and reads -1; it is no
-    # state, so the pair numbered next is ``len(ids) - 1``.
-    ids = {0: 0, n1 * w + n2: -1}
-    get = ids.get
-    queue = deque([0])
+    by_left: list[dict] = [{} for _ in rows1]
+    by_left[0][shared[0]] = 0
+    # The pair of sinks is looked up like any pair and reads -1.
+    by_left[n1][shared[n2]] = -1
+    lefts, rights = array("i", [0]), array("i", [0])
     fin = bytearray()
-    cap = _TABLE_BLOCK
-    block = array("i")
-    blocks = [block]
-    emit = block.append
-    while queue:
+    blocks = []
+    chunk = max(_TABLE_BLOCK // k, 1)
+    lo = 0
+    while lo < len(lefts):
         budget.checkpoint()
-        if len(block) >= cap:
-            block = array("i")
-            blocks.append(block)
-            emit = block.append
-        p, q = divmod(queue.popleft(), w)
-        fin.append(f1[p] | f2[q])  # pairs are popped in the order they are numbered
-        p *= k
-        q *= k
-        for key in map(add, scaled[p:p + k], t2[q:q + k]):
-            dst = get(key)
-            if dst is None:
-                if len(ids) > max_states:
+        ps, qs = lefts[lo:lo + chunk], rights[lo:lo + chunk]
+        lo += len(ps)
+        fin += bytes(map(or_, map(f1.__getitem__, ps), map(f2.__getitem__, qs)))
+        succ1 = list(chain.from_iterable(map(rows1.__getitem__, ps)))
+        succ2 = list(chain.from_iterable(map(rows2.__getitem__, qs)))
+        dsts = list(map(dict.get, map(by_left.__getitem__, succ1), succ2))
+        for i in compress(count(), map(is_, dsts, repeat(None))):
+            p, q = succ1[i], succ2[i]
+            ids = by_left[p]
+            dst = ids.get(q)
+            if dst is None:  # not reached earlier in this chunk
+                if len(lefts) >= max_states:
                     raise budget.BudgetExceededError(
                         f"subset construction exceeds {max_states} states")
-                dst = ids[key] = len(ids) - 1
-                queue.append(key)
-            emit(dst)
-    n_out = len(ids) - 1
-    del ids, get, queue
+                dst = ids[q] = len(lefts)
+                lefts.append(p)
+                rights.append(q)
+            dsts[i] = dst
+        blocks.append(array("i", dsts))
+    n_out = len(lefts)
+    del by_left, lefts, rights
     return n_out, _joined(blocks), fin
 
 
@@ -990,9 +1048,17 @@ def _totalized(d: Dfa) -> tuple[array, int]:
 
 
 def complement_dfa(d: Dfa) -> Dfa:
-    """Accept exactly the words the input rejects: totalise, then swap finals."""
+    """Accept exactly the words the input rejects: totalise, then swap finals.
+
+    :class:`FinalFlags` are swapped as bytes, with the sink's flag appended
+    when one is added, and never tested state by state."""
     table, n = _totalized(d)
-    finals = frozenset(filterfalse(d.finals.__contains__, range(n)))
+    if type(d.finals) is FinalFlags:
+        # Each flag is 0 or 1: 0 becomes 1 and 1 becomes 0.
+        flags = d.finals.flags.translate(b"\1" + bytes(255)) + b"\1" * (n - d.n_states)
+        finals = frozenset(compress(range(n), flags))
+    else:
+        finals = frozenset(filterfalse(d.finals.__contains__, range(n)))
     return Dfa.from_table(d.alphabet, n, d.initial, finals, table)
 
 

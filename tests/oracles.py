@@ -537,6 +537,43 @@ def subset_construction(nfa: Nfa, max_states: int) -> tuple[list[frozenset[int]]
     return subsets, Dfa(nfa.alphabet, len(subsets), 0, finals, frozenset(triples))
 
 
+def pair_walk_by_keys(left: tuple, right: tuple, k: int,
+                      max_states: int) -> tuple[int, array, bytes]:
+    """The reference for ``automata._pair_walk``: the reachable pairs of two
+    ``(n_states, table, finals flags)`` DFAs with start state 0, one pair
+    popped at a time and keyed by the int ``p * w + q`` in one dict.
+
+    Each side's missing edge steps to its sink, state ``n_states``, which
+    loops; the pair of sinks reads -1.  Pairs are numbered breadth first,
+    symbols in alphabet order, and a pair beyond ``max_states`` raises
+    ``BudgetExceededError``.
+    """
+    (n1, t1, f1), (n2, t2, f2) = left, right
+    t1 = [n1 if t < 0 else t for t in t1] + [n1] * k
+    t2 = [n2 if t < 0 else t for t in t2] + [n2] * k
+    f1, f2 = bytes(f1) + b"\0", bytes(f2) + b"\0"
+    w = n2 + 1
+    ids = {0: 0, n1 * w + n2: -1}
+    order = [0]
+    table = array("i")
+    fin = bytearray()
+    for key in order:  # ``order`` grows as the walk goes
+        budget.checkpoint()
+        p, q = divmod(key, w)
+        fin.append(f1[p] | f2[q])
+        for c in range(k):
+            succ = t1[p * k + c] * w + t2[q * k + c]
+            dst = ids.get(succ)
+            if dst is None:
+                if len(order) >= max_states:
+                    raise budget.BudgetExceededError(
+                        f"subset construction exceeds {max_states} states")
+                dst = ids[succ] = len(order)
+                order.append(succ)
+            table.append(dst)
+    return len(order), table, bytes(fin)
+
+
 # ---------------------------------------------------------------------------
 # Minimisation by Moore's refinement
 # ---------------------------------------------------------------------------

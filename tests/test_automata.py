@@ -1,5 +1,7 @@
 import hashlib
+import operator
 import random
+import sys
 import tracemalloc
 from array import array
 from collections import Counter
@@ -13,6 +15,7 @@ from rexlab.automata import (
     AlphabetMismatchError,
     AutomatonFormatError,
     Dfa,
+    FinalFlags,
     Nfa,
     TransitionIndex,
     TransitionMasks,
@@ -70,7 +73,7 @@ from oracles import extended_to_nfa_by_triples, glushkov_by_marking, mark, marke
 from oracles import nfa_slice as slice_of
 from oracles import minimize_by_moore, regex_slice, subset_construction, words_upto
 from oracles import equivalent_by_totalising, shortest_divergence_by_totalising
-from oracles import parse_automaton_by_slots
+from oracles import pair_walk_by_keys, parse_automaton_by_slots
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
@@ -435,22 +438,30 @@ class TestDeterminize:
                 assert _subset_outcome(determinize, nfa, max_states) == want
 
 
-def _forced_union(nfa: Nfa, max_states: int):
+def _route_built(nfa: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     """``determinize`` with every walk looking for parts at its first new
-    subset: (serialisation or None on a budget error, pair walks run)."""
+    subset, so that a splitting NFA's result is joined from parts."""
+    subset_walk = automata._subset_walk
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(automata, "_subset_walk",
+                      lambda part, split_at, cap: subset_walk(part, 0, cap))
+        return determinize(nfa, max_states)
+
+
+def _forced_union(nfa: Nfa, max_states: int):
+    """:func:`_route_built`'s serialisation, or None on a budget error, and
+    the number of pair walks run."""
     joins = [0]
-    subset_walk, pair_walk = automata._subset_walk, automata._pair_walk
+    pair_walk = automata._pair_walk
 
     def counted(*args):
         joins[0] += 1
         return pair_walk(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(automata, "_subset_walk",
-                      lambda part, split_at, cap: subset_walk(part, 0, cap))
         patch.setattr(automata, "_pair_walk", counted)
         try:
-            return serialize(determinize(nfa, max_states)), joins[0]
+            return serialize(_route_built(nfa, max_states)), joins[0]
         except BudgetExceededError:
             return None, joins[0]
 
@@ -550,6 +561,166 @@ class TestUnionRoute:
             assert (parts is not None) == splits
         assert automata._split_parts(([0b110, 0, 0], [(0, 0b10), (0, 0b100)], 0, 0b10)) == [
             ([0b10, 0], [(0, 0b10), (0, 0)], 0, 0b10), ([0b10, 0], [(0, 0), (0, 0b10)], 0, 0)]
+
+
+def _join_outcome(walk, left: tuple, right: tuple, k: int, max_states: int):
+    """``(n_states, table bytes, finals flags)`` of a join, or the refusal."""
+    try:
+        n, table, fin = walk(left, right, k, max_states)
+    except BudgetExceededError as exc:
+        return str(exc)
+    return n, table.tobytes(), bytes(fin)
+
+
+def _union_part_dfas(rng: random.Random):
+    """The two parts' subset DFAs of a random union's Glushkov NFA, and the
+    alphabet size, or None when the NFA does not split."""
+    sigma = rng.choice([AB, ABC])
+    r = reduce(Union, [random_plain_regex(rng, sigma.names, rng.randint(1, 14))
+                       for _ in range(rng.randint(2, 4))])
+    nfa = glushkov(r, sigma)
+    rows, pairs = automata._successor_masks(nfa)
+    mask = sum(1 << q for q in nfa.finals)
+    parts = automata._split_parts((rows, pairs, nfa.initial, mask))
+    if parts is None:
+        return None
+    cap = budget.DEFAULT_MAX_STATES
+    left, right = (automata._subset_walk(part, cap, cap) for part in parts)
+    return left, right, len(sigma)
+
+
+def _partial_dfa(rng: random.Random, n: int, k: int) -> tuple:
+    """A random ``(n_states, table, finals flags)`` with most slots missing."""
+    table = array("i", [rng.randrange(n) if rng.random() < 0.35 else -1 for _ in range(n * k)])
+    return n, table, bytes(rng.random() < 0.3 for _ in range(n))
+
+
+class TestPairWalk:
+    """``_pair_walk``, which numbers a chunk of pairs at a time, against the
+    one-dict walk of ``oracles.pair_walk_by_keys``: the same states, table,
+    final flags and refusal, for chunks of one pair up to the full block."""
+
+    @staticmethod
+    def assert_walks_agree(left: tuple, right: tuple, k: int):
+        want = _join_outcome(pair_walk_by_keys, left, right, k, budget.DEFAULT_MAX_STATES)
+        pairs = want[0]
+        for block in (1, 3 * k, automata._TABLE_BLOCK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(automata, "_TABLE_BLOCK", block)
+                for cap in (budget.DEFAULT_MAX_STATES, pairs - 1, pairs):
+                    got = _join_outcome(automata._pair_walk, left, right, k, cap)
+                    assert got == _join_outcome(pair_walk_by_keys, left, right, k, cap)
+                    assert (got == want) == (cap >= pairs or pairs == 1)
+
+    @given(st.integers(0, 10_000))
+    def test_parts_of_random_unions(self, seed):
+        parts = _union_part_dfas(random.Random(seed))
+        assume(parts is not None)
+        self.assert_walks_agree(*parts)
+
+    @given(st.integers(0, 10_000))
+    def test_partial_tables(self, seed):
+        rng = random.Random(seed)
+        k = rng.randint(1, 4)
+        left = _partial_dfa(rng, rng.randint(1, 12), k)
+        right = _partial_dfa(rng, rng.randint(1, 12), k)
+        self.assert_walks_agree(left, right, k)
+
+    def test_pair_of_sinks_reads_missing(self):
+        # Both sides step to their sinks on b: the pair of sinks is no state.
+        left = (1, array("i", [0, -1]), b"\1")
+        right = (1, array("i", [0, -1]), b"\0")
+        assert _join_outcome(automata._pair_walk, left, right, 2, 10) == (
+            1, array("i", [0, -1]).tobytes(), b"\1")
+
+    @staticmethod
+    def recorded_joins(token: CountingToken, patch) -> list:
+        """Each join on ``patch``, as (polls under ``token``, pairs, k)."""
+        joins = []
+        pair_walk = automata._pair_walk
+
+        def counted(left, right, k, max_states):
+            before = token.polls
+            out = pair_walk(left, right, k, max_states)
+            joins.append((token.polls - before, out[0], k))
+            return out
+
+        patch.setattr(automata, "_pair_walk", counted)
+        return joins
+
+    def test_polls_once_per_chunk(self):
+        token = CountingToken()
+        with pytest.MonkeyPatch.context() as patch, budget.active(token):
+            joins = self.recorded_joins(token, patch)
+            d = determinize(glushkov(complement_witness(1), SIGMA_K))
+        assert joins and joins[-1][1] == d.n_states
+        for polls, pairs, k in joins:
+            assert polls >= -(-pairs // (automata._TABLE_BLOCK // k))
+        assert joins[-1][0] >= 4  # 63,993 pairs in chunks of 16,384
+
+    def test_cancelled_mid_join(self):
+        class CancelAtSecondChunk(CancelToken):
+            chunks = 0
+
+            def check(self):
+                # The frame two up is the caller of ``budget.checkpoint``.
+                if sys._getframe(2).f_code.co_name == "_pair_walk":
+                    self.chunks += 1
+                    if self.chunks == 2:
+                        self.cancel()
+                super().check()
+
+        token = CancelAtSecondChunk()
+        with budget.active(token), pytest.raises(BudgetExceededError, match="operation cancelled"):
+            determinize(glushkov(complement_witness(1), SIGMA_K))
+        assert token.chunks == 2
+
+
+class TestFinalFlags:
+    """The final flags a union-route result keeps, read as a set."""
+
+    FLAGS = FinalFlags(bytes([0, 1, 1, 0, 1]))
+    STATES = frozenset({1, 2, 4})
+
+    def test_equal_and_hash_equal_to_the_frozenset(self):
+        assert self.FLAGS == self.STATES and self.STATES == self.FLAGS
+        assert hash(self.FLAGS) == hash(self.STATES)
+        assert len(self.FLAGS) == 3 and list(self.FLAGS) == [1, 2, 4]
+        assert 1 in self.FLAGS and 0 not in self.FLAGS
+        assert FinalFlags(bytes(3)) == frozenset() and hash(FinalFlags(b"")) == hash(frozenset())
+        assert FinalFlags(bytes([0, 2, 255])) == frozenset({1, 2})
+        assert self.FLAGS != frozenset({1, 2}) and self.FLAGS != frozenset({1, 2, 3})
+
+    @pytest.mark.parametrize("op", [operator.and_, operator.or_, operator.sub, operator.xor])
+    def test_set_operators_return_frozensets(self, op):
+        other = frozenset({0, 2, 7})
+        for x, y in ((self.FLAGS, other), (other, self.FLAGS), (self.FLAGS, self.FLAGS)):
+            got = op(x, y)
+            assert type(got) is frozenset
+            assert got == op(frozenset(x), frozenset(y))
+
+    @pytest.mark.parametrize("item", [-1, 5, 2 ** 40, 1.5, "a"])
+    def test_not_a_state(self, item):
+        assert item not in self.FLAGS
+
+    def test_route_built_dfa(self):
+        # ab*|aa*: the positions {a1, b2} and {a3, a4} are two parts.
+        d = _route_built(glushkov(parse("ab*|aa*", AB)))
+        assert type(d.finals) is FinalFlags
+        assert type(determinize(glushkov(parse("ab*|aa*", AB))).finals) is frozenset
+        same = Dfa.from_table(d.alphabet, d.n_states, d.initial, frozenset(d.finals), d.table)
+        assert d == same and hash(d) == hash(same)
+        assert serialize(d) == serialize(same)
+        assert serialize(minimize(d)) == serialize(minimize(same))
+        assert equivalent(d, same) and equivalent(same, d)
+        assert not equivalent(d, complement_dfa(same))
+        nfa = Nfa(d.alphabet, d.n_states, d.initial, d.finals, frozenset(d.transitions))
+        assert nfa.finals is d.finals and serialize(nfa) == serialize(d)
+
+    def test_constructor_checks_the_flag_count(self):
+        for flags in (bytes([1]), bytes([1, 0, 0])):
+            with pytest.raises(ValueError, match="final flags cover"):
+                Nfa(A, 2, 0, FinalFlags(flags), frozenset([(0, "a", 1)]))
 
 
 class TestTableCore:
@@ -886,6 +1057,23 @@ class TestComplement:
             assert token.polls == -(-len(d.table) // automata._TABLE_BLOCK)
             polls.append(token.polls)
         assert polls == [1, 3]
+
+    @pytest.mark.parametrize("text, sink", [("ab*|aa*", True), ("(a|b)*a|(a|b)*b", False)])
+    def test_final_flags_swapped_as_bytes(self, monkeypatch, text, sink):
+        # A union-route result keeps FinalFlags; the complement swaps their
+        # bytes and never tests a state through the view.
+        d = _route_built(glushkov(parse(text, AB)))
+        same = Dfa.from_table(d.alphabet, d.n_states, d.initial, frozenset(d.finals), d.table)
+        want = complement_dfa(same)
+
+        def refused(self, item):
+            raise AssertionError("FinalFlags tested state by state")
+
+        monkeypatch.setattr(FinalFlags, "__contains__", refused)
+        got = complement_dfa(d)
+        assert type(got.finals) is frozenset and got.finals == want.finals
+        assert got.n_states == d.n_states + sink == want.n_states
+        assert serialize(got) == serialize(want)
 
 
 class TestProduct:
