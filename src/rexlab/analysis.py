@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union as TUnion
 from . import budget
 from .automata import (
     Dfa,
+    FinalFlags,
     Nfa,
     _derived_alphabet,
     determinize,
@@ -163,9 +164,9 @@ def enumerate_language(source: TUnion[Regex, Nfa], max_len: int,
     level: list[tuple[int, Word]] = []
     if dist[dfa.initial] <= max_len:
         level = [(dfa.initial, ())]
-    if dfa.initial in dfa.finals:
+    finals = dfa.finals.flags
+    if finals[dfa.initial]:
         words.append(())
-    finals = dfa.finals
     names = tuple(enumerate(sigma))
     length = 0
     while level:
@@ -180,7 +181,7 @@ def enumerate_language(source: TUnion[Regex, Nfa], max_len: int,
                 if q < 0 or dist[q] > slack:
                     continue
                 word = prefix + (s,)
-                if q in finals:
+                if finals[q]:
                     words.append(word)
                     if len(words) > max_words:
                         raise budget.BudgetExceededError(
@@ -261,7 +262,7 @@ def _factor_nfa(word: Word, alphabet: Alphabet) -> Nfa:
     last = len(word)
     edges = [(p, s, p) for p in (0, last) for s in alphabet.names]
     edges += [(p, s, p + 1) for p, s in enumerate(word)]
-    return Nfa(alphabet, last + 1, 0, frozenset([last]), edges)
+    return Nfa(alphabet, last + 1, 0, FinalFlags(bytes(last) + b"\1"), edges)
 
 
 def covers(r: Regex, word: Sequence[str], alphabet: Optional[Alphabet] = None) -> bool:

@@ -3,7 +3,10 @@
 The model is epsilon-free: an NFA is (states 0..n-1, initial, finals,
 transition triples).  DFAs are NFAs whose transition relation is a partial
 function; a missing transition rejects.  The reported size of an automaton is
-the number of states plus the number of transitions.
+the number of states plus the number of transitions.  Every automaton keeps
+its finals in one form, a :class:`FinalFlags` of one byte per state, which
+the constructions write and the walks read directly; a walk that adds a sink
+reads the sink's flag from a 0 byte appended to them.
 
 Every automaton indexes its successors by slot ``p * k + c``, state ``p`` on
 the ``c``-th of ``k`` symbols, and keeps its transitions once, in
@@ -42,8 +45,7 @@ states entered on ``c``.  Other inputs pack symbol ``c``'s targets at bit
 offset ``c * n``.  A homogeneous NFA whose non-initial states fall into
 parts with no edge between them, once its walk passes ``n * n`` subsets, is
 determinised part by part and the part DFAs are joined by a product walk
-that keys each pair by its sides (see :func:`determinize`); the result keeps
-its finals as flag bytes, a :class:`FinalFlags`.
+that keys each pair by its sides (see :func:`determinize`).
 
 The Glushkov construction makes one iterative post-order walk over the
 unmarked tree (``rex._position_masks``).  It numbers the symbol leaves 1..n
@@ -89,7 +91,7 @@ from collections import Counter, deque
 from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import gt, is_, le, ne, or_
 from typing import Iterable, Optional
 
@@ -319,8 +321,8 @@ class FinalFlags(Set):
     """Read-only set of the final states over one flag byte per state:
     state ``q`` is final when ``flags[q]`` is 1, and any byte but 0 given
     to the constructor is read as 1.  Equality and hash agree with the
-    frozenset of the same states; set operators (|, &, -, ^) return plain
-    frozensets."""
+    frozenset of the same states; two ``FinalFlags`` compare their flags
+    less trailing zeros.  Set operators (|, &, -, ^) return frozensets."""
 
     __slots__ = ("flags", "_len")
 
@@ -337,6 +339,11 @@ class FinalFlags(Set):
     def __len__(self) -> int:
         return self._len
 
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FinalFlags):
+            return self.flags.rstrip(b"\0") == other.flags.rstrip(b"\0")
+        return Set.__eq__(self, other)
+
     __hash__ = Set._hash
 
     @classmethod
@@ -345,6 +352,14 @@ class FinalFlags(Set):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({sorted(self)!r})"
+
+
+def _final_flags(states: Iterable[int], n: int) -> FinalFlags:
+    """The flags of ``n`` states, those in ``states`` final."""
+    flags = bytearray(n)
+    for q in states:
+        flags[q] = 1
+    return FinalFlags(flags)
 
 
 def _slot_index(alphabet: Alphabet, n_states: int, keys: Iterable[int],
@@ -385,14 +400,14 @@ class Nfa:
     ``transitions`` may be given as ``(p, symbol, q)`` triples or as any
     store; it is kept as a :class:`TransitionIndex` or a
     :class:`TransitionMasks`, and anything else is turned into an index.
-    ``finals`` is a set of states, or a :class:`FinalFlags` with one flag
-    per state.
+    ``finals`` may be given as a set of states or as a :class:`FinalFlags`
+    with one flag per state, and is kept as flags.
     """
 
     alphabet: Alphabet
     n_states: int
     initial: int
-    finals: frozenset[int]
+    finals: FinalFlags
     transitions: frozenset[tuple[int, str, int]]
 
     _stores = (TransitionIndex, TransitionMasks)
@@ -408,6 +423,8 @@ class Nfa:
                 raise ValueError(f"final flags cover {len(finals.flags)} states, expected {n}")
         elif finals and not (0 <= min(finals) and max(finals) < n):
             raise ValueError("final state out of range")
+        else:
+            object.__setattr__(self, "finals", _final_flags(finals, n))
         trans = self.transitions
         # An exact type test: isinstance against an ABC would cost more than
         # validating a small NFA.
@@ -464,7 +481,7 @@ class Dfa(Nfa):
 
     @classmethod
     def from_table(cls, alphabet: Alphabet, n_states: int, initial: int,
-                   finals: frozenset[int], table: Iterable[int]) -> "Dfa":
+                   finals: Iterable[int], table: Iterable[int]) -> "Dfa":
         return cls(alphabet, n_states, initial, finals, TransitionTable(alphabet, table))
 
     @property
@@ -485,7 +502,7 @@ def accepts(a: Nfa, word: Iterable[str]) -> bool:
         current = a.step(current, symbol)
         if not current:
             return False
-    return bool(current & a.finals)
+    return any(map(a.finals.flags.__getitem__, current))
 
 
 def _require_same_alphabet(a: Nfa, b: Nfa):
@@ -527,8 +544,8 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
             raise ValueError(f"symbol {name!r} not in the declared alphabet")
         codes.append(c)
     rows[0] = first
-    finals = frozenset(iter_bits((last | 1) if nullable else last))  # bit 0: state 0
     n = len(rows)
+    finals = _final_flags(iter_bits((last | 1) if nullable else last), n)  # bit 0: state 0
     k = len(sigma)
     table = array("i", [-1]) * (n * k)
     for p, row in enumerate(rows):
@@ -609,7 +626,7 @@ def _as_automaton(v, sigma: Alphabet, stride: int) -> Nfa:
     if isinstance(v, Nfa):
         return v
     n, initial, finals, edges = v
-    return Nfa(sigma, n, initial, frozenset(finals), _slot_index(sigma, n, edges, stride))
+    return Nfa(sigma, n, initial, _final_flags(finals, n), _slot_index(sigma, n, edges, stride))
 
 
 def extended_to_nfa(r: Regex, alphabet: Optional[Alphabet] = None,
@@ -694,8 +711,8 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     fewer entries than there are subsets so far.  The rows are written in
     blocks of ``_TABLE_BLOCK`` slots or more, and a queue holds only the
     subsets whose rows are still to come.  When the walk ends, each subset's
-    final flag is read into a byte string; the subsets and the memo are
-    released before the finals set is built and the blocks are joined.
+    final flag is read into a byte string, the result's finals; the subsets
+    and the memo are released before the blocks are joined.
 
     A union of independent parts is determinised as the product of their
     subset automata (Rabin and Scott, 1959).  Once the walk over an NFA of
@@ -711,10 +728,7 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     A pair is the union of its sides' subsets, and a missing edge on one
     side steps to that side's empty subset, so the pairs, their numbering
     and their finals are the subsets'.  ``max_states`` counts pairs, and no
-    part DFA is larger than the whole.  A result joined from parts keeps
-    the last walk's final flags as a :class:`FinalFlags`, which equals and
-    hashes as the frozenset of its states; any other result has a
-    frozenset.
+    part DFA is larger than the whole.
 
     A :class:`Dfa` has only singleton subsets, so its subset automaton is
     its reachable part renumbered: that walk reads the table in place and
@@ -723,20 +737,16 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     if isinstance(a, Dfa):
         return _renumber(a, max_states)
     row, pairs = _successor_masks(a)
-    finals_mask = 0
-    for q in a.finals:
-        finals_mask |= 1 << q
+    finals_mask = sum(1 << q for q in a.finals)
     # ``work`` is a stack of parts still to determinise and of ``None``s,
     # each joining the last two results on ``done``.
     done: list[tuple[int, array, bytes]] = []
     work: list = [(row, pairs, a.initial, finals_mask)]
-    joined = False
     while work:
         part = work.pop()
         if part is None:
             right, left = done.pop(), done.pop()
             done.append(_pair_walk(left, right, len(pairs), max_states))
-            joined = True
             continue
         out = _subset_walk(part, len(part[0]) ** 2, max_states)
         if isinstance(out, list):
@@ -745,8 +755,7 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
         else:
             done.append(out)
     n_out, table, fin = done.pop()
-    finals = FinalFlags(fin) if joined else frozenset(compress(range(n_out), fin))
-    return Dfa.from_table(a.alphabet, n_out, 0, finals, table)
+    return Dfa.from_table(a.alphabet, n_out, 0, FinalFlags(fin), table)
 
 
 def _subset_walk(part: tuple, split_at: int, max_states: int):
@@ -816,8 +825,8 @@ def _subset_walk(part: tuple, split_at: int, max_states: int):
                 ids[t] = dst
                 queue.append(t)
             emit(dst)
-    # The subsets go before the caller builds the result, so that its finals
-    # set and joined table can take their memory.
+    # The subsets go before the caller joins the table, so that it can take
+    # their memory.
     n_out = len(ids)
     fin = bytes(map(bool, map(finals_mask.__and__, ids)))
     del ids, memo, queue
@@ -891,12 +900,12 @@ def _pair_walk(left: tuple, right: tuple, k: int, max_states: int) -> tuple:
     """
     (n1, t1, f1), (n2, t2, f2) = left, right
     # Row ``p`` of each side is the tuple of its successors on every symbol,
-    # each state one shared int object.
+    # each state one shared int object.  A side's lookup ends with its sink,
+    # so a -1 slot reads the sink, and the sink's own row loops.
     shared = list(range(max(n1, n2) + 1))
-    t1, t2 = _with_sink(t1, n1, k), _with_sink(t2, n2, k)
-    rows1 = [tuple(map(shared.__getitem__, t1[p:p + k])) for p in range(0, len(t1), k)]
-    rows2 = [tuple(map(shared.__getitem__, t2[q:q + k])) for q in range(0, len(t2), k)]
-    del t1, t2
+    at1, at2 = shared[:n1 + 1].__getitem__, shared[:n2 + 1].__getitem__
+    rows1 = [tuple(map(at1, t1[p:p + k])) for p in range(0, len(t1), k)] + [(shared[n1],) * k]
+    rows2 = [tuple(map(at2, t2[q:q + k])) for q in range(0, len(t2), k)] + [(shared[n2],) * k]
     f1, f2 = f1 + b"\0", f2 + b"\0"  # the sinks are not final
     by_left: list[dict] = [{} for _ in rows1]
     by_left[0][shared[0]] = 0
@@ -966,7 +975,7 @@ def _renumber(d: Dfa, max_states: int) -> Dfa:
                 emit(dst)
             else:
                 emit(-1)
-    finals = frozenset(ids[q] for q in d.finals if ids[q] >= 0)
+    finals = FinalFlags(bytes(map(d.finals.flags.__getitem__, order)))
     return Dfa.from_table(d.alphabet, len(order), 0, finals, table)
 
 
@@ -1011,28 +1020,23 @@ def _successor_masks(a: Nfa) -> tuple[list[int], list[tuple[int, int]]]:
 
 
 def _fill_missing(table: array, target: int) -> array:
-    """Copy of ``table`` with every -1 slot pointing at ``target``, polling
-    once per ``_TABLE_BLOCK`` slots."""
-    out = array("i", table)
+    """``table`` with every -1 slot pointing at ``target``: a copy when a
+    slot is missing, else ``table`` itself.  One scan, polling once per
+    ``_TABLE_BLOCK`` slots."""
+    out = table
     cap = _TABLE_BLOCK
-    for lo in range(0, len(out), cap):
+    for lo in range(0, len(table), cap):
         budget.checkpoint()
-        slot, hi = lo, min(lo + cap, len(out))
+        slot, hi = lo, min(lo + cap, len(table))
         try:
             while True:
                 slot = out.index(-1, slot, hi)
+                if out is table:
+                    out = array("i", table)
                 out[slot] = target
         except ValueError:
             pass
     return out
-
-
-def _with_sink(table: array, n: int, k: int) -> array:
-    """``table`` of ``n`` states with a sink ``n`` appended: every -1 slot
-    and every slot of the sink points at it."""
-    table = _fill_missing(table, n)
-    table.extend(array("i", [n]) * k)
-    return table
 
 
 def _totalized(d: Dfa) -> tuple[array, int]:
@@ -1041,25 +1045,20 @@ def _totalized(d: Dfa) -> tuple[array, int]:
     The sink is state ``d.n_states``: non-final, looping to itself, and
     added only when the table has a missing edge (a total table is shared).
     """
-    n, table = d.n_states, d.table
-    if -1 in table:
-        return _with_sink(table, n, len(d.alphabet)), n + 1
-    return table, n
+    out = _fill_missing(d.table, d.n_states)
+    if out is d.table:
+        return out, d.n_states
+    out.extend(array("i", [d.n_states]) * len(d.alphabet))
+    return out, d.n_states + 1
 
 
 def complement_dfa(d: Dfa) -> Dfa:
-    """Accept exactly the words the input rejects: totalise, then swap finals.
-
-    :class:`FinalFlags` are swapped as bytes, with the sink's flag appended
-    when one is added, and never tested state by state."""
+    """Accept exactly the words the input rejects: totalise, then swap the
+    final flags as bytes, the sink's flag appended when one is added."""
     table, n = _totalized(d)
-    if type(d.finals) is FinalFlags:
-        # Each flag is 0 or 1: 0 becomes 1 and 1 becomes 0.
-        flags = d.finals.flags.translate(b"\1" + bytes(255)) + b"\1" * (n - d.n_states)
-        finals = frozenset(compress(range(n), flags))
-    else:
-        finals = frozenset(filterfalse(d.finals.__contains__, range(n)))
-    return Dfa.from_table(d.alphabet, n, d.initial, finals, table)
+    # Each flag is 0 or 1: 0 becomes 1 and 1 becomes 0.
+    flags = d.finals.flags.translate(b"\1" + bytes(255)) + b"\1" * (n - d.n_states)
+    return Dfa.from_table(d.alphabet, n, d.initial, FinalFlags(flags), table)
 
 
 def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
@@ -1106,9 +1105,8 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
             starts.append(len(targets))
         i += 1
     del ids
-    fa, fb = a.finals, b.finals
-    finals = frozenset(i for i, key in enumerate(order)
-                       if key // width in fa and key % width in fb)
+    fa, fb = a.finals.flags, b.finals.flags
+    finals = FinalFlags(bytes(fa[key // width] & fb[key % width] for key in order))
     cls = Dfa if a.is_deterministic() and b.is_deterministic() else Nfa
     return cls(a.alphabet, len(order), 0, finals, TransitionIndex(a.alphabet, starts, targets))
 
@@ -1116,7 +1114,7 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
 def _dfa_product(a: Dfa, b: Dfa, max_states: int) -> Dfa:
     k = len(a.alphabet)
     ta, tb, width = a.table, b.table, b.n_states
-    fa, fb = a.finals, b.finals
+    fa, fb = a.finals.flags, b.finals.flags
     # A slot that ``b`` leaves undefined stays -1 whatever ``a`` holds there,
     # so each pair reads ``a``'s row only at the symbols of ``b``'s edges.
     # A state's edges are listed when a popped pair first reaches it, so the
@@ -1125,7 +1123,7 @@ def _dfa_product(a: Dfa, b: Dfa, max_states: int) -> Dfa:
     start = a.initial * width + b.initial
     ids = {start: 0}
     order = [start]
-    finals = [0] if a.initial in fa and b.initial in fb else []
+    fin = bytearray([fa[a.initial] & fb[b.initial]])
     blank = array("i", [-1]) * k
     table = array("i")
     for key in order:  # ``order`` grows as the walk goes
@@ -1148,10 +1146,9 @@ def _dfa_product(a: Dfa, b: Dfa, max_states: int) -> Dfa:
                     raise budget.BudgetExceededError(f"product exceeds {max_states} states")
                 dst = ids[pair] = len(order)
                 order.append(pair)
-                if p2 in fa and q2 in fb:
-                    finals.append(dst)
+                fin.append(fa[p2] & fb[q2])
             table[row + c] = dst
-    return Dfa.from_table(a.alphabet, len(order), 0, frozenset(finals), table)
+    return Dfa.from_table(a.alphabet, len(order), 0, FinalFlags(fin), table)
 
 
 # ---------------------------------------------------------------------------
@@ -1182,7 +1179,7 @@ def _preimages(table: array, n: int, k: int) -> tuple[array, array]:
     return starts, sources
 
 
-def _refine(live: bytearray, fin: bytearray, starts: array, sources: array,
+def _refine(live: bytearray, fin: bytes, starts: array, sources: array,
             k: int) -> tuple[array, array]:
     """The live states' language classes, as each state's block and one state
     of each block, by Hopcroft's refinement over the partial function in the
@@ -1262,9 +1259,7 @@ def minimize(d: Dfa) -> Dfa:
     """
     k, n, table = len(d.alphabet), d.n_states, d.table
     starts, sources = _preimages(table, n, k)
-    fin = bytearray(n)
-    for q in d.finals:
-        fin[q] = 1
+    fin = d.finals.flags
     live = bytearray(fin)
     stack = array("i", compress(range(n), fin))
     while stack:
@@ -1275,7 +1270,7 @@ def minimize(d: Dfa) -> Dfa:
                 live[p] = 1
                 stack.append(p)
     if not live[d.initial]:
-        return Dfa.from_table(d.alphabet, 1, 0, frozenset(), array("i", [-1]) * k)
+        return Dfa.from_table(d.alphabet, 1, 0, FinalFlags(b"\0"), array("i", [-1]) * k)
     block_of, reps = _refine(live, fin, starts, sources, k)
 
     # The i-th block taken off the queue writes row i of the output table
@@ -1295,7 +1290,7 @@ def minimize(d: Dfa) -> Dfa:
                 ids[t] = len(order)
                 order.append(t)
             out.append(ids[t])
-    finals = frozenset(i for i, b in enumerate(order) if fin[reps[b]])
+    finals = FinalFlags(bytes(map(fin.__getitem__, map(reps.__getitem__, order))))
     return Dfa.from_table(d.alphabet, len(order), 0, finals, out)
 
 
@@ -1348,7 +1343,7 @@ def parse_automaton(text: str, max_states: int = budget.DEFAULT_MAX_STATES) -> N
                 f"automaton file of {n_states} states exceeds {max_states} states")
         initial = int(field(3, "initial"))
         finals_text = field(4, "finals")
-        finals = frozenset(int(t) for t in finals_text.split()) if finals_text else frozenset()
+        finals = [int(t) for t in finals_text.split()]
         # One pass writes each line's target into its slot.  On a refusal,
         # every line is read once more so that a format error anywhere comes
         # first; the NFA constructor then raises the same refusal, as it
@@ -1387,10 +1382,10 @@ def equivalent(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> b
     needed.
     """
     da, db = sorted(_dfa_pair(a, b, max_states), key=lambda d: d.n_states)
-    ta, fa, sa = da.table, da.finals, da.n_states
-    tb, fb, sb = db.table, db.finals, db.n_states
+    ta, sa, tb, sb = da.table, da.n_states, db.table, db.n_states
+    fa, fb = da.finals.flags + b"\0", db.finals.flags + b"\0"  # the sinks are not final
     ia, ib = da.initial, db.initial
-    if (ia in fa) != (ib in fb):
+    if fa[ia] != fb[ib]:
         return False
     k = len(a.alphabet)
     sink_row = array("i", [-1]) * k
@@ -1419,7 +1414,7 @@ def equivalent(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> b
                 parent[y] = y = parent[parent[y]]
             if x == y:
                 continue
-            if (p2 in fa) != (q2 in fb):
+            if fa[p2] != fb[q2]:
                 return False
             parent[y] = x
             stack.append((p2, q2))
@@ -1439,8 +1434,8 @@ def shortest_divergence(a: Nfa, b: Nfa,
     rebuilt only for the first pair whose finality differs.
     """
     da, db = _dfa_pair(a, b, max_states)
-    ta, fa, sa = da.table, da.finals, da.n_states
-    tb, fb, sb = db.table, db.finals, db.n_states
+    ta, sa, tb, sb = da.table, da.n_states, db.table, db.n_states
+    fa, fb = da.finals.flags + b"\0", db.finals.flags + b"\0"  # the sinks are not final
     names = a.alphabet.names
     k = len(names)
     sink_row = array("i", [-1]) * k
@@ -1454,7 +1449,7 @@ def shortest_divergence(a: Nfa, b: Nfa,
     while i < len(queue):
         budget.checkpoint()
         p, q = divmod(queue[i], width)
-        if (p in fa) != (q in fb):
+        if fa[p] != fb[q]:
             word = []
             while i:
                 word.append(names[via[i]])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import budget
-from .automata import Dfa, eliminate_states
+from .automata import Dfa, FinalFlags, eliminate_states
 from .rex import (
     EMPTY,
     EPSILON,
@@ -340,10 +340,10 @@ def profile_to_dfa(profile: LocalProfile, alphabet: Alphabet) -> Dfa:
         table[code[a]] = code[a] + 1
     for a, b in profile.follow:
         table[(code[a] + 1) * k + code[b]] = code[b] + 1
-    finals = {code[a] + 1 for a in profile.last}
-    if profile.nullable:
-        finals.add(0)
-    return Dfa.from_table(alphabet, k + 1, 0, frozenset(finals), table)
+    finals = bytearray([profile.nullable]) + bytes(k)
+    for a in profile.last:
+        finals[code[a] + 1] = 1
+    return Dfa.from_table(alphabet, k + 1, 0, FinalFlags(finals), table)
 
 
 def intersect_sores(rs: Sequence[Regex], alphabet: Alphabet) -> Regex:

@@ -36,7 +36,7 @@ from itertools import chain
 from typing import Union as TUnion
 
 from . import budget
-from .automata import Dfa, Nfa
+from .automata import Dfa, FinalFlags, Nfa
 from .rex import (
     EPSILON,
     Alphabet,
@@ -134,8 +134,7 @@ def z_dfa(n: int) -> Dfa:
         for j in range(n):
             c = i * n + j
             table[c] = table[(1 + i) * k + c] = 1 + j
-    finals = frozenset(range(1, n + 1))
-    return Dfa.from_table(sigma, n + 1, 0, finals, table)
+    return Dfa.from_table(sigma, n + 1, 0, FinalFlags(b"\0" + b"\1" * n), table)
 
 
 def enc_width(n: int) -> int:
@@ -248,7 +247,10 @@ def k_dfa(n: int) -> Dfa:
     order, so the serialisation is fixed by ``n``.
     """
     table, ends = _block_walk(n, False)
-    return Dfa.from_table(SIGMA_K, len(table) // len(SIGMA_K), 0, frozenset(ends), table)
+    finals = bytearray(len(table) // len(SIGMA_K))
+    for q in ends:
+        finals[q] = 1
+    return Dfa.from_table(SIGMA_K, len(finals), 0, FinalFlags(finals), table)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +337,7 @@ def l_dfa(n: int) -> Dfa:
     for q in ends:
         table[q * k + k - 1] = accept
     table.extend(array("i", [-1]) * k)
-    return Dfa.from_table(SIGMA_L, accept + 1, 0, frozenset([accept]), table)
+    return Dfa.from_table(SIGMA_L, accept + 1, 0, FinalFlags(bytes(accept) + b"\1"), table)
 
 
 def unamb_family(n: int) -> list[Regex]:

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from array import array
 from collections import Counter
+from collections.abc import Set
 from functools import reduce
 
 import pytest
@@ -54,7 +55,7 @@ from rexlab.rex import (
     position_sets,
     size,
 )
-from rexlab.unambiguous import complement_unambiguous
+from rexlab.unambiguous import complement_unambiguous, local_profile, profile_to_dfa
 from rexlab.witnesses import (
     SIGMA_K,
     SIGMA_L,
@@ -68,7 +69,8 @@ from rexlab.witnesses import (
 )
 
 from conftest import CountingToken, extended_regexes, regexes
-from corpus import random_dfa, random_layered_nfa, random_nfa, random_plain_regex
+from corpus import random_dfa, random_extended_regex, random_layered_nfa, random_nfa
+from corpus import random_plain_regex
 from oracles import extended_to_nfa_by_triples, glushkov_by_marking, mark, marked_position_sets
 from oracles import nfa_slice as slice_of
 from oracles import minimize_by_moore, regex_slice, subset_construction, words_upto
@@ -677,7 +679,7 @@ class TestPairWalk:
 
 
 class TestFinalFlags:
-    """The final flags a union-route result keeps, read as a set."""
+    """The final flags every automaton keeps, read as a set."""
 
     FLAGS = FinalFlags(bytes([0, 1, 1, 0, 1]))
     STATES = frozenset({1, 2, 4})
@@ -707,7 +709,7 @@ class TestFinalFlags:
         # ab*|aa*: the positions {a1, b2} and {a3, a4} are two parts.
         d = _route_built(glushkov(parse("ab*|aa*", AB)))
         assert type(d.finals) is FinalFlags
-        assert type(determinize(glushkov(parse("ab*|aa*", AB))).finals) is frozenset
+        assert type(determinize(glushkov(parse("ab*|aa*", AB))).finals) is FinalFlags
         same = Dfa.from_table(d.alphabet, d.n_states, d.initial, frozenset(d.finals), d.table)
         assert d == same and hash(d) == hash(same)
         assert serialize(d) == serialize(same)
@@ -721,6 +723,118 @@ class TestFinalFlags:
         for flags in (bytes([1]), bytes([1, 0, 0])):
             with pytest.raises(ValueError, match="final flags cover"):
                 Nfa(A, 2, 0, FinalFlags(flags), frozenset([(0, "a", 1)]))
+
+    def test_flags_compare_as_bytes(self, monkeypatch):
+        # Two FinalFlags compare their flags with the trailing zeros cut,
+        # never state by state.
+        def refused(self, *args):
+            raise AssertionError("FinalFlags read state by state")
+
+        longer = FinalFlags(bytes([0, 1, 1, 0, 1, 0, 0]))
+        unequal = [FinalFlags(f) for f in (bytes([0, 1, 1]), bytes([0, 1, 1, 0, 1, 1]),
+                                           bytes([1, 1, 1, 0, 1]), bytes(5))]
+        with monkeypatch.context() as patch:
+            patch.setattr(FinalFlags, "__contains__", refused)
+            patch.setattr(FinalFlags, "__iter__", refused)
+            assert longer == self.FLAGS and self.FLAGS == longer
+            assert FinalFlags(b"") == FinalFlags(bytes(4))
+            for other in unequal:
+                assert other != self.FLAGS and self.FLAGS != other
+        assert hash(longer) == hash(self.FLAGS) == hash(self.STATES)
+        assert FinalFlags.__hash__ is Set._hash
+        for states in (self.STATES, frozenset({1, 2}), frozenset({1, 2, 4, 9}), frozenset()):
+            same = states == self.STATES
+            assert (longer == states) is same and (states == longer) is same
+            assert (longer != states) is not same and (states != longer) is not same
+
+
+# Bad finals values and what they raise, as they did when finals were kept
+# as frozensets.
+BAD_FINALS = [
+    ([-1], ValueError, "final state out of range"),
+    ([2], ValueError, "final state out of range"),
+    ([2 ** 40], ValueError, "final state out of range"),
+    (frozenset([0, 2 ** 40]), ValueError, "final state out of range"),
+    (["a"], TypeError, "'<=' not supported between instances of 'int' and 'str'"),
+    ([None], TypeError, "'<=' not supported between instances of 'int' and 'NoneType'"),
+    ([0, "a"], TypeError, "'<' not supported between instances of 'str' and 'int'"),
+]
+
+
+@pytest.mark.parametrize("cls", [Nfa, Dfa])
+@pytest.mark.parametrize("finals, error, message", BAD_FINALS)
+def test_constructor_refuses_bad_finals(cls, finals, error, message):
+    # Turning a set of states into flags keeps the refusals of the set form:
+    # the same error class and message, raised before any flag is written.
+    with pytest.raises(error) as info:
+        cls(A, 2, 0, finals, [(0, "a", 1)])
+    assert type(info.value) is error and str(info.value) == message
+
+
+def _flags_of(a: Nfa) -> bytes:
+    """``a``'s final flags, checked to be a FinalFlags of one flag per state."""
+    assert type(a.finals) is FinalFlags and len(a.finals.flags) == a.n_states
+    return a.finals.flags
+
+
+class TestOneFinalsForm:
+    """Every public construction keeps its finals as a FinalFlags of
+    ``n_states`` flags, and they are the finals the oracles give."""
+
+    WITNESSES = [
+        lambda: k_dfa(4),
+        lambda: l_dfa(4),
+        lambda: z_dfa(3),
+        lambda: profile_to_dfa(local_profile(parse("ab*(c|%e)", ABC)), ABC),
+        lambda: profile_to_dfa(local_profile(parse("(a|b)*", AB)), AB),
+        lambda: glushkov(unamb_family(2)[0], SIGMA_L),
+        lambda: glushkov(m_sore_pair(2)[0], m_alphabet(2)),
+    ]
+
+    @staticmethod
+    def _inputs(rng: random.Random, sigma: Alphabet) -> list[Nfa]:
+        return [
+            random_nfa(rng, sigma, rng.randint(1, 7)),
+            random_dfa(rng, sigma, rng.randint(1, 7)),
+            glushkov(random_plain_regex(rng, sigma.names, rng.randint(1, 16)), sigma),
+            extended_to_nfa(random_extended_regex(rng, sigma.names, rng.randint(1, 8)), sigma),
+        ]
+
+    @staticmethod
+    def assert_constructions_match_oracles(x: Nfa):
+        _flags_of(x)
+        assert _flags_of(parse_automaton(serialize(x))) == x.finals.flags
+        d = determinize(x)
+        want = subset_construction(x, budget.DEFAULT_MAX_STATES)[1]
+        assert _flags_of(d) == _flags_of(want) and d.finals == frozenset(want.finals)
+        m = minimize(d)
+        want = minimize_by_moore(d)
+        assert _flags_of(m) == _flags_of(want) and m.finals == frozenset(want.finals)
+        c = complement_dfa(d)
+        _flags_of(c)
+        assert c.finals == frozenset(range(c.n_states)) - frozenset(d.finals)
+        cc = complement_dfa(c)
+        assert _flags_of(cc).startswith(d.finals.flags) and cc.finals == d.finals
+        for a, b in ((cc, x), (c, x), (m, d)):
+            assert equivalent(a, b) == equivalent_by_totalising(a, b)
+        assert equivalent(cc, x) and not equivalent(c, x)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_corpus(self, seed):
+        rng = random.Random(seed)
+        sigma = rng.choice([AB, ABC])
+        inputs = self._inputs(rng, sigma)
+        for x in inputs:
+            self.assert_constructions_match_oracles(x)
+        for x in inputs:
+            for y in inputs:
+                got = product(x, y)
+                _flags_of(got)
+                assert slice_of(got, 4) == slice_of(x, 4) & slice_of(y, 4)
+
+    @pytest.mark.parametrize("build", WITNESSES)
+    def test_witnesses(self, build):
+        self.assert_constructions_match_oracles(build())
 
 
 class TestTableCore:
@@ -1071,9 +1185,42 @@ class TestComplement:
 
         monkeypatch.setattr(FinalFlags, "__contains__", refused)
         got = complement_dfa(d)
-        assert type(got.finals) is frozenset and got.finals == want.finals
+        assert type(got.finals) is FinalFlags and got.finals == want.finals
         assert got.n_states == d.n_states + sink == want.n_states
         assert serialize(got) == serialize(want)
+
+    def test_table_scanned_once_under_the_budget(self):
+        # 70,000 states x 2 symbols, every slot defined: one scan finds no
+        # missing slot, polls once per ``_TABLE_BLOCK`` slots and shares the
+        # table, with no sink.  A partial table is copied, never extended.
+        n = 70_000
+        d = Dfa.from_table(AB, n, 0, [n - 1], array("i", [(s // 2 + s % 2 + 1) % n
+                                                          for s in range(2 * n)]))
+        blocks = -(-len(d.table) // automata._TABLE_BLOCK)
+        assert blocks >= 2
+        token = CountingToken()
+        with budget.active(token):
+            c = complement_dfa(d)
+        assert token.polls == blocks
+        assert c.table is d.table and c.n_states == n
+        assert c.finals == frozenset(range(n - 1))
+
+        class StopAtSecondPoll(CountingToken):
+            def check(self):
+                if self.polls == 1:
+                    self.cancel()
+                super().check()
+
+        token = StopAtSecondPoll()
+        with budget.active(token), pytest.raises(BudgetExceededError, match="cancelled"):
+            complement_dfa(d)
+        assert token.polls == 2
+
+        d = k_dfa(8)
+        before = array("i", d.table)
+        c = complement_dfa(d)
+        assert d.table == before and c.table is not d.table
+        assert c.n_states == d.n_states + 1 and len(c.table) == len(before) + len(d.alphabet)
 
 
 class TestProduct:
