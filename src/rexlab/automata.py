@@ -86,11 +86,12 @@ equivalence, and state elimination back to a plain regex.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import Counter, deque
 from collections.abc import Set
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import gt, is_, le, ne, or_
 from typing import Iterable, Optional
@@ -191,10 +192,60 @@ class _TripleView(Set):
         return f"{type(self).__name__}({sorted(self)!r})"
 
 
+# Kept for a full lane block only, 16 KB at the default block size: a
+# shorter block takes its low lanes by one shift, whose cost follows them.
+@lru_cache(maxsize=1)
+def _lane_ones(lanes: int, size: int) -> int:
+    """An int of ``lanes`` lanes of ``size`` bytes in native order, each
+    lane holding 1."""
+    return int.from_bytes((1).to_bytes(size, sys.byteorder) * lanes, sys.byteorder)
+
+
+def _lane_scan(table: array, n: Optional[int], lo: int = 0,
+               hi: Optional[int] = None) -> tuple[int, bool]:
+    """``(negatives, stray)`` over slots ``lo:hi`` of ``table``: how many
+    slots are negative, and whether any is below -1 or at least ``n``
+    (never, when ``n`` is ``None``).
+
+    The slots are read ``_TABLE_BLOCK >> 4`` at a time as one int ``x``,
+    one ``w``-bit lane per slot in two's complement, and each test is a few
+    int operations on the whole block, so no slot becomes a Python int.
+    ``ones`` holds 1 in every lane.  ``neg`` keeps each lane's sign bit, and
+    ``spread`` is all ones in each negative lane, which only -1 matches.
+    With the negative lanes flipped (-1 to 0), adding ``2**(w - 1) - n``
+    (0 for a larger ``n``) to every lane carries into the sign bit exactly the lanes at or above
+    ``n``, and never into the next lane; the sign bits read are those of
+    the lanes that were not negative, so that for ``n = 0`` a -1 is no
+    stray.
+    """
+    size = table.itemsize
+    w = 8 * size
+    top = w - 1
+    step = _TABLE_BLOCK >> 4 or 1
+    if hi is None:
+        hi = len(table)
+    lift = None if n is None else (1 << top) - n if n < 1 << top else 0
+    full = _lane_ones(step, size)
+    negatives, stray = 0, False
+    for a in range(lo, hi, step):
+        b = a + step if a + step < hi else hi
+        x = int.from_bytes(table[a:b] if a or b < len(table) else table, sys.byteorder)
+        ones = full >> w * (step - (b - a))
+        signs = ones << top
+        neg = x & signs
+        negatives += neg.bit_count()
+        if lift is None or stray:
+            continue
+        spread = (neg >> top) * ((1 << w) - 1)
+        stray = x & spread != spread or bool(((x ^ spread) + ones * lift) & (signs ^ neg))
+    return negatives, stray
+
+
 class TransitionTable(_TripleView):
     """Triples over a flat DFA table: slot ``p * k + c`` holds the target of
     state ``p`` on the ``c``-th symbol of ``alphabet``, -1 when the edge is
-    missing."""
+    missing.  ``len`` counts the slots that hold a target, those ``>= 0``,
+    and the range check reads the table in int lanes (:func:`_lane_scan`)."""
 
     __slots__ = ("alphabet", "table")
 
@@ -205,7 +256,7 @@ class TransitionTable(_TripleView):
         self.table = table
 
     def __len__(self) -> int:
-        return len(self.table) - self.table.count(-1)
+        return len(self.table) - _lane_scan(self.table, None)[0]
 
     def _slot_targets(self, slot: int):
         table = self.table
@@ -221,7 +272,7 @@ class TransitionTable(_TripleView):
         if len(table) != n * k:
             raise ValueError(f"transition table has {len(table)} slots, "
                              f"expected {n} states x {k} symbols")
-        if min(table) < -1 or max(table) >= n:
+        if _lane_scan(table, n)[1]:
             raise ValueError("transition table target out of range")
 
 
@@ -264,7 +315,8 @@ class TransitionIndex(_TripleView):
                              f"{len(targets)} targets does not fit {n} states x {k} symbols")
         if not all(map(le, starts, islice(starts, 1, None))):
             raise ValueError("transition index slot starts decrease")
-        if targets and (min(targets) < 0 or max(targets) >= n):
+        negatives, stray = _lane_scan(targets, n)
+        if negatives or stray:
             raise ValueError("transition index target out of range")
 
 
@@ -889,14 +941,16 @@ def _pair_walk(left: tuple, right: tuple, k: int, max_states: int) -> tuple:
     Each side's sink is its state ``n_states``, its empty subset: a missing
     edge steps to it and it loops.  The pair of sinks is the empty subset
     of the whole, so a slot that steps there stays -1.  The pairs are
-    numbered breadth first, symbols in alphabet order, and kept in that
-    order as two arrays of sides.  Pair ``(p, q)``'s number sits in the
-    dict of left state ``p`` under right state ``q``, and every state is
-    one shared int object, so a lookup hits on identity and makes no key.
-    The numbered pairs are walked in chunks of ``_TABLE_BLOCK // k``: a
-    chunk's successor pairs are listed and looked up by C iterators, and a
-    Python loop visits only the misses, numbering them in the order they
-    first occur.  The budget is polled once per chunk.
+    numbered breadth first, symbols in alphabet order, by a counter.  Pair
+    ``(p, q)``'s number sits in the dict of left state ``p`` under right
+    state ``q``, and every state is one shared int object, so a lookup hits
+    on identity and makes no key.  The pairs are walked in chunks of
+    ``_TABLE_BLOCK // k``, the first that many numbered but not yet walked:
+    a chunk's successor pairs are listed and looked up by C iterators, and
+    a Python loop visits only the misses, numbering them in the order they
+    first occur.  Only the pairs still to walk are kept, as a queue of
+    chunks, each two lists of sides, dropped once walked.  The budget is
+    polled once per chunk.
     """
     (n1, t1, f1), (n2, t2, f2) = left, right
     # Row ``p`` of each side is the tuple of its successors on every symbol,
@@ -911,34 +965,45 @@ def _pair_walk(left: tuple, right: tuple, k: int, max_states: int) -> tuple:
     by_left[0][shared[0]] = 0
     # The pair of sinks is looked up like any pair and reads -1.
     by_left[n1][shared[n2]] = -1
-    lefts, rights = array("i", [0]), array("i", [0])
+    chunk = max(_TABLE_BLOCK // k, 1)
+    # Every chunk but the last is full; ``room`` is what the last can take,
+    # and it takes nothing once it is being walked.
+    pending = deque([([shared[0]], [shared[0]])])
+    room = 0
+    n_out = 1
     fin = bytearray()
     blocks = []
-    chunk = max(_TABLE_BLOCK // k, 1)
-    lo = 0
-    while lo < len(lefts):
+    while pending:
         budget.checkpoint()
-        ps, qs = lefts[lo:lo + chunk], rights[lo:lo + chunk]
-        lo += len(ps)
+        ps, qs = pending.popleft()
+        if not pending:
+            room = 0
         fin += bytes(map(or_, map(f1.__getitem__, ps), map(f2.__getitem__, qs)))
         succ1 = list(chain.from_iterable(map(rows1.__getitem__, ps)))
         succ2 = list(chain.from_iterable(map(rows2.__getitem__, qs)))
+        del ps, qs
         dsts = list(map(dict.get, map(by_left.__getitem__, succ1), succ2))
         for i in compress(count(), map(is_, dsts, repeat(None))):
             p, q = succ1[i], succ2[i]
             ids = by_left[p]
             dst = ids.get(q)
             if dst is None:  # not reached earlier in this chunk
-                if len(lefts) >= max_states:
+                if n_out >= max_states:
                     raise budget.BudgetExceededError(
                         f"subset construction exceeds {max_states} states")
-                dst = ids[q] = len(lefts)
-                lefts.append(p)
-                rights.append(q)
+                dst = ids[q] = n_out
+                n_out += 1
+                if not room:
+                    tail = ([], [])
+                    pending.append(tail)
+                    add_left, add_right = tail[0].append, tail[1].append
+                    room = chunk
+                add_left(p)
+                add_right(q)
+                room -= 1
             dsts[i] = dst
         blocks.append(array("i", dsts))
-    n_out = len(lefts)
-    del by_left, lefts, rights
+    del by_left
     return n_out, _joined(blocks), fin
 
 
@@ -1022,20 +1087,26 @@ def _successor_masks(a: Nfa) -> tuple[list[int], list[tuple[int, int]]]:
 def _fill_missing(table: array, target: int) -> array:
     """``table`` with every -1 slot pointing at ``target``: a copy when a
     slot is missing, else ``table`` itself.  One scan, polling once per
-    ``_TABLE_BLOCK`` slots."""
+    ``_TABLE_BLOCK`` slots; a lane block of :func:`_lane_scan` with no
+    negative slot is skipped, and only the others are searched for -1."""
     out = table
     cap = _TABLE_BLOCK
+    step = cap >> 4 or 1
     for lo in range(0, len(table), cap):
         budget.checkpoint()
-        slot, hi = lo, min(lo + cap, len(table))
-        try:
-            while True:
-                slot = out.index(-1, slot, hi)
-                if out is table:
-                    out = array("i", table)
-                out[slot] = target
-        except ValueError:
-            pass
+        end = min(lo + cap, len(table))
+        for slot in range(lo, end, step):
+            hi = min(slot + step, end)
+            if not _lane_scan(table, None, slot, hi)[0]:
+                continue
+            try:
+                while True:
+                    slot = out.index(-1, slot, hi)
+                    if out is table:
+                        out = array("i", table)
+                    out[slot] = target
+            except ValueError:
+                pass
     return out
 
 

@@ -578,6 +578,17 @@ def pair_walk_by_keys(left: tuple, right: tuple, k: int,
 # Minimisation by Moore's refinement
 # ---------------------------------------------------------------------------
 
+def lane_scan_by_slots(table: array, n: Optional[int]) -> tuple[int, bool]:
+    """The reference for ``automata._lane_scan``: the number of negative
+    slots, and whether a slot is below -1 or at least ``n`` (never, when
+    ``n`` is ``None``), by ``count``-style and ``min``/``max`` passes over
+    the slots one Python int at a time."""
+    negatives = sum(1 for t in table if t < 0)
+    if n is None or not table:
+        return negatives, False
+    return negatives, min(table) < -1 or max(table) >= n
+
+
 def minimize_by_moore(d: Dfa) -> Dfa:
     """The reference for ``minimize``, read off the transition triples.
 

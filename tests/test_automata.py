@@ -75,7 +75,7 @@ from oracles import extended_to_nfa_by_triples, glushkov_by_marking, mark, marke
 from oracles import nfa_slice as slice_of
 from oracles import minimize_by_moore, regex_slice, subset_construction, words_upto
 from oracles import equivalent_by_totalising, shortest_divergence_by_totalising
-from oracles import pair_walk_by_keys, parse_automaton_by_slots
+from oracles import lane_scan_by_slots, pair_walk_by_keys, parse_automaton_by_slots
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
@@ -677,6 +677,28 @@ class TestPairWalk:
             determinize(glushkov(complement_witness(1), SIGMA_K))
         assert token.chunks == 2
 
+    def test_walked_pairs_are_dropped(self):
+        # The n=1 witness's only join, 2,475 x 2,651 states into 63,993
+        # pairs.  Under tracemalloc it peaked at 6.91 MiB when every numbered
+        # pair stayed in two arrays, and at 6.68 MiB keeping only the pairs
+        # still to walk.
+        joins = []
+        pair_walk = automata._pair_walk
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(automata, "_pair_walk",
+                          lambda *args: joins.append(args) or pair_walk(*args))
+            d = determinize(glushkov(complement_witness(1), SIGMA_K))
+        (left, right, k, cap), = joins
+        assert (left[0], right[0], d.n_states) == (2475, 2651, 63993)
+        tracemalloc.start()
+        try:
+            n_out = pair_walk(left, right, k, cap)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_out == d.n_states
+        assert peak < 6.8 * 2**20, peak
+
 
 class TestFinalFlags:
     """The final flags every automaton keeps, read as a set."""
@@ -872,6 +894,92 @@ class TestTableCore:
     def test_duplicate_triple_edge_rejected(self):
         with pytest.raises(ValueError, match="multiple transitions"):
             Dfa(AB, 2, 0, frozenset(), frozenset([(0, "a", 0), (0, "a", 1)]))
+
+    def test_len_counts_the_slots_iterated(self):
+        # A standalone table is not range-checked, so a slot below -1 can
+        # stand in it: like -1, it holds no target.
+        t = TransitionTable(AB, array("i", [1, -5, -1, 0]))
+        assert len(t) == len(list(t)) == 2
+        assert t == frozenset(t) and frozenset(t) == t
+        assert hash(t) == hash(frozenset(t))
+
+    @pytest.mark.parametrize("target", [-2**31, -257, -2, -1, 2, 2**31 - 1])
+    def test_stores_refuse_targets_out_of_range(self, target):
+        # The table keeps -1 as a missing edge; the index has no missing
+        # edge, so -1 is out of its range.
+        if target == -1:
+            assert len(Dfa(AB, 2, 0, [1], TransitionTable(AB, [0, 1, 1, target])).transitions) == 3
+        else:
+            with pytest.raises(ValueError, match="^transition table target out of range$"):
+                Dfa(AB, 2, 0, [1], TransitionTable(AB, [0, 1, 1, target]))
+        with pytest.raises(ValueError, match="^transition index target out of range$"):
+            Nfa(AB, 2, 0, [1], TransitionIndex(AB, [0, 1, 2, 3, 4], [0, 1, 1, target]))
+
+
+class TestLaneScan:
+    """``_lane_scan``, which reads a table a block of int lanes at a time,
+    against ``oracles.lane_scan_by_slots``, one Python int per slot, with
+    the lane block at one slot, three slots and its default."""
+
+    BLOCKS = (1, 3 << 4, automata._TABLE_BLOCK)
+    NS = (None, 0, 1, 2, 2**31 - 1, 2**31, 2**40)
+
+    @staticmethod
+    def specials(n) -> list[int]:
+        """The slot values at the edges of the lanes and of ``range(n)``."""
+        near = () if n is None else (n - 1, n)
+        return [v for v in (-2**31, -257, -2, -1, 0, *near, 2**31 - 1) if -2**31 <= v < 2**31]
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_matches_slot_passes(self, monkeypatch, block):
+        # Tables of 0 to 3 lane blocks, each length a block size +-1, with
+        # one special value at the first or the last lane of a block.
+        monkeypatch.setattr(automata, "_TABLE_BLOCK", block)
+        step = max(block >> 4, 1)
+        rng = random.Random(block)
+        lengths = sorted({0, 1, 2} | {b * step + d for b in (1, 2, 3) for d in (-1, 0, 1)})
+        for length in lengths:
+            starts = range(0, length, step)
+            for n in self.NS:
+                top = 2**31 - 1 if n is None else min(n, 2**31) - 1
+                base = array("i", [rng.randint(-1, top) for _ in range(length)])
+                assert automata._lane_scan(base, n) == lane_scan_by_slots(base, n)
+                for value in self.specials(n) if length else ():
+                    for at in (rng.choice(starts), min(rng.choice(starts) + step, length) - 1):
+                        table = array("i", base)
+                        table[at] = value
+                        want = lane_scan_by_slots(table, n)
+                        assert automata._lane_scan(table, n) == want, (at, value)
+
+    @given(st.data())
+    def test_drawn_tables(self, data):
+        block = data.draw(st.sampled_from(self.BLOCKS))
+        n = data.draw(st.sampled_from(self.NS))
+        specials = st.sampled_from(self.specials(n))
+        slot = st.integers(-2**31, 2**31 - 1) | st.integers(-1, 3) | specials
+        table = array("i", data.draw(st.lists(slot, max_size=120)))
+        lo = data.draw(st.integers(0, len(table)))
+        hi = data.draw(st.integers(lo, len(table)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(automata, "_TABLE_BLOCK", block)
+            assert automata._lane_scan(table, n) == lane_scan_by_slots(table, n)
+            assert automata._lane_scan(table, n, lo, hi) == lane_scan_by_slots(table[lo:hi], n)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_fill_missing_searches_negative_lanes(self, monkeypatch, block):
+        # -1 slots at the first and the last lane of some lane blocks; the
+        # fill reaches each of them, and a table with none is shared.
+        monkeypatch.setattr(automata, "_TABLE_BLOCK", block)
+        step = max(block >> 4, 1)
+        rng = random.Random(block)
+        for length in (1, step, 3 * step + 1, 2 * block + 1):
+            table = array("i", [rng.randrange(5) for _ in range(length)])
+            assert automata._fill_missing(table, 9) is table
+            for lo in rng.sample(range(0, length, step), min(3, -(-length // step))):
+                table[lo] = table[min(lo + step, length) - 1] = -1
+            want = array("i", [9 if t < 0 else t for t in table])
+            before = array("i", table)
+            assert automata._fill_missing(table, 9) == want and table == before
 
 
 class TestIndexCore:
