@@ -59,7 +59,10 @@ share a symbol the rows are written straight into ``Dfa.table``; otherwise
 the NFA keeps them in a mask store.  The product of two DFAs likewise
 walks both tables and writes its own; any other product walks the slots of
 both inputs and writes an index, which becomes a table when both inputs are
-deterministic.
+deterministic.  Both walks find pair ``(p, q)``'s number in a dict of right
+state ``q`` keyed by left state ``p``, made when a pair first reaches
+``q``, and keep the pairs as two lists of sides, which give the finals in
+one pass.
 
 Minimisation sorts a DFA's transitions by target slot into one preimage
 index, ``sources[starts[s]:starts[s + 1]]`` the states entering slot ``s``.
@@ -91,9 +94,9 @@ from array import array
 from collections import Counter, deque
 from collections.abc import Set
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import gt, is_, le, ne, or_
+from operator import and_, gt, is_, le, ne, or_
 from typing import Iterable, Optional
 
 from . import budget
@@ -227,17 +230,20 @@ def _lane_scan(table: array, n: Optional[int], lo: int = 0,
     lift = None if n is None else (1 << top) - n if n < 1 << top else 0
     full = _lane_ones(step, size)
     negatives, stray = 0, False
+    ones = None
     for a in range(lo, hi, step):
         b = a + step if a + step < hi else hi
         x = int.from_bytes(table[a:b] if a or b < len(table) else table, sys.byteorder)
-        ones = full >> w * (step - (b - a))
-        signs = ones << top
+        # Made once for the full blocks, and once more for a short last one.
+        if ones is None or b - a < step:
+            ones = full >> w * (step - (b - a))
+            signs, lifted = ones << top, ones * lift if lift else 0
         neg = x & signs
         negatives += neg.bit_count()
         if lift is None or stray:
             continue
         spread = (neg >> top) * ((1 << w) - 1)
-        stray = x & spread != spread or bool(((x ^ spread) + ones * lift) & (signs ^ neg))
+        stray = x & spread != spread or bool(((x ^ spread) + lifted) & (signs ^ neg))
     return negatives, stray
 
 
@@ -374,13 +380,15 @@ class FinalFlags(Set):
     state ``q`` is final when ``flags[q]`` is 1, and any byte but 0 given
     to the constructor is read as 1.  Equality and hash agree with the
     frozenset of the same states; two ``FinalFlags`` compare their flags
-    less trailing zeros.  Set operators (|, &, -, ^) return frozensets."""
+    less trailing zeros, and the hash is computed once and kept.  Set
+    operators (|, &, -, ^) return frozensets."""
 
-    __slots__ = ("flags", "_len")
+    __slots__ = ("flags", "_len", "_hash")
 
     def __init__(self, flags: Iterable[int]):
         self.flags = bytes(flags).translate(b"\0" + b"\1" * 255)
         self._len = self.flags.count(1)
+        self._hash = None
 
     def __contains__(self, item: object) -> bool:
         return isinstance(item, int) and 0 <= item < len(self.flags) and self.flags[item] == 1
@@ -396,7 +404,11 @@ class FinalFlags(Set):
             return self.flags.rstrip(b"\0") == other.flags.rstrip(b"\0")
         return Set.__eq__(self, other)
 
-    __hash__ = Set._hash
+    def __hash__(self) -> int:
+        # ``Set._hash`` walks every final state, so it runs once per object.
+        if self._hash is None:
+            self._hash = Set._hash(self)
+        return self._hash
 
     @classmethod
     def _from_iterable(cls, it):
@@ -1136,90 +1148,93 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
     """Reachable pairwise product; accepts the intersection of the languages.
 
     Pairs are numbered in BFS discovery order with symbols scanned in
-    alphabet order and each side's targets in ascending order; the pair
-    ``(p, q)`` is coded as ``p * b.n_states + q``.  Two DFAs are walked
-    through their tables, any other inputs through their slots.  The table
-    walk reads ``a``'s table only at the symbols ``b`` defines.
+    alphabet order, ``a``'s targets in the outer loop and ``b``'s in the
+    inner one, each in ascending order.  Pair ``(p, q)``'s number sits in
+    the dict of right state ``q`` under left state ``p``; the pairs are
+    kept as two lists of sides.  Two DFAs are walked through their tables,
+    any other inputs through their slots.  The table walk reads ``a``'s
+    table only at the symbols ``b`` defines.
     """
     _require_same_alphabet(a, b)
     if isinstance(a, Dfa) and isinstance(b, Dfa):
         return _dfa_product(a, b, max_states)
     k = len(a.alphabet)
-    width = b.n_states
-    start = a.initial * width + b.initial
-    ids = {start: 0}
-    order = [start]
+    # A right state's dict is made when a pair first reaches it.
+    by_right: list[Optional[dict]] = [None] * b.n_states
+    by_right[b.initial] = {a.initial: 0}
+    lefts, rights = [a.initial], [b.initial]
     starts, targets = array("i", [0]), array("i")
     succ_a, succ_b = a.successors, b.successors
-    i = 0
-    while i < len(order):
+    for p, q in zip(lefts, rights):  # both grow as the walk goes
         budget.checkpoint()
-        p, q = divmod(order[i], width)
         for c in range(k):
             pa = succ_a(p, c)
             pb = succ_b(q, c) if pa else ()
             lo = len(targets)
             for p2 in pa:
                 for q2 in pb:
-                    key = p2 * width + q2
-                    dst = ids.get(key)
+                    ids = by_right[q2]
+                    if ids is None:
+                        ids = by_right[q2] = {}
+                    dst = ids.get(p2)
                     if dst is None:
-                        if len(ids) >= max_states:
+                        if len(lefts) >= max_states:
                             raise budget.BudgetExceededError(
                                 f"product exceeds {max_states} states")
-                        dst = len(ids)
-                        ids[key] = dst
-                        order.append(key)
+                        dst = ids[p2] = len(lefts)
+                        lefts.append(p2)
+                        rights.append(q2)
                     targets.append(dst)
             if len(targets) - lo > 1:
                 targets[lo:] = array("i", sorted(targets[lo:]))
             starts.append(len(targets))
-        i += 1
-    del ids
+    del by_right
     fa, fb = a.finals.flags, b.finals.flags
-    finals = FinalFlags(bytes(fa[key // width] & fb[key % width] for key in order))
+    finals = FinalFlags(bytes(map(and_, map(fa.__getitem__, lefts), map(fb.__getitem__, rights))))
     cls = Dfa if a.is_deterministic() and b.is_deterministic() else Nfa
-    return cls(a.alphabet, len(order), 0, finals, TransitionIndex(a.alphabet, starts, targets))
+    return cls(a.alphabet, len(lefts), 0, finals, TransitionIndex(a.alphabet, starts, targets))
 
 
 def _dfa_product(a: Dfa, b: Dfa, max_states: int) -> Dfa:
     k = len(a.alphabet)
-    ta, tb, width = a.table, b.table, b.n_states
-    fa, fb = a.finals.flags, b.finals.flags
+    ta, tb = a.table, b.table
     # A slot that ``b`` leaves undefined stays -1 whatever ``a`` holds there,
     # so each pair reads ``a``'s row only at the symbols of ``b``'s edges.
-    # A state's edges are listed when a popped pair first reaches it, so the
+    # Right state ``q``'s record, made when a pair first reaches it, is its
+    # edge list and the dict of its pairs' numbers by left state, so the
     # cost follows the reachable pairs, under their polls, not ``b``'s size.
-    b_edges = [None] * width
-    start = a.initial * width + b.initial
-    ids = {start: 0}
-    order = [start]
-    fin = bytearray([fa[a.initial] & fb[b.initial]])
+    at_right: list[Optional[tuple]] = [None] * b.n_states
+
+    def record(q: int) -> tuple:
+        edges = [(c, t) for c, t in enumerate(tb[q * k:(q + 1) * k]) if t >= 0]
+        at_right[q] = rec = (edges, {})
+        return rec
+
+    record(b.initial)[1][a.initial] = 0
+    lefts, rights = [a.initial], [b.initial]
     blank = array("i", [-1]) * k
     table = array("i")
-    for key in order:  # ``order`` grows as the walk goes
+    for p, q in zip(lefts, rights):  # both grow as the walk goes
         budget.checkpoint()
-        p, q = divmod(key, width)
         rp, row = p * k, len(table)
         table += blank
-        edges = b_edges[q]
-        if edges is None:
-            edges = b_edges[q] = [(c, t) for c, t in enumerate(tb[q * k:(q + 1) * k])
-                                  if t >= 0]
-        for c, q2 in edges:
+        for c, q2 in at_right[q][0]:
             p2 = ta[rp + c]
             if p2 < 0:
                 continue
-            pair = p2 * width + q2
-            dst = ids.get(pair)
+            ids = (at_right[q2] or record(q2))[1]
+            dst = ids.get(p2)
             if dst is None:
-                if len(order) >= max_states:
+                if len(lefts) >= max_states:
                     raise budget.BudgetExceededError(f"product exceeds {max_states} states")
-                dst = ids[pair] = len(order)
-                order.append(pair)
-                fin.append(fa[p2] & fb[q2])
+                dst = ids[p2] = len(lefts)
+                lefts.append(p2)
+                rights.append(q2)
             table[row + c] = dst
-    return Dfa.from_table(a.alphabet, len(order), 0, FinalFlags(fin), table)
+    del at_right
+    fa, fb = a.finals.flags, b.finals.flags
+    fin = bytes(map(and_, map(fa.__getitem__, lefts), map(fb.__getitem__, rights)))
+    return Dfa.from_table(a.alphabet, len(lefts), 0, FinalFlags(fin), table)
 
 
 # ---------------------------------------------------------------------------

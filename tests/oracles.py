@@ -19,8 +19,11 @@ from rexlab.analysis import FINITE, INFINITE, IndexResult, _as_nfa, _check_word,
 from rexlab.automata import (
     AutomatonFormatError,
     Dfa,
+    FinalFlags,
     Nfa,
+    TransitionIndex,
     _derived_alphabet,
+    _require_same_alphabet,
     _slot_index,
     determinize,
 )
@@ -572,6 +575,98 @@ def pair_walk_by_keys(left: tuple, right: tuple, k: int,
                 order.append(succ)
             table.append(dst)
     return len(order), table, bytes(fin)
+
+
+def product_by_pair_codes(a: Nfa, b: Nfa,
+                          max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
+    """The reference for ``automata.product``: the reachable pairwise product,
+    each pair keyed by one int code in one dict.
+
+    Pairs are numbered in BFS discovery order with symbols scanned in
+    alphabet order and each side's targets in ascending order; the pair
+    ``(p, q)`` is coded as ``p * b.n_states + q``.  Two DFAs are walked
+    through their tables, any other inputs through their slots.  The table
+    walk reads ``a``'s table only at the symbols ``b`` defines.
+    """
+    _require_same_alphabet(a, b)
+    if isinstance(a, Dfa) and isinstance(b, Dfa):
+        return _dfa_product_by_pair_codes(a, b, max_states)
+    k = len(a.alphabet)
+    width = b.n_states
+    start = a.initial * width + b.initial
+    ids = {start: 0}
+    order = [start]
+    starts, targets = array("i", [0]), array("i")
+    succ_a, succ_b = a.successors, b.successors
+    i = 0
+    while i < len(order):
+        budget.checkpoint()
+        p, q = divmod(order[i], width)
+        for c in range(k):
+            pa = succ_a(p, c)
+            pb = succ_b(q, c) if pa else ()
+            lo = len(targets)
+            for p2 in pa:
+                for q2 in pb:
+                    key = p2 * width + q2
+                    dst = ids.get(key)
+                    if dst is None:
+                        if len(ids) >= max_states:
+                            raise budget.BudgetExceededError(
+                                f"product exceeds {max_states} states")
+                        dst = len(ids)
+                        ids[key] = dst
+                        order.append(key)
+                    targets.append(dst)
+            if len(targets) - lo > 1:
+                targets[lo:] = array("i", sorted(targets[lo:]))
+            starts.append(len(targets))
+        i += 1
+    del ids
+    fa, fb = a.finals.flags, b.finals.flags
+    finals = FinalFlags(bytes(fa[key // width] & fb[key % width] for key in order))
+    cls = Dfa if a.is_deterministic() and b.is_deterministic() else Nfa
+    return cls(a.alphabet, len(order), 0, finals, TransitionIndex(a.alphabet, starts, targets))
+
+
+def _dfa_product_by_pair_codes(a: Dfa, b: Dfa, max_states: int) -> Dfa:
+    k = len(a.alphabet)
+    ta, tb, width = a.table, b.table, b.n_states
+    fa, fb = a.finals.flags, b.finals.flags
+    # A slot that ``b`` leaves undefined stays -1 whatever ``a`` holds there,
+    # so each pair reads ``a``'s row only at the symbols of ``b``'s edges.
+    # A state's edges are listed when a popped pair first reaches it, so the
+    # cost follows the reachable pairs, under their polls, not ``b``'s size.
+    b_edges = [None] * width
+    start = a.initial * width + b.initial
+    ids = {start: 0}
+    order = [start]
+    fin = bytearray([fa[a.initial] & fb[b.initial]])
+    blank = array("i", [-1]) * k
+    table = array("i")
+    for key in order:  # ``order`` grows as the walk goes
+        budget.checkpoint()
+        p, q = divmod(key, width)
+        rp, row = p * k, len(table)
+        table += blank
+        edges = b_edges[q]
+        if edges is None:
+            edges = b_edges[q] = [(c, t) for c, t in enumerate(tb[q * k:(q + 1) * k])
+                                  if t >= 0]
+        for c, q2 in edges:
+            p2 = ta[rp + c]
+            if p2 < 0:
+                continue
+            pair = p2 * width + q2
+            dst = ids.get(pair)
+            if dst is None:
+                if len(order) >= max_states:
+                    raise budget.BudgetExceededError(f"product exceeds {max_states} states")
+                dst = ids[pair] = len(order)
+                order.append(pair)
+                fin.append(fa[p2] & fb[q2])
+            table[row + c] = dst
+    return Dfa.from_table(a.alphabet, len(order), 0, FinalFlags(fin), table)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,7 @@ from oracles import nfa_slice as slice_of
 from oracles import minimize_by_moore, regex_slice, subset_construction, words_upto
 from oracles import equivalent_by_totalising, shortest_divergence_by_totalising
 from oracles import lane_scan_by_slots, pair_walk_by_keys, parse_automaton_by_slots
+from oracles import product_by_pair_codes
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
@@ -715,6 +716,23 @@ class TestFinalFlags:
         assert FinalFlags(bytes([0, 2, 255])) == frozenset({1, 2})
         assert self.FLAGS != frozenset({1, 2}) and self.FLAGS != frozenset({1, 2, 3})
 
+    def test_hash_is_computed_once(self, monkeypatch):
+        # The hash walks the final states on the first call only.
+        flags = FinalFlags(bytes([0, 1, 1, 0, 1]))
+        walks = []
+        iterate = FinalFlags.__iter__
+
+        def once(self):
+            walks.append(self)
+            if len(walks) > 1:
+                raise AssertionError("FinalFlags hash walked the states twice")
+            return iterate(self)
+
+        monkeypatch.setattr(FinalFlags, "__iter__", once)
+        assert hash(flags) == hash(self.STATES)
+        assert hash(flags) == hash(self.STATES)
+        assert walks == [flags]
+
     @pytest.mark.parametrize("op", [operator.and_, operator.or_, operator.sub, operator.xor])
     def test_set_operators_return_frozensets(self, op):
         other = frozenset({0, 2, 7})
@@ -763,7 +781,7 @@ class TestFinalFlags:
             for other in unequal:
                 assert other != self.FLAGS and self.FLAGS != other
         assert hash(longer) == hash(self.FLAGS) == hash(self.STATES)
-        assert FinalFlags.__hash__ is Set._hash
+        assert hash(longer) == Set._hash(longer)
         for states in (self.STATES, frozenset({1, 2}), frozenset({1, 2, 4, 9}), frozenset()):
             same = states == self.STATES
             assert (longer == states) is same and (states == longer) is same
@@ -1443,6 +1461,23 @@ class TestProduct:
         p = product(a, loop)
         assert p.transitions == {(0, "a", 1), (0, "a", 2)} and p.finals == {1}
 
+    def test_dense_product_memory(self):
+        # x & x, each of its 8,192 pairs the only one to reach its right
+        # state, so each right state keeps a dict and an edge list of its
+        # own.  Under tracemalloc the walk keyed by pair codes in one dict
+        # peaked at 3.06 MiB and the dicts per right state at 4.90 MiB
+        # (Python 3.11).
+        x = minimize(determinize(glushkov(parse("(a|b)*a" + "(a|b)" * 12, AB), AB)))
+        assert x.n_states == 8192
+        tracemalloc.start()
+        try:
+            p = product(x, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.n_states == 8192 and p.table == x.table
+        assert peak < 6 * 2**20, peak
+
     @given(st.integers(0, 10_000))
     def test_and_property(self, seed):
         rng = random.Random(seed)
@@ -1452,6 +1487,89 @@ class TestProduct:
         assert p.n_states <= max(1, a.n_states * b.n_states)
         for w in words_upto("ab", 4):
             assert accepts(p, w) == (accepts(a, w) and accepts(b, w))
+
+
+@st.composite
+def _operands(draw, sigma: Alphabet, deterministic: bool, branching: bool = False) -> Nfa:
+    """A drawn automaton of one to six states over ``sigma``: a ``Dfa``
+    from a table, or an ``Nfa`` from triples.  A ``branching`` one enters
+    two states from its initial state on the first symbol."""
+    n = draw(st.integers(2 if branching else 1, 6))
+    k = len(sigma)
+    state = st.integers(0, n - 1)
+    initial = draw(state)
+    finals = draw(st.sets(state))
+    if deterministic:
+        table = draw(st.lists(st.integers(-1, n - 1), min_size=n * k, max_size=n * k))
+        return Dfa.from_table(sigma, n, initial, finals, table)
+    triples = draw(st.sets(st.tuples(state, st.sampled_from(sigma.names), state),
+                           max_size=3 * n * k))
+    if branching:
+        q1, q2 = draw(st.lists(state, min_size=2, max_size=2, unique=True))
+        triples |= {(initial, sigma.names[0], q1), (initial, sigma.names[0], q2)}
+    return Nfa(sigma, n, initial, finals, triples)
+
+
+class TestProductWalks:
+    """Both ``product`` walks, which number pairs in a dict per right
+    state, against ``oracles.product_by_pair_codes``, which keys them by
+    one int code: the same type, states, store arrays, final flags,
+    serialisation and polls, or the same refusal, with the budget at the
+    default, one short of the reachable pairs and at them."""
+
+    @staticmethod
+    def outcome(walk, a: Nfa, b: Nfa, max_states: int):
+        token = CountingToken()
+        with budget.active(token):
+            try:
+                p = walk(a, b, max_states=max_states)
+            except BudgetExceededError as exc:
+                return str(exc), token.polls
+        store = p.transitions
+        if type(store) is TransitionTable:
+            arrays = (store.table,)
+        else:
+            arrays = (store.starts, store.targets)
+        return (type(p), p.n_states, tuple(x.tobytes() for x in arrays), p.finals.flags,
+                serialize(p), token.polls)
+
+    def assert_walks_agree(self, a: Nfa, b: Nfa):
+        want = self.outcome(product_by_pair_codes, a, b, budget.DEFAULT_MAX_STATES)
+        reachable = want[1]
+        assert self.outcome(product, a, b, budget.DEFAULT_MAX_STATES) == want
+        for cap in (reachable - 1, reachable):
+            got = self.outcome(product, a, b, cap)
+            assert got == self.outcome(product_by_pair_codes, a, b, cap)
+            assert (got == want) == (cap >= reachable or reachable == 1)
+
+    @given(st.data())
+    def test_dfa_by_dfa(self, data):
+        sigma = data.draw(st.sampled_from([A, AB, ABC]))
+        self.assert_walks_agree(data.draw(_operands(sigma, True)),
+                                data.draw(_operands(sigma, True)))
+
+    @given(st.data())
+    def test_nfa_by_nfa(self, data):
+        sigma = data.draw(st.sampled_from([A, AB, ABC]))
+        self.assert_walks_agree(data.draw(_operands(sigma, False)),
+                                data.draw(_operands(sigma, False)))
+
+    @given(st.data())
+    def test_mixed(self, data):
+        sigma = data.draw(st.sampled_from([A, AB, ABC]))
+        dfa, nfa = data.draw(_operands(sigma, True)), data.draw(_operands(sigma, False))
+        self.assert_walks_agree(dfa, nfa)
+        self.assert_walks_agree(nfa, dfa)
+
+    @given(st.data())
+    def test_both_sides_branch_on_one_symbol(self, data):
+        # Both initial states enter two states on the first symbol, so the
+        # walk meets four new pairs at once and numbers them in the order
+        # of ``a``'s targets, then ``b``'s.
+        sigma = data.draw(st.sampled_from([A, AB, ABC]))
+        a = data.draw(_operands(sigma, False, branching=True))
+        b = data.draw(_operands(sigma, False, branching=True))
+        self.assert_walks_agree(a, b)
 
 
 class TestMinimize:
