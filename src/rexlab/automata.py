@@ -16,14 +16,14 @@ and -1 for a missing edge.  An NFA keeps a :class:`TransitionIndex`, two
 ``array('i')``s in compressed sparse row form: slot ``s`` holds the ascending
 targets ``targets[starts[s]:starts[s + 1]]``.  A Glushkov NFA keeps a
 :class:`TransitionMasks` instead: the construction's follow masks, one int
-row per state with bit ``q`` set for each target ``q``, and one entry mask
-per symbol, the states entered on it.  Each store is a read-only set of
-``(p, symbol, q)`` triples that reads one slot (:meth:`Nfa.successors`) or
-walks its ``(slot, q)`` edges.  The constructors turn triples, or a store of
-another kind, into their own kind and keep nothing else; the constructions
-write a table or an index directly.  :func:`parse_automaton` streams a
-file's triples into the DFA constructor and, when two of them share a slot,
-into the NFA constructor.
+row and one offset per state with bit ``q`` of ``rows[p] << lows[p]`` set
+for each target ``q``, and one entry mask per symbol, the states entered
+on it.  Each store is a read-only set of ``(p, symbol, q)`` triples that
+reads one slot (:meth:`Nfa.successors`) or walks its ``(slot, q)`` edges.
+The constructors turn triples, or a store of another kind, into their own
+kind and keep nothing else; the constructions write a table or an index
+directly.  :func:`parse_automaton` streams a file's triples into the DFA
+constructor and, when two of them share a slot, into the NFA constructor.
 
 The extended-regex combinators of :func:`extended_to_nfa` pass int edge
 lists from node to node, an edge ``(p, c, q)`` coded as one int so that
@@ -31,10 +31,11 @@ renumbering the states is one addition per edge, and write one index for an
 operand of a product or a subset construction and for the result.
 
 Subset construction takes one successor int per NFA state: the rows of a
-mask store as they are, for any other store an OR over its edges.
-It cuts each subset into four slices of ``ceil(n / 4)`` bits.  The union of
-a slice's successor ints comes from a memo keyed by the slice value; a miss
-walks the slice's bits and ORs their ints.  This is the Four Russians table
+mask store shifted by their offsets, for any other store an OR over its
+edges.  It cuts each subset into four slices of ``ceil(n / 4)`` bits.  The
+union of a slice's successor ints comes from a memo keyed by the slice
+value; a miss walks the slice's bits and ORs their ints, so a mask store's
+row is shifted into place only on a miss.  This is the Four Russians table
 of Arlazarov, Dinic, Kronrod and Faradzev (1970), filled lazily: the n = 2
 complement witness visits 1.8M subsets but fewer than 10,000 distinct
 slices.  A miss is stored only while the memo holds fewer entries than the
@@ -50,11 +51,15 @@ that keys each pair by its sides (see :func:`determinize`).
 The Glushkov construction makes one iterative post-order walk over the
 unmarked tree (``rex._position_masks``).  It numbers the symbol leaves 1..n
 as it meets them, keeps each node's first and last sets as int bitmasks, and
-ORs follow contributions into one int row per position: a ``Concat`` adds
-its right child's first set to the rows of its left child's last positions,
-a ``Star`` or ``Plus`` adds its own first set to the rows of its last
-positions, and a ``Concat`` denoting the empty language clears the rows of
-its positions.  No node copies a follow set.  While no two targets of a row
+merges follow contributions into one row per position, an int kept relative
+to the row's lowest target, with that target as its offset: a ``Concat``
+adds its right child's first set to the rows of its left child's last
+positions, a ``Star`` or ``Plus`` adds its own first set to the rows of its
+last positions, and a ``Concat`` denoting the empty language clears the
+rows of its positions.  A merge shifts whichever side has the higher offset
+onto the other, so a row costs the span of its targets rather than its
+highest position, and the rows of a sparse NFA take memory in step with its
+edges.  No node copies a follow set.  While no two targets of a row
 share a symbol the rows are written straight into ``Dfa.table``; otherwise
 the NFA keeps them in a mask store.  The product of two DFAs likewise
 walks both tables and writes its own; any other product walks the slots of
@@ -96,7 +101,7 @@ from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import and_, gt, is_, le, ne, or_
+from operator import add, and_, gt, is_, le, lshift, ne, or_
 from typing import Iterable, Optional
 
 from . import budget
@@ -163,11 +168,11 @@ class _TripleView(Set):
     ascending targets of one slot; ``_slot_edges()``, its ``(slot, q)``
     pairs state by state; ``_check(alphabet, n_states)``, which raises
     ``ValueError`` unless it fits that automaton; and ``len``.  Equality and
-    hash agree with the frozenset of the same triples.  Set operators (|, &,
-    -, ^) return plain frozensets.
+    hash agree with the frozenset of the same triples; the hash is computed
+    once and kept.  Set operators (|, &, -, ^) return plain frozensets.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __contains__(self, item: object) -> bool:
         try:
@@ -185,7 +190,11 @@ class _TripleView(Set):
         for slot, q in self._slot_edges():  # type: ignore[attr-defined]
             yield slot // k, names[slot % k], q
 
-    __hash__ = Set._hash
+    def __hash__(self) -> int:
+        # ``Set._hash`` walks every triple, so it runs once per store.
+        if self._hash is None:
+            self._hash = Set._hash(self)
+        return self._hash
 
     @classmethod
     def _from_iterable(cls, it):
@@ -260,6 +269,7 @@ class TransitionTable(_TripleView):
             table = array("i", table)
         self.alphabet = alphabet
         self.table = table
+        self._hash = None
 
     def __len__(self) -> int:
         return len(self.table) - _lane_scan(self.table, None)[0]
@@ -294,6 +304,7 @@ class TransitionIndex(_TripleView):
         self.alphabet = alphabet
         self.starts = array("i", starts)
         self.targets = array("i", targets)
+        self._hash = None
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -328,15 +339,19 @@ class TransitionIndex(_TripleView):
 
 class TransitionMasks(_TripleView):
     """Triples over a homogeneous NFA's follow masks, as the Glushkov
-    construction leaves them: bit ``q`` of ``rows[p]`` is an edge from ``p``
-    to ``q``, on the ``c``-th symbol of ``alphabet`` for the one entry mask
-    ``entries[c]`` that holds bit ``q``.  The entry masks are disjoint, since
+    construction leaves them: bit ``q`` of ``rows[p] << lows[p]`` is an edge
+    from ``p`` to ``q``, on the ``c``-th symbol of ``alphabet`` for the one
+    entry mask ``entries[c]`` that holds bit ``q``.  A row is kept relative
+    to its offset ``lows[p]``, so it costs the span of its targets; ``lows``
+    ``None`` means every offset is 0.  The entry masks are disjoint, since
     every state is entered on one symbol only."""
 
-    __slots__ = ("alphabet", "rows", "entries")
+    __slots__ = ("alphabet", "rows", "entries", "lows")
 
-    def __init__(self, alphabet: Alphabet, rows: list[int], entries: list[int]):
-        self.alphabet, self.rows, self.entries = alphabet, rows, entries
+    def __init__(self, alphabet: Alphabet, rows: list[int], entries: list[int],
+                 lows: Optional[list[int]] = None):
+        self.alphabet, self.rows, self.entries, self.lows = alphabet, rows, entries, lows
+        self._hash = None
 
     def __len__(self) -> int:
         return sum(map(int.bit_count, self.rows))
@@ -345,7 +360,8 @@ class TransitionMasks(_TripleView):
         p, c = divmod(slot, len(self.entries))
         if p >= len(self.rows):
             return ()
-        return tuple(iter_bits(self.rows[p] & self.entries[c]))
+        low = self.lows[p] if self.lows else 0
+        return tuple(iter_bits(self.rows[p] << low & self.entries[c]))
 
     def _slot_edges(self):
         k = len(self.entries)
@@ -353,8 +369,9 @@ class TransitionMasks(_TripleView):
         for c, sel in enumerate(self.entries):
             for q in iter_bits(sel):
                 code[q] = c
-        for p, row in enumerate(self.rows):
+        for p, row, low in zip(count(), self.rows, self.lows or repeat(0)):
             for q in iter_bits(row):
+                q += low
                 yield p * k + code[q], q
 
     def _check(self, alphabet: Alphabet, n: int):
@@ -364,14 +381,18 @@ class TransitionMasks(_TripleView):
         if len(rows) != n or len(entries) != k:
             raise ValueError(f"transition masks of {len(rows)} rows and {len(entries)} "
                              f"entry masks do not fit {n} states x {k} symbols")
-        if min(rows) < 0 or max(rows) >> n:
+        lows = [0] * n if self.lows is None else self.lows
+        if len(lows) != n:
+            raise ValueError(f"transition masks of {len(lows)} row offsets "
+                             f"do not fit {n} states")
+        if min(rows) < 0 or min(lows) < 0 or max(map(add, map(int.bit_length, rows), lows)) > n:
             raise ValueError("transition mask target out of range")
         if min(entries) < 0 or max(entries) >> n:
             raise ValueError("entry mask state out of range")
         entered = reduce(or_, entries)
         if entered.bit_count() != sum(map(int.bit_count, entries)):
             raise ValueError("entry masks overlap")
-        if reduce(or_, rows) & ~entered:
+        if reduce(or_, map(lshift, rows, lows)) & ~entered:
             raise ValueError("transition mask target entered on no symbol")
 
 
@@ -595,8 +616,9 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
     States are the occurrence subscripts, the initial state is 0; the result
     therefore has exactly (number of occurrences) + 1 states.
     """
-    # Row p of ``rows`` holds the targets of state p: first for 0, follow[p] else.
-    syms, nullable, first, last, rows = _position_masks(r)  # rejects extended, then marked
+    # Row p of ``rows``, shifted left by ``lows[p]``, holds the targets of
+    # state p: first for 0, the follow set of position p else.
+    syms, nullable, first, last, rows, lows = _position_masks(r)  # rejects extended, then marked
     sigma = _derived_alphabet(syms, alphabet)
     index = sigma.index
     # codes[q]: alphabet index of the symbol that enters state q; state 0 is
@@ -607,7 +629,7 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
         if c is None:
             raise ValueError(f"symbol {name!r} not in the declared alphabet")
         codes.append(c)
-    rows[0] = first
+    rows[0] = first  # at offset 0
     n = len(rows)
     finals = _final_flags(iter_bits((last | 1) if nullable else last), n)  # bit 0: state 0
     k = len(sigma)
@@ -615,14 +637,16 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
     for p, row in enumerate(rows):
         budget.checkpoint()  # a row holds up to n targets
         base = p * k
+        low = lows[p]
         for q in iter_bits(row):
+            q += low
             slot = base + codes[q]
             if table[slot] >= 0:
                 # Two targets of one state share a symbol: an NFA over the masks.
                 entries = [0] * k
                 for state in range(1, n):
                     entries[codes[state]] |= 1 << state
-                return Nfa(sigma, n, 0, finals, TransitionMasks(sigma, rows, entries))
+                return Nfa(sigma, n, 0, finals, TransitionMasks(sigma, rows, entries, lows))
             table[slot] = q
     return Dfa.from_table(sigma, n, 0, finals, table)
 
@@ -800,12 +824,12 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     """
     if isinstance(a, Dfa):
         return _renumber(a, max_states)
-    row, pairs = _successor_masks(a)
+    rows, lows, pairs = _successor_masks(a)
     finals_mask = sum(1 << q for q in a.finals)
     # ``work`` is a stack of parts still to determinise and of ``None``s,
     # each joining the last two results on ``done``.
     done: list[tuple[int, array, bytes]] = []
-    work: list = [(row, pairs, a.initial, finals_mask)]
+    work: list = [(rows, lows, pairs, a.initial, finals_mask)]
     while work:
         part = work.pop()
         if part is None:
@@ -823,11 +847,12 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
 
 
 def _subset_walk(part: tuple, split_at: int, max_states: int):
-    """The subset walk over ``part``, ``(rows, pairs, initial, finals
+    """The subset walk over ``part``, ``(rows, lows, pairs, initial, finals
     mask)`` as :func:`_successor_masks` gives them: ``(n_out, table,
     finals flags)``, or the two parts of :func:`_split_parts` once more than
-    ``split_at`` subsets are found and the split exists."""
-    row, pairs, initial, finals_mask = part
+    ``split_at`` subsets are found and the split exists.  State ``i``'s
+    successor int ``rows[i] << lows[i]`` is made only on a memo miss."""
+    row, lows, pairs, initial, finals_mask = part
     n = len(row)
 
     # ``memo`` maps a slice value, the subset masked by one of ``slices``, to
@@ -864,14 +889,16 @@ def _subset_walk(part: tuple, split_at: int, max_states: int):
                 key, u = v, 0
                 while v:
                     low = v & -v
-                    u |= row[low.bit_length() - 1]
+                    i = low.bit_length() - 1
+                    u |= row[i] << lows[i]
                     v ^= low
                 # Never more entries than subsets discovered so far.
                 if len(memo) < len(ids):
                     memo[key] = u
             succ |= u
         for shift, sel in pairs:
-            t = (succ >> shift) & sel
+            # A shift of 0, as in every homogeneous layout, copies nothing.
+            t = (succ >> shift if shift else succ) & sel
             if not t:
                 emit(-1)
                 continue
@@ -902,13 +929,17 @@ def _split_parts(part: tuple) -> Optional[list[tuple]]:
     them, each a part of its own, or ``None`` when no such split exists.
 
     The split needs a homogeneous layout (every shift 0) and no edge into
-    the initial state.  Connected components, edges read both ways, are
-    dealt largest first to the group with fewer states.  A group's part
-    numbers the initial state 0 and its own states 1.. in ascending order.
+    the initial state.  The rows are shifted into place first.  Connected
+    components, edges read both ways, are dealt largest first to the group
+    with fewer states.  A group's part numbers the initial state 0 and its
+    own states 1.. in ascending order, with every row offset 0.
     """
-    row, pairs, initial, finals_mask = part
+    row, lows, pairs, initial, finals_mask = part
     bit = 1 << initial
-    if any(shift for shift, _ in pairs) or any(r & bit for r in row):
+    if any(shift for shift, _ in pairs):
+        return None
+    row = list(map(lshift, row, lows))
+    if any(r & bit for r in row):
         return None
     links = [0] * len(row)
     for p, r in enumerate(row):
@@ -942,7 +973,8 @@ def _split_parts(part: tuple) -> Optional[list[tuple]]:
         at = moved.__getitem__
         rows = [sum(map(at, iter_bits(row[q]))) for q in states]
         entries = [(0, sum(map(at, iter_bits(sel)))) for _, sel in pairs]
-        parts.append((rows, entries, 0, sum(map(at, iter_bits(finals_mask)))))
+        parts.append((rows, [0] * len(states), entries, 0,
+                      sum(map(at, iter_bits(finals_mask)))))
     return parts
 
 
@@ -1056,18 +1088,19 @@ def _renumber(d: Dfa, max_states: int) -> Dfa:
     return Dfa.from_table(d.alphabet, len(order), 0, finals, table)
 
 
-def _successor_masks(a: Nfa) -> tuple[list[int], list[tuple[int, int]]]:
-    """One successor int per state of ``a``, and per symbol the ``(shift,
-    mask)`` pair that cuts its successor set out of an OR of them.
+def _successor_masks(a: Nfa) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """``(rows, lows, pairs)``: one successor int ``rows[p] << lows[p]`` per
+    state ``p`` of ``a``, and per symbol the ``(shift, mask)`` pair that
+    cuts its successor set out of an OR of them.
 
-    A mask store hands over its rows and entry masks as they are; any other
-    store is walked once.
+    A mask store hands over its rows, offsets and entry masks as they are;
+    any other store is walked once into rows with offset 0.
     """
     n = a.n_states
     k = len(a.alphabet)
     trans = a.transitions
     if type(trans) is TransitionMasks:
-        return trans.rows, [(0, sel) for sel in trans.entries]
+        return trans.rows, trans.lows or [0] * n, [(0, sel) for sel in trans.entries]
     edges = list(trans._slot_edges())
 
     # Homogeneous input: every state is entered on one symbol only.
@@ -1086,14 +1119,14 @@ def _successor_masks(a: Nfa) -> tuple[list[int], list[tuple[int, int]]]:
         for q, c in enumerate(entered_on):
             if c >= 0:
                 into[c] |= 1 << q
-        return row, [(0, sel) for sel in into]
+        return row, [0] * n, [(0, sel) for sel in into]
     # Symbol c's targets go to bit offset c * n instead.
     row = [0] * n
     for slot, q in edges:
         p, c = divmod(slot, k)
         row[p] |= 1 << (c * n + q)
     full = (1 << n) - 1
-    return row, [(c * n, full) for c in range(k)]
+    return row, [0] * n, [(c * n, full) for c in range(k)]
 
 
 def _fill_missing(table: array, target: int) -> array:

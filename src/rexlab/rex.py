@@ -670,27 +670,44 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _add_follow(follow: list[int], sources: int, targets: int):
-    """OR ``targets`` into the follow row of every position in ``sources``."""
+def _add_follow(rows: list[int], lows: list[int], sources: int, targets: int):
+    """Add ``targets`` to the follow row of every position in ``sources``.
+
+    Row ``x`` holds its targets as ``rows[x] << lows[x]``; of a row and the
+    new targets, the side with the higher offset is shifted onto the other's.
+    """
     if targets:
+        low = (targets & -targets).bit_length() - 1
+        targets >>= low
         for x in iter_bits(sources):
-            follow[x] |= targets
+            row = rows[x]
+            if not row:
+                rows[x], lows[x] = targets, low
+            elif lows[x] <= low:
+                rows[x] = row | targets << (low - lows[x])
+            else:
+                rows[x] = row << (lows[x] - low) | targets
+                lows[x] = low
 
 
-def _position_masks(root: Regex) -> tuple[list, bool, int, int, list[int]]:
+def _position_masks(root: Regex) -> tuple[list, bool, int, int, list[int], list[int]]:
     """Glushkov position data of a plain regex by one iterative post-order walk.
 
     Symbol leaves are numbered 1..n left to right.  Returns ``(syms,
-    nullable, first, last, follow)``: ``syms[i - 1]`` is the symbol of
+    nullable, first, last, rows, lows)``: ``syms[i - 1]`` is the symbol of
     position ``i``, ``first`` and ``last`` are int bitmasks over bits 1..n,
-    and ``follow[x]`` is the bitmask of the positions that may follow
-    position ``x`` (``follow[0]`` is 0).  A subexpression denoting the empty
-    language contributes nothing, so the data describe the language exactly.
-    Raises ``ExtendedOperatorError``, then ``ValueError`` on marked symbols;
-    polls the budget once per internal node, each at most n rows of work.
+    and ``rows[x] << lows[x]`` is the bitmask of the positions that may
+    follow position ``x`` (row 0 is 0).  A row is kept relative to its
+    lowest target, so it costs the span of its targets, not its highest
+    position; an empty row has offset 0.  A subexpression denoting the
+    empty language contributes nothing, so the data describe the language
+    exactly.  Raises ``ExtendedOperatorError``, then ``ValueError`` on
+    marked symbols; polls the budget once per internal node, each at most
+    n rows of work.
     """
     syms: list = []
-    follow = [0]
+    rows = [0]
+    lows = [0]
     # One entry per finished node: (nullable, first, last), or, for a node
     # denoting the empty language, the range of its positions.  Such a node
     # holds no follow bits in its rows; an empty Concat clears the rows of
@@ -702,7 +719,8 @@ def _position_masks(root: Regex) -> tuple[list, bool, int, int, list[int]]:
         if start < 0:
             if isinstance(node, Sym):
                 syms.append(node.sym)
-                follow.append(0)
+                rows.append(0)
+                lows.append(0)
                 bit = 1 << len(syms)
                 values.append((False, bit, bit))
             elif isinstance(node, Epsilon):
@@ -735,12 +753,12 @@ def _position_masks(root: Regex) -> tuple[list, bool, int, int, list[int]]:
                 else:
                     live = range(0)
                 for x in live:
-                    follow[x] = 0
+                    rows[x] = lows[x] = 0
                 values[-1] = range(start + 1, len(syms) + 1)
                 continue
             n1, f1, l1 = left
             n2, f2, l2 = right
-            _add_follow(follow, l1, f2)
+            _add_follow(rows, lows, l1, f2)
             values[-1] = (n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2)
         elif isinstance(node, Union):
             right = values.pop()
@@ -760,15 +778,15 @@ def _position_masks(root: Regex) -> tuple[list, bool, int, int, list[int]]:
                     values[-1] = (True, 0, 0)
                 continue
             n1, f1, l1 = inner
-            _add_follow(follow, l1, f1)
+            _add_follow(rows, lows, l1, f1)
             if isinstance(node, Star) and not n1:
                 values[-1] = (True, f1, l1)
     if any(isinstance(s, MarkedSymbol) for s in syms):
         raise ValueError("expression is already marked")
     value = values[0]
     if isinstance(value, range):
-        return syms, False, 0, 0, follow
-    return (syms, *value, follow)
+        return syms, False, 0, 0, rows, lows
+    return (syms, *value, rows, lows)
 
 
 def position_sets(r: Regex) -> PositionSets:
@@ -777,7 +795,7 @@ def position_sets(r: Regex) -> PositionSets:
     One-or-more repetition contributes like ``rr*``: same sets, nullability
     inherited from the body.
     """
-    syms, nullable, first, last, follow = _position_masks(r)
+    syms, nullable, first, last, follow, lows = _position_masks(r)
     positions = tuple(MarkedSymbol(s, x) for x, s in enumerate(syms, 1))
     return PositionSets(
         positions,
@@ -785,4 +803,4 @@ def position_sets(r: Regex) -> PositionSets:
         frozenset(positions[x - 1] for x in iter_bits(first)),
         frozenset(positions[x - 1] for x in iter_bits(last)),
         frozenset((positions[x - 1], positions[y - 1])
-                  for x in range(1, len(follow)) for y in iter_bits(follow[x])))
+                  for x in range(1, len(follow)) for y in iter_bits(follow[x] << lows[x])))

@@ -95,11 +95,11 @@ class LocalProfile:
     follow: frozenset[tuple[str, str]]
 
 
-def _masks(r: Regex) -> tuple[list[str], bool, int, int, list[int]]:
+def _masks(r: Regex) -> tuple[list[str], bool, int, int, list[int], list[int]]:
     """``rex._position_masks`` of ``r``, whose errors name marking.
 
     Position ``x`` stands for ``MarkedSymbol(syms[x - 1], x)``, built only for
-    results that hold one.
+    results that hold one; its follow set is ``follow[x] << lows[x]``.
     """
     try:
         return _position_masks(r)
@@ -120,13 +120,14 @@ def _bases(syms: list[str], mask: int) -> set[str]:
 
 def _first_fork(masks: tuple) -> Optional[tuple]:
     """The witness at the first state, in BFS order, whose successors share a
-    base symbol; state 0 steps to ``first`` and position ``x`` to ``follow[x]``."""
-    syms, _, first, _, follow = masks
+    base symbol; state 0 steps to ``first`` and position ``x`` to
+    ``follow[x] << lows[x]``."""
+    syms, _, first, _, follow, lows = masks
     parent = [-1] * (len(syms) + 1)
     queue = [0]
     for state in queue:  # grows while it is walked
         clash: dict[str, int] = {}
-        for y in iter_bits(follow[state] if state else first):
+        for y in iter_bits(follow[state] << lows[state] if state else first):
             other = clash.setdefault(syms[y - 1], y)
             if other != y:
                 path = []
@@ -159,7 +160,7 @@ def is_sore(r: Regex) -> bool:
     return len(names) == len(set(names))
 
 
-def _unambiguous_masks(r: Regex) -> tuple[list[str], bool, int, int, list[int]]:
+def _unambiguous_masks(r: Regex) -> tuple[list[str], bool, int, int, list[int], list[int]]:
     witness = _first_fork(masks := _masks(r))
     if witness is not None:
         raise NotOneUnambiguousError(
@@ -169,19 +170,20 @@ def _unambiguous_masks(r: Regex) -> tuple[list[str], bool, int, int, list[int]]:
 
 def nfirst(r: Regex, alphabet: Alphabet) -> frozenset[str]:
     """Symbols that begin no word of the language."""
-    syms, _, first, _, _ = _unambiguous_masks(r)
+    syms, _, first, _, _, _ = _unambiguous_masks(r)
     return frozenset(alphabet) - _bases(syms, first)
 
 
 def nfollow(r: Regex, x: MarkedSymbol, alphabet: Alphabet) -> frozenset[str]:
     """Symbols no marked version of which can follow position ``x``."""
-    syms, _, _, _, follow = _masks(r)
-    return frozenset(alphabet) - _bases(syms, follow[_position_of(syms, x)])
+    syms, _, _, _, follow, lows = _masks(r)
+    i = _position_of(syms, x)
+    return frozenset(alphabet) - _bases(syms, follow[i] << lows[i])
 
 
 def last_marked(r: Regex) -> frozenset[MarkedSymbol]:
     """Positions that end some word of the marked language."""
-    syms, _, _, last, _ = _unambiguous_masks(r)
+    syms, _, _, last, _, _ = _unambiguous_masks(r)
     return frozenset(MarkedSymbol(syms[x - 1], x) for x in iter_bits(last))
 
 
@@ -191,7 +193,7 @@ def _gap(syms: list[str], mask: int, alphabet: Alphabet, sigma_star: Regex) -> R
 
 
 def _init_expr(masks: tuple, alphabet: Alphabet) -> Regex:
-    syms, nullable, first, _, _ = masks
+    syms, nullable, first, _, _, _ = masks
     head = _gap(syms, first, alphabet, Star(set_expr(alphabet, alphabet)))
     return head if nullable else Union(EPSILON, head)
 
@@ -285,7 +287,7 @@ def complement_unambiguous(r: Regex, alphabet: Alphabet) -> Regex:
     ``alphabet``.
     """
     with _collector_paused():
-        masks = syms, _, _, last, follow = _unambiguous_masks(r)
+        masks = syms, _, _, last, follow, lows = _unambiguous_masks(r)
         for name in syms:
             if name not in alphabet:
                 raise ValueError(f"symbol {name!r} not in the declared alphabet")
@@ -293,7 +295,7 @@ def complement_unambiguous(r: Regex, alphabet: Alphabet) -> Regex:
         out = _init_expr(masks, alphabet)
         for x, (leaf, chain) in enumerate(_prefix_chains(r), 1):
             budget.checkpoint()
-            gap = _gap(syms, follow[x], alphabet, sigma_star)
+            gap = _gap(syms, follow[x] << lows[x], alphabet, sigma_star)
             tail = gap if last >> x & 1 else sunion(EPSILON, gap)
             out = sunion(out, sconcat(_prefix(leaf, chain), tail))
         return out
@@ -307,13 +309,13 @@ def local_profile(r: Regex) -> LocalProfile:
     """Unmarked position sets of a SORE; well defined since symbols are unique."""
     if not is_sore(r):
         raise NotSoreError(f"not a single-occurrence regex: {r}")
-    syms, nullable, first, last, follow = _masks(r)
+    syms, nullable, first, last, follow, lows = _masks(r)
     return LocalProfile(
         nullable=nullable,
         first=frozenset(_bases(syms, first)),
         last=frozenset(_bases(syms, last)),
         follow=frozenset((syms[x - 1], syms[y - 1])
-                         for x in range(1, len(follow)) for y in iter_bits(follow[x])),
+                         for x in range(1, len(follow)) for y in iter_bits(follow[x] << lows[x])),
     )
 
 

@@ -47,6 +47,7 @@ from rexlab.rex import (
     UnknownSymbolError,
     children,
     has_extended,
+    iter_bits,
     iter_postorder,
     sconcat,
     set_expr,
@@ -292,6 +293,96 @@ def glushkov_by_marking(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
     if nfa.is_deterministic():
         return Dfa(alphabet, n, 0, finals, nfa.transitions)
     return nfa
+
+
+def position_masks_absolute(root: Regex) -> tuple[list, bool, int, int, list[int]]:
+    """``(syms, nullable, first, last, follow)`` of a plain regex, each
+    follow row an absolute bitmask: bit ``y`` of ``follow[x]`` is set when
+    position ``y`` may follow position ``x``.
+
+    The walk ``rex._position_masks`` made before it kept each row relative
+    to its lowest target; rows are ORed in place, so row ``x`` is as wide as
+    its highest target.
+    """
+    syms: list = []
+    follow = [0]
+
+    def add_follow(sources: int, targets: int):
+        if targets:
+            for x in iter_bits(sources):
+                follow[x] |= targets
+
+    values: list = []
+    stack: list[tuple[Regex, int]] = [(root, -1)]
+    while stack:
+        node, start = stack.pop()
+        if start < 0:
+            if isinstance(node, Sym):
+                syms.append(node.sym)
+                follow.append(0)
+                bit = 1 << len(syms)
+                values.append((False, bit, bit))
+            elif isinstance(node, Epsilon):
+                values.append((True, 0, 0))
+            elif isinstance(node, Empty):
+                values.append(range(len(syms) + 1, len(syms) + 1))
+            elif isinstance(node, (Concat, Union)):
+                stack.append((node, len(syms)))
+                stack.append((node.right, -1))
+                stack.append((node.left, -1))
+            elif isinstance(node, (Star, Plus)):
+                stack.append((node, len(syms)))
+                stack.append((node.inner, -1))
+            elif isinstance(node, (Intersect, Negate)):
+                raise ExtendedOperatorError(
+                    "position sets are defined for plain regexes only")
+            else:
+                raise TypeError(f"unknown node {node!r}")
+            continue
+        if isinstance(node, Concat):
+            right = values.pop()
+            left = values[-1]
+            if isinstance(left, range) or isinstance(right, range):
+                if not isinstance(left, range):
+                    live = range(start + 1, right.start)
+                elif not isinstance(right, range):
+                    live = range(left.stop, len(syms) + 1)
+                else:
+                    live = range(0)
+                for x in live:
+                    follow[x] = 0
+                values[-1] = range(start + 1, len(syms) + 1)
+                continue
+            n1, f1, l1 = left
+            n2, f2, l2 = right
+            add_follow(l1, f2)
+            values[-1] = (n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2)
+        elif isinstance(node, Union):
+            right = values.pop()
+            left = values[-1]
+            if isinstance(right, range):
+                if isinstance(left, range):
+                    values[-1] = range(start + 1, len(syms) + 1)
+            elif isinstance(left, range):
+                values[-1] = right
+            else:
+                values[-1] = (left[0] or right[0], left[1] | right[1], left[2] | right[2])
+        else:  # Star or Plus
+            inner = values[-1]
+            if isinstance(inner, range):
+                if isinstance(node, Star):
+                    values[-1] = (True, 0, 0)
+                continue
+            n1, f1, l1 = inner
+            add_follow(l1, f1)
+            if isinstance(node, Star) and not n1:
+                values[-1] = (True, f1, l1)
+    if any(isinstance(s, MarkedSymbol) for s in syms):
+        raise ValueError("expression is already marked")
+    value = values[0]
+    if isinstance(value, range):
+        return syms, False, 0, 0, follow
+    return (syms, *value, follow)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from rexlab.automata import (
     serialize,
     shortest_divergence,
 )
-from rexlab import automata, budget
+from rexlab import automata, budget, rex
 from rexlab.budget import BudgetExceededError, CancelToken
 from rexlab.rex import (
     EMPTY,
@@ -55,7 +55,8 @@ from rexlab.rex import (
     position_sets,
     size,
 )
-from rexlab.unambiguous import complement_unambiguous, local_profile, profile_to_dfa
+from rexlab.unambiguous import complement_unambiguous, intersect_sores, is_one_unambiguous
+from rexlab.unambiguous import local_profile, profile_to_dfa
 from rexlab.witnesses import (
     SIGMA_K,
     SIGMA_L,
@@ -76,7 +77,7 @@ from oracles import nfa_slice as slice_of
 from oracles import minimize_by_moore, regex_slice, subset_construction, words_upto
 from oracles import equivalent_by_totalising, shortest_divergence_by_totalising
 from oracles import lane_scan_by_slots, pair_walk_by_keys, parse_automaton_by_slots
-from oracles import product_by_pair_codes
+from oracles import position_masks_absolute, product_by_pair_codes
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
@@ -405,7 +406,7 @@ class TestDeterminize:
         for p, symbol, q in a.transitions:
             want_rows[p] |= 1 << q
             want_into[sigma.index[symbol]] |= 1 << q
-        rows, pairs = automata._successor_masks(a)
+        rows, lows, pairs = automata._successor_masks(a)
         assert rows == want_rows and all(row >> n == 0 for row in rows)
         assert pairs == [(0, sel) for sel in want_into]
 
@@ -414,7 +415,7 @@ class TestDeterminize:
         # offset c * n, and every pair cuts a full n-bit block.
         nfa = Nfa(AB, 3, 0, frozenset([2]),
                   frozenset([(0, "a", 1), (0, "b", 1), (1, "b", 2), (2, "a", 0)]))
-        rows, pairs = automata._successor_masks(nfa)
+        rows, lows, pairs = automata._successor_masks(nfa)
         assert rows == [1 << 1 | 1 << (3 + 1), 1 << (3 + 2), 1 << 0]
         assert pairs == [(0, 0b111), (3, 0b111)]
 
@@ -559,11 +560,13 @@ class TestUnionRoute:
                      frozenset([(0, "a", 1), (0, "b", 1), (0, "b", 2)]))
         plain = Nfa(AB, 3, 0, frozenset([1]), frozenset([(0, "a", 1), (0, "b", 2)]))
         for nfa, splits in ((back, False), (packed, False), (plain, True)):
-            rows, pairs = automata._successor_masks(nfa)
-            parts = automata._split_parts((rows, pairs, nfa.initial, 0b10))
+            rows, lows, pairs = automata._successor_masks(nfa)
+            parts = automata._split_parts((rows, lows, pairs, nfa.initial, 0b10))
             assert (parts is not None) == splits
-        assert automata._split_parts(([0b110, 0, 0], [(0, 0b10), (0, 0b100)], 0, 0b10)) == [
-            ([0b10, 0], [(0, 0b10), (0, 0)], 0, 0b10), ([0b10, 0], [(0, 0), (0, 0b10)], 0, 0)]
+        assert automata._split_parts(
+            ([0b110, 0, 0], [0, 0, 0], [(0, 0b10), (0, 0b100)], 0, 0b10)) == [
+            ([0b10, 0], [0, 0], [(0, 0b10), (0, 0)], 0, 0b10),
+            ([0b10, 0], [0, 0], [(0, 0), (0, 0b10)], 0, 0)]
 
 
 def _join_outcome(walk, left: tuple, right: tuple, k: int, max_states: int):
@@ -582,9 +585,9 @@ def _union_part_dfas(rng: random.Random):
     r = reduce(Union, [random_plain_regex(rng, sigma.names, rng.randint(1, 14))
                        for _ in range(rng.randint(2, 4))])
     nfa = glushkov(r, sigma)
-    rows, pairs = automata._successor_masks(nfa)
+    rows, lows, pairs = automata._successor_masks(nfa)
     mask = sum(1 << q for q in nfa.finals)
-    parts = automata._split_parts((rows, pairs, nfa.initial, mask))
+    parts = automata._split_parts((rows, lows, pairs, nfa.initial, mask))
     if parts is None:
         return None
     cap = budget.DEFAULT_MAX_STATES
@@ -1050,6 +1053,29 @@ class TestIndexCore:
                     assert a.step(frozenset([p]), s) == frozenset(
                         q for (p2, s2, q) in triples if (p2, s2) == (p, s))
 
+    @pytest.mark.parametrize("store", [
+        TransitionTable(AB, [1, -1, 0, 1]),
+        TransitionIndex(AB, [0, 1, 1, 1, 2], [1, 0]),
+        TransitionMasks(AB, [0b1, 0b01], [0b10, 0b01], [1, 0]),
+    ], ids=["table", "index", "masks"])
+    def test_hash_is_computed_once(self, monkeypatch, store):
+        # The hash walks the edges on the first call only, and equals the
+        # frozenset's.
+        walks = []
+        edges = type(store)._slot_edges
+
+        def once(self):
+            walks.append(self)
+            if len(walks) > 1:
+                raise AssertionError("store hash walked the edges twice")
+            return edges(self)
+
+        want = frozenset(store)
+        monkeypatch.setattr(type(store), "_slot_edges", once)
+        assert hash(store) == hash(want)
+        assert hash(store) == hash(want)
+        assert walks == [store]
+
     def test_slot_targets_ascending(self):
         for a in self.indexed_automata():
             k = len(a.alphabet)
@@ -1087,12 +1113,30 @@ class TestIndexCore:
         ([-1, 0b01], [1, 0], AB),          # a negative row sets every bit
         ([0b10, 0b01], [2, 0], AB),        # code 2 >= 2 symbols
         ([0b10, 0b01], [1, -1], AB),       # code below 0
+        # Rows with offsets, given as (rows, lows): row p holds rows[p] << lows[p].
+        (([0b10, 0b01], [-1, 0]), [1, 0], AB),  # a negative offset
+        (([0b10, 0b01], [0, 2]), [1, 0], AB),   # offset 2 puts a target at n_states
+        (([0b1, 0b01], [2, 0]), [1, 0], AB),    # offset 2 on state 0's row
+        (([0b10, 0b01], [0]), [1, 0], AB),      # one offset for 2 states
     ])
     def test_bad_masks_rejected(self, rows, codes, alphabet):
+        rows, lows = rows if isinstance(rows, tuple) else (rows, None)
         entries = [sum(1 << q for q, code in enumerate(codes) if code == c)
                    for c in range(len(alphabet))]
         with pytest.raises(ValueError):
-            Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(alphabet, rows, entries))
+            Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(alphabet, rows, entries, lows))
+
+    def test_offsets_out_of_range_refused_as_targets(self):
+        # A negative offset and an offset that lifts a target to n_states
+        # read as a target out of range; an offset that keeps it in range
+        # passes, and the slots read the shifted row.
+        entries = [0b10, 0b01]
+        for lows in ([-1, 0], [0, 2], [1, 0]):
+            with pytest.raises(ValueError, match="^transition mask target out of range$"):
+                Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(AB, [0b10, 0b01], entries, lows))
+        a = Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(AB, [0b1, 0b01], entries, [1, 0]))
+        assert a.transitions == {(0, "a", 1), (1, "b", 0)}
+        assert list(a.successors(0, 0)) == [1] and not a.successors(0, 1)
 
     @pytest.mark.parametrize("entries", [
         [0b01],                            # one entry mask for 2 symbols
@@ -1112,6 +1156,85 @@ class TestIndexCore:
         assert a.transitions == {(0, "a", 1), (1, "b", 0)} and len(a.transitions) == 2
         assert list(a.successors(0, 0)) == [1] and not a.successors(0, 1)
         assert not hasattr(masks, "starts")  # reading a slot derives nothing
+
+
+class TestRelativeRows:
+    """``rex._position_masks`` keeps each follow row relative to its lowest
+    target: shifted back, its rows are the absolute rows of the walk it
+    replaced, and the Glushkov NFA hands them on unshifted."""
+
+    @staticmethod
+    def assert_rows_match(r, sigma: Alphabet):
+        syms, nullable, first, last, rows, lows = rex._position_masks(r)
+        want = position_masks_absolute(r)
+        assert (syms, nullable, first, last) == want[:4]
+        assert len(rows) == len(lows) == len(want[4])
+        assert list(map(operator.lshift, rows, lows)) == want[4]
+        # A row starts at its lowest target; an empty row has offset 0.
+        assert all(row & 1 if row else not low for row, low in zip(rows, lows))
+        g = glushkov(r, sigma)
+        assert frozenset(g.transitions) == glushkov_by_marking(r, sigma).transitions
+        if isinstance(g, Dfa):
+            return
+        masks = g.transitions
+        assert masks.rows[1:] == rows[1:] and masks.lows[1:] == lows[1:]
+        assert masks.rows[0] << masks.lows[0] == first
+        assert automata._successor_masks(g)[:2] == (masks.rows, masks.lows)
+
+    @given(st.sampled_from([AB, ABC]).flatmap(
+        lambda sigma: st.tuples(st.just(sigma), regexes(sigma.names, max_leaves=14))))
+    def test_drawn_regexes_and_complements(self, drawn):
+        sigma, r = drawn
+        self.assert_rows_match(r, sigma)
+        if is_one_unambiguous(r).is_one_unambiguous:
+            self.assert_rows_match(complement_unambiguous(r, sigma), sigma)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sore_intersections(self, n):
+        sigma = m_alphabet(n)
+        self.assert_rows_match(intersect_sores(m_sore_pair(n), sigma), sigma)
+
+    @pytest.mark.parametrize("r, sigma", [
+        (Union(*m_sore_pair(2)), m_alphabet(2)),
+        (reduce(Union, unamb_family(1)), SIGMA_L),
+    ], ids=["m_sore_pair(2)", "unamb_family(1)"])
+    def test_split_parts_shift_rows_into_place(self, r, sigma):
+        # Parts of a union's Glushkov NFA, whose rows have offsets, are the
+        # parts of the same rows shifted into place; the route built from
+        # them gives the subset DFA.
+        g = glushkov(r, sigma)
+        rows, lows, pairs = automata._successor_masks(g)
+        assert any(lows)
+        mask = sum(1 << q for q in g.finals)
+        absolute = list(map(operator.lshift, rows, lows))
+        parts = automata._split_parts((rows, lows, pairs, 0, mask))
+        assert parts is not None
+        assert parts == automata._split_parts((absolute, [0] * len(rows), pairs, 0, mask))
+        want = subset_construction(g, budget.DEFAULT_MAX_STATES)[1]
+        assert serialize(_route_built(g)) == serialize(want)
+
+    def test_other_stores_hand_over_offset_0(self):
+        a = extended_to_nfa(Union(*m_sore_pair(2)), m_alphabet(2))
+        b = Nfa(AB, 3, 0, frozenset([2]),
+                frozenset([(0, "a", 1), (0, "b", 1), (1, "b", 2), (2, "a", 0)]))
+        c = Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(AB, [0b10, 0b01], [0b10, 0b01]))
+        for nfa in (a, b, c):
+            assert automata._successor_masks(nfa)[1] == [0] * nfa.n_states
+
+    def test_complement_glushkov_memory(self):
+        # The Glushkov NFA of a polynomial complement: 10,726 positions and
+        # 38,707 edges, each row spanning few positions.  With rows as wide
+        # as their highest target it peaked at 8.1 MiB under tracemalloc,
+        # 7.2 MiB of them row bits; it reads 0.71 MiB.
+        s = complement_unambiguous(unamb_family(2)[3], SIGMA_L)
+        tracemalloc.start()
+        try:
+            g = glushkov(s, SIGMA_L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(g.transitions) is TransitionMasks
+        assert peak < 2 * 2**20, peak
 
 
 class TestMaskBackedIndex:
