@@ -60,14 +60,16 @@ rows of its positions.  A merge shifts whichever side has the higher offset
 onto the other, so a row costs the span of its targets rather than its
 highest position, and the rows of a sparse NFA take memory in step with its
 edges.  No node copies a follow set.  While no two targets of a row
-share a symbol the rows are written straight into ``Dfa.table``; otherwise
-the NFA keeps them in a mask store.  The product of two DFAs likewise
-walks both tables and writes its own; any other product walks the slots of
-both inputs and writes an index, which becomes a table when both inputs are
-deterministic.  Both walks find pair ``(p, q)``'s number in a dict of right
-state ``q`` keyed by left state ``p``, made when a pair first reaches
-``q``, and keep the pairs as two lists of sides, which give the finals in
-one pass.
+share a symbol the rows are written straight into ``Dfa.table``, which
+grows one row per row found deterministic; otherwise the NFA keeps them in
+a mask store, whose entry masks are read from one bitmap per symbol.  The
+product of two DFAs likewise walks both tables and writes its own; any
+other product walks the slots of both inputs and writes an index, which
+becomes a table when both inputs are deterministic.  Both walks find pair
+``(p, q)``'s number in a dict of right state ``q`` keyed by left state
+``p``, made when a pair first reaches ``q``, and keep only the pairs still
+to walk, in chunks of two lists of sides; a chunk gives its finals in one
+pass once walked and is then dropped.
 
 Minimisation sorts a DFA's transitions by target slot into one preimage
 index, ``sources[starts[s]:starts[s + 1]]`` the states entering slot ``s``.
@@ -101,7 +103,7 @@ from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, and_, gt, is_, le, lshift, ne, or_
+from operator import add, and_, gt, is_, le, lshift, ne, or_, rshift
 from typing import Iterable, Optional
 
 from . import budget
@@ -392,7 +394,11 @@ class TransitionMasks(_TripleView):
         entered = reduce(or_, entries)
         if entered.bit_count() != sum(map(int.bit_count, entries)):
             raise ValueError("entry masks overlap")
-        if reduce(or_, map(lshift, rows, lows)) & ~entered:
+        # Only a state that no entry mask holds can be such a target, state 0
+        # alone in a Glushkov store, so each row is tested against those
+        # states shifted down by its offset, not shifted into place itself.
+        unentered = ((1 << n) - 1) ^ entered
+        if any(map(and_, rows, map(rshift, repeat(unentered), lows))):
             raise ValueError("transition mask target entered on no symbol")
 
 
@@ -633,22 +639,41 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
     n = len(rows)
     finals = _final_flags(iter_bits((last | 1) if nullable else last), n)  # bit 0: state 0
     k = len(sigma)
-    table = array("i", [-1]) * (n * k)
+    # The table grows by one row per row found deterministic, so an NFA,
+    # most often found at row 0, leaves no table of n * k slots behind.
+    blank = array("i", [-1]) * k
+    table = array("i")
     for p, row in enumerate(rows):
         budget.checkpoint()  # a row holds up to n targets
-        base = p * k
+        base = len(table)
+        table += blank
         low = lows[p]
         for q in iter_bits(row):
             q += low
             slot = base + codes[q]
             if table[slot] >= 0:
                 # Two targets of one state share a symbol: an NFA over the masks.
-                entries = [0] * k
-                for state in range(1, n):
-                    entries[codes[state]] |= 1 << state
+                del table
+                entries = _entry_masks(codes, k)
                 return Nfa(sigma, n, 0, finals, TransitionMasks(sigma, rows, entries, lows))
             table[slot] = q
     return Dfa.from_table(sigma, n, 0, finals, table)
+
+
+def _entry_masks(codes: list[int], k: int) -> list[int]:
+    """Per symbol, the mask of the states entered on it, state ``q > 0`` on
+    the ``codes[q]``-th of ``k`` symbols.  One pass over the states sets
+    their bits in a bitmap of every state per symbol met, and each bitmap
+    is read as one int."""
+    size = (len(codes) >> 3) + 1
+    bitmaps: list[Optional[bytearray]] = [None] * k
+    for q in range(1, len(codes)):
+        c = codes[q]
+        bitmap = bitmaps[c]
+        if bitmap is None:
+            bitmap = bitmaps[c] = bytearray(size)
+        bitmap[q >> 3] |= 1 << (q & 7)
+    return [0 if bitmap is None else int.from_bytes(bitmap, "little") for bitmap in bitmaps]
 
 
 # ---------------------------------------------------------------------------
@@ -1183,10 +1208,12 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
     Pairs are numbered in BFS discovery order with symbols scanned in
     alphabet order, ``a``'s targets in the outer loop and ``b``'s in the
     inner one, each in ascending order.  Pair ``(p, q)``'s number sits in
-    the dict of right state ``q`` under left state ``p``; the pairs are
-    kept as two lists of sides.  Two DFAs are walked through their tables,
-    any other inputs through their slots.  The table walk reads ``a``'s
-    table only at the symbols ``b`` defines.
+    the dict of right state ``q`` under left state ``p``.  Only the pairs
+    numbered but not yet walked are kept, as :func:`_pair_walk` keeps them:
+    a queue of chunks, each two lists of sides, whose finals are read in
+    one pass once the chunk is walked and which is then dropped.  Two DFAs
+    are walked through their tables, any other inputs through their slots.
+    The table walk reads ``a``'s table only at the symbols ``b`` defines.
     """
     _require_same_alphabet(a, b)
     if isinstance(a, Dfa) and isinstance(b, Dfa):
@@ -1195,37 +1222,56 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
     # A right state's dict is made when a pair first reaches it.
     by_right: list[Optional[dict]] = [None] * b.n_states
     by_right[b.initial] = {a.initial: 0}
-    lefts, rights = [a.initial], [b.initial]
     starts, targets = array("i", [0]), array("i")
     succ_a, succ_b = a.successors, b.successors
-    for p, q in zip(lefts, rights):  # both grow as the walk goes
-        budget.checkpoint()
-        for c in range(k):
-            pa = succ_a(p, c)
-            pb = succ_b(q, c) if pa else ()
-            lo = len(targets)
-            for p2 in pa:
-                for q2 in pb:
-                    ids = by_right[q2]
-                    if ids is None:
-                        ids = by_right[q2] = {}
-                    dst = ids.get(p2)
-                    if dst is None:
-                        if len(lefts) >= max_states:
-                            raise budget.BudgetExceededError(
-                                f"product exceeds {max_states} states")
-                        dst = ids[p2] = len(lefts)
-                        lefts.append(p2)
-                        rights.append(q2)
-                    targets.append(dst)
-            if len(targets) - lo > 1:
-                targets[lo:] = array("i", sorted(targets[lo:]))
-            starts.append(len(targets))
-    del by_right
     fa, fb = a.finals.flags, b.finals.flags
-    finals = FinalFlags(bytes(map(and_, map(fa.__getitem__, lefts), map(fb.__getitem__, rights))))
+    # ``pending`` holds the pairs still to walk in chunks of ``chunk``, so
+    # the walked pairs still held cost at most two lists of 4,096 sides.
+    # The last chunk takes new pairs until it is full, also while it is
+    # walked, so a walk one pair wide makes no chunk per pair.
+    chunk = _TABLE_BLOCK >> 4
+    pending = deque([([a.initial], [b.initial])])
+    add_left, add_right = pending[0][0].append, pending[0][1].append
+    room = chunk - 1
+    n_out = 1
+    fin = bytearray()
+    while pending:
+        lefts, rights = pending[0]
+        for p, q in zip(lefts, rights):  # the last chunk grows as it is walked
+            budget.checkpoint()
+            for c in range(k):
+                pa = succ_a(p, c)
+                pb = succ_b(q, c) if pa else ()
+                lo = len(targets)
+                for p2 in pa:
+                    for q2 in pb:
+                        ids = by_right[q2]
+                        if ids is None:
+                            ids = by_right[q2] = {}
+                        dst = ids.get(p2)
+                        if dst is None:
+                            if n_out >= max_states:
+                                raise budget.BudgetExceededError(
+                                    f"product exceeds {max_states} states")
+                            dst = ids[p2] = n_out
+                            n_out += 1
+                            if not room:
+                                tail = ([], [])
+                                pending.append(tail)
+                                add_left, add_right = tail[0].append, tail[1].append
+                                room = chunk
+                            add_left(p2)
+                            add_right(q2)
+                            room -= 1
+                        targets.append(dst)
+                if len(targets) - lo > 1:
+                    targets[lo:] = array("i", sorted(targets[lo:]))
+                starts.append(len(targets))
+        pending.popleft()
+        fin += bytes(map(and_, map(fa.__getitem__, lefts), map(fb.__getitem__, rights)))
+    del by_right
     cls = Dfa if a.is_deterministic() and b.is_deterministic() else Nfa
-    return cls(a.alphabet, len(lefts), 0, finals, TransitionIndex(a.alphabet, starts, targets))
+    return cls(a.alphabet, n_out, 0, FinalFlags(fin), TransitionIndex(a.alphabet, starts, targets))
 
 
 def _dfa_product(a: Dfa, b: Dfa, max_states: int) -> Dfa:
@@ -1244,30 +1290,46 @@ def _dfa_product(a: Dfa, b: Dfa, max_states: int) -> Dfa:
         return rec
 
     record(b.initial)[1][a.initial] = 0
-    lefts, rights = [a.initial], [b.initial]
+    fa, fb = a.finals.flags, b.finals.flags
+    # The pairs still to walk, in chunks as in ``product``.
+    chunk = _TABLE_BLOCK >> 4
+    pending = deque([([a.initial], [b.initial])])
+    add_left, add_right = pending[0][0].append, pending[0][1].append
+    room = chunk - 1
+    n_out = 1
+    fin = bytearray()
     blank = array("i", [-1]) * k
     table = array("i")
-    for p, q in zip(lefts, rights):  # both grow as the walk goes
-        budget.checkpoint()
-        rp, row = p * k, len(table)
-        table += blank
-        for c, q2 in at_right[q][0]:
-            p2 = ta[rp + c]
-            if p2 < 0:
-                continue
-            ids = (at_right[q2] or record(q2))[1]
-            dst = ids.get(p2)
-            if dst is None:
-                if len(lefts) >= max_states:
-                    raise budget.BudgetExceededError(f"product exceeds {max_states} states")
-                dst = ids[p2] = len(lefts)
-                lefts.append(p2)
-                rights.append(q2)
-            table[row + c] = dst
+    while pending:
+        lefts, rights = pending[0]
+        for p, q in zip(lefts, rights):  # the last chunk grows as it is walked
+            budget.checkpoint()
+            rp, row = p * k, len(table)
+            table += blank
+            for c, q2 in at_right[q][0]:
+                p2 = ta[rp + c]
+                if p2 < 0:
+                    continue
+                ids = (at_right[q2] or record(q2))[1]
+                dst = ids.get(p2)
+                if dst is None:
+                    if n_out >= max_states:
+                        raise budget.BudgetExceededError(f"product exceeds {max_states} states")
+                    dst = ids[p2] = n_out
+                    n_out += 1
+                    if not room:
+                        tail = ([], [])
+                        pending.append(tail)
+                        add_left, add_right = tail[0].append, tail[1].append
+                        room = chunk
+                    add_left(p2)
+                    add_right(q2)
+                    room -= 1
+                table[row + c] = dst
+        pending.popleft()
+        fin += bytes(map(and_, map(fa.__getitem__, lefts), map(fb.__getitem__, rights)))
     del at_right
-    fa, fb = a.finals.flags, b.finals.flags
-    fin = bytes(map(and_, map(fa.__getitem__, lefts), map(fb.__getitem__, rights)))
-    return Dfa.from_table(a.alphabet, len(lefts), 0, FinalFlags(fin), table)
+    return Dfa.from_table(a.alphabet, n_out, 0, FinalFlags(fin), table)
 
 
 # ---------------------------------------------------------------------------

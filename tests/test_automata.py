@@ -1138,6 +1138,16 @@ class TestIndexCore:
         assert a.transitions == {(0, "a", 1), (1, "b", 0)}
         assert list(a.successors(0, 0)) == [1] and not a.successors(0, 1)
 
+    def test_target_entered_on_no_symbol_refused_at_any_offset(self):
+        # State 2 is in no entry mask; a row that reaches it through its
+        # offset is refused, and the same row one state lower passes.
+        entries = [0b010, 0b001]
+        for rows, lows in (([0b10, 0, 0b1], [0, 0, 2]), ([0b10, 0b11, 0], [0, 1, 0])):
+            with pytest.raises(ValueError, match="^transition mask target entered on no symbol$"):
+                Nfa(AB, 3, 0, frozenset([1]), TransitionMasks(AB, rows, entries, lows))
+        a = Nfa(AB, 3, 0, frozenset([1]), TransitionMasks(AB, [0b10, 0b1, 0], entries, [0, 0, 0]))
+        assert a.transitions == {(0, "a", 1), (1, "b", 0)}
+
     @pytest.mark.parametrize("entries", [
         [0b01],                            # one entry mask for 2 symbols
         [0b01, 0b10, 0],                   # three entry masks for 2 symbols
@@ -1235,6 +1245,34 @@ class TestRelativeRows:
             tracemalloc.stop()
         assert type(g.transitions) is TransitionMasks
         assert peak < 2 * 2**20, peak
+
+    def test_sore_intersection_glushkov_memory(self):
+        # The n=5 SORE intersection's Glushkov NFA, 16,772 states over 60
+        # symbols, is found nondeterministic at row 0.  With a table of
+        # n * k slots made before the first row, entry masks built one state
+        # at a time and every row shifted into place by the range check, it
+        # peaked at 5.2 MiB under tracemalloc (3.8 MiB of them the unused
+        # table); it reads 1.5 MiB.
+        sigma = m_alphabet(5)
+        r = intersect_sores(m_sore_pair(5), sigma)
+        tracemalloc.start()
+        try:
+            g = glushkov(r, sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(g.transitions) is TransitionMasks and g.n_states == 16772
+        assert peak < 2.5 * 2**20, peak
+
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.integers(0, k - 1), max_size=40))))
+    def test_entry_masks_match_one_state_at_a_time(self, drawn):
+        k, entered = drawn
+        codes = [0, *entered]  # state 0 is entered on no symbol
+        want = [0] * k
+        for q in range(1, len(codes)):
+            want[codes[q]] |= 1 << q
+        assert automata._entry_masks(codes, k) == want
 
 
 class TestMaskBackedIndex:
@@ -1601,6 +1639,31 @@ class TestProduct:
         assert p.n_states == 8192 and p.table == x.table
         assert peak < 6 * 2**20, peak
 
+    @pytest.mark.parametrize("walk, limit_mib", [("table", 5.0), ("slots", 5.25)])
+    def test_chain_product_keeps_only_pending_pairs(self, walk, limit_mib):
+        # Cycles of 255 and 256 states on one symbol: 65,280 pairs in one
+        # chain, never more than one of them pending.  Keeping the sides of
+        # every numbered pair until the walk ended, the table walk peaked at
+        # 5.39 MiB under tracemalloc and the slot walk, over the same cycles
+        # as NFAs, at 5.59 MiB; keeping only the pairs still to walk, and at
+        # most one chunk walked, they read 4.66 and 4.90 MiB (Python 3.11).
+        def cycle(n):
+            d = Dfa.from_table(A, n, 0, [0], array("i", [*range(1, n), 0]))
+            return d if walk == "table" else Nfa(A, n, 0, d.finals, frozenset(d.transitions))
+        a, b = cycle(255), cycle(256)
+        token = CountingToken()
+        tracemalloc.start()
+        try:
+            with budget.active(token):
+                p = product(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(p) is Dfa and p.n_states == 255 * 256 and token.polls == p.n_states
+        assert p.table == array("i", [*range(1, p.n_states), 0])
+        assert p.finals == {0}
+        assert peak < limit_mib * 2**20, peak
+
     @given(st.integers(0, 10_000))
     def test_and_property(self, seed):
         rng = random.Random(seed)
@@ -1693,6 +1756,19 @@ class TestProductWalks:
         a = data.draw(_operands(sigma, False, branching=True))
         b = data.draw(_operands(sigma, False, branching=True))
         self.assert_walks_agree(a, b)
+
+    def test_walks_past_one_chunk(self):
+        # Counters mod 97 and mod 89 on "a", doubling on "b": 8,633 pairs,
+        # so both walks start new chunks of pending pairs while they walk.
+        def counter(n, finals):
+            table = array("i", [q for p in range(n) for q in ((p + 1) % n, 2 * p % n)])
+            return Dfa.from_table(AB, n, 1, finals, table)
+        a, b = counter(97, [0, 5]), counter(89, [0, 7, 8])
+        self.assert_walks_agree(a, b)
+        nfa_a, nfa_b = (Nfa(AB, d.n_states, d.initial, d.finals, frozenset(d.transitions))
+                        for d in (a, b))
+        self.assert_walks_agree(nfa_a, nfa_b)
+        assert product(a, b).n_states == 97 * 89
 
 
 class TestMinimize:
