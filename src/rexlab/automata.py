@@ -67,9 +67,10 @@ product of two DFAs likewise walks both tables and writes its own; any
 other product walks the slots of both inputs and writes an index, which
 becomes a table when both inputs are deterministic.  Both walks find pair
 ``(p, q)``'s number in a dict of right state ``q`` keyed by left state
-``p``, made when a pair first reaches ``q``, and keep only the pairs still
-to walk, in chunks of two lists of sides; a chunk gives its finals in one
-pass once walked and is then dropped.
+``p``, made when a pair first reaches ``q``.  Like the join of
+:func:`determinize`, they keep only the pairs still to walk, as two flat
+lists of sides: each step walks a chunk from the front, reads its finals
+in one pass and deletes it.
 
 Minimisation sorts a DFA's transitions by target slot into one preimage
 index, ``sources[starts[s]:starts[s + 1]]`` the states entering slot ``s``.
@@ -103,7 +104,7 @@ from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, and_, gt, is_, le, lshift, ne, or_, rshift
+from operator import add, and_, gt, is_, le, lshift, ne, or_, rshift, sub
 from typing import Iterable, Optional
 
 from . import budget
@@ -344,15 +345,16 @@ class TransitionMasks(_TripleView):
     construction leaves them: bit ``q`` of ``rows[p] << lows[p]`` is an edge
     from ``p`` to ``q``, on the ``c``-th symbol of ``alphabet`` for the one
     entry mask ``entries[c]`` that holds bit ``q``.  A row is kept relative
-    to its offset ``lows[p]``, so it costs the span of its targets; ``lows``
-    ``None`` means every offset is 0.  The entry masks are disjoint, since
+    to its offset ``lows[p]``, so it costs the span of its targets; with
+    ``lows`` omitted every offset is 0.  The entry masks are disjoint, since
     every state is entered on one symbol only."""
 
     __slots__ = ("alphabet", "rows", "entries", "lows")
 
     def __init__(self, alphabet: Alphabet, rows: list[int], entries: list[int],
                  lows: Optional[list[int]] = None):
-        self.alphabet, self.rows, self.entries, self.lows = alphabet, rows, entries, lows
+        self.alphabet, self.rows, self.entries = alphabet, rows, entries
+        self.lows = [0] * len(rows) if lows is None else lows
         self._hash = None
 
     def __len__(self) -> int:
@@ -362,8 +364,7 @@ class TransitionMasks(_TripleView):
         p, c = divmod(slot, len(self.entries))
         if p >= len(self.rows):
             return ()
-        low = self.lows[p] if self.lows else 0
-        return tuple(iter_bits(self.rows[p] << low & self.entries[c]))
+        return tuple(iter_bits(self.rows[p] << self.lows[p] & self.entries[c]))
 
     def _slot_edges(self):
         k = len(self.entries)
@@ -371,19 +372,18 @@ class TransitionMasks(_TripleView):
         for c, sel in enumerate(self.entries):
             for q in iter_bits(sel):
                 code[q] = c
-        for p, row, low in zip(count(), self.rows, self.lows or repeat(0)):
+        for p, row, low in zip(count(), self.rows, self.lows):
             for q in iter_bits(row):
                 q += low
                 yield p * k + code[q], q
 
     def _check(self, alphabet: Alphabet, n: int):
-        rows, entries, k = self.rows, self.entries, len(alphabet)
+        rows, entries, lows, k = self.rows, self.entries, self.lows, len(alphabet)
         if self.alphabet != alphabet:
             raise ValueError("transition masks alphabet differs from the automaton's")
         if len(rows) != n or len(entries) != k:
             raise ValueError(f"transition masks of {len(rows)} rows and {len(entries)} "
                              f"entry masks do not fit {n} states x {k} symbols")
-        lows = [0] * n if self.lows is None else self.lows
         if len(lows) != n:
             raise ValueError(f"transition masks of {len(lows)} row offsets "
                              f"do not fit {n} states")
@@ -544,7 +544,12 @@ class Nfa:
         return frozenset(q for p in states for q in self.successors(p, c))
 
     def is_deterministic(self) -> bool:
-        slots = [slot for slot, _ in self.transitions._slot_edges()]
+        trans = self.transitions
+        if type(trans) is TransitionIndex:
+            # No slot holds more than one target.
+            starts = trans.starts
+            return all(map(le, map(sub, islice(starts, 1, None), starts), repeat(1)))
+        slots = [slot for slot, _ in trans._slot_edges()]
         return len(set(slots)) == len(slots)
 
 
@@ -1017,9 +1022,9 @@ def _pair_walk(left: tuple, right: tuple, k: int, max_states: int) -> tuple:
     ``_TABLE_BLOCK // k``, the first that many numbered but not yet walked:
     a chunk's successor pairs are listed and looked up by C iterators, and
     a Python loop visits only the misses, numbering them in the order they
-    first occur.  Only the pairs still to walk are kept, as a queue of
-    chunks, each two lists of sides, dropped once walked.  The budget is
-    polled once per chunk.
+    first occur.  Only the pairs still to walk are kept, as two flat lists
+    of sides; a chunk is cut from their front and deleted before it is
+    walked.  The budget is polled once per chunk.
     """
     (n1, t1, f1), (n2, t2, f2) = left, right
     # Row ``p`` of each side is the tuple of its successors on every symbol,
@@ -1035,18 +1040,15 @@ def _pair_walk(left: tuple, right: tuple, k: int, max_states: int) -> tuple:
     # The pair of sinks is looked up like any pair and reads -1.
     by_left[n1][shared[n2]] = -1
     chunk = max(_TABLE_BLOCK // k, 1)
-    # Every chunk but the last is full; ``room`` is what the last can take,
-    # and it takes nothing once it is being walked.
-    pending = deque([([shared[0]], [shared[0]])])
-    room = 0
+    lefts, rights = [shared[0]], [shared[0]]
+    add_left, add_right = lefts.append, rights.append
     n_out = 1
     fin = bytearray()
     blocks = []
-    while pending:
+    while lefts:
         budget.checkpoint()
-        ps, qs = pending.popleft()
-        if not pending:
-            room = 0
+        ps, qs = lefts[:chunk], rights[:chunk]
+        del lefts[:chunk], rights[:chunk]
         fin += bytes(map(or_, map(f1.__getitem__, ps), map(f2.__getitem__, qs)))
         succ1 = list(chain.from_iterable(map(rows1.__getitem__, ps)))
         succ2 = list(chain.from_iterable(map(rows2.__getitem__, qs)))
@@ -1062,14 +1064,8 @@ def _pair_walk(left: tuple, right: tuple, k: int, max_states: int) -> tuple:
                         f"subset construction exceeds {max_states} states")
                 dst = ids[q] = n_out
                 n_out += 1
-                if not room:
-                    tail = ([], [])
-                    pending.append(tail)
-                    add_left, add_right = tail[0].append, tail[1].append
-                    room = chunk
                 add_left(p)
                 add_right(q)
-                room -= 1
             dsts[i] = dst
         blocks.append(array("i", dsts))
     del by_left
@@ -1125,7 +1121,7 @@ def _successor_masks(a: Nfa) -> tuple[list[int], list[int], list[tuple[int, int]
     k = len(a.alphabet)
     trans = a.transitions
     if type(trans) is TransitionMasks:
-        return trans.rows, trans.lows or [0] * n, [(0, sel) for sel in trans.entries]
+        return trans.rows, trans.lows, [(0, sel) for sel in trans.entries]
     edges = list(trans._slot_edges())
 
     # Homogeneous input: every state is entered on one symbol only.
@@ -1209,11 +1205,12 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
     alphabet order, ``a``'s targets in the outer loop and ``b``'s in the
     inner one, each in ascending order.  Pair ``(p, q)``'s number sits in
     the dict of right state ``q`` under left state ``p``.  Only the pairs
-    numbered but not yet walked are kept, as :func:`_pair_walk` keeps them:
-    a queue of chunks, each two lists of sides, whose finals are read in
-    one pass once the chunk is walked and which is then dropped.  Two DFAs
-    are walked through their tables, any other inputs through their slots.
-    The table walk reads ``a``'s table only at the symbols ``b`` defines.
+    numbered but not yet walked are kept, as :func:`_pair_walk` keeps them,
+    in two flat lists of sides, with at most the one chunk being walked:
+    its finals are read in one pass once it is walked, and then it is
+    deleted from the front of both lists.  Two DFAs are walked through
+    their tables, any other inputs through their slots.  The table walk
+    reads ``a``'s table only at the symbols ``b`` defines.
     """
     _require_same_alphabet(a, b)
     if isinstance(a, Dfa) and isinstance(b, Dfa):
@@ -1225,19 +1222,17 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
     starts, targets = array("i", [0]), array("i")
     succ_a, succ_b = a.successors, b.successors
     fa, fb = a.finals.flags, b.finals.flags
-    # ``pending`` holds the pairs still to walk in chunks of ``chunk``, so
-    # the walked pairs still held cost at most two lists of 4,096 sides.
-    # The last chunk takes new pairs until it is full, also while it is
-    # walked, so a walk one pair wide makes no chunk per pair.
+    # ``lefts`` and ``rights`` hold the sides of the pairs still to walk,
+    # and of at most ``chunk`` walked ones, dropped after each step.  A step
+    # walks the first ``chunk`` of them, pairs numbered while it walks
+    # included, so a walk one pair wide still takes ``chunk`` pairs a step.
     chunk = _TABLE_BLOCK >> 4
-    pending = deque([([a.initial], [b.initial])])
-    add_left, add_right = pending[0][0].append, pending[0][1].append
-    room = chunk - 1
+    lefts, rights = [a.initial], [b.initial]
+    add_left, add_right = lefts.append, rights.append
     n_out = 1
     fin = bytearray()
-    while pending:
-        lefts, rights = pending[0]
-        for p, q in zip(lefts, rights):  # the last chunk grows as it is walked
+    while lefts:
+        for walked, p, q in zip(range(1, chunk + 1), lefts, rights):
             budget.checkpoint()
             for c in range(k):
                 pa = succ_a(p, c)
@@ -1255,20 +1250,15 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
                                     f"product exceeds {max_states} states")
                             dst = ids[p2] = n_out
                             n_out += 1
-                            if not room:
-                                tail = ([], [])
-                                pending.append(tail)
-                                add_left, add_right = tail[0].append, tail[1].append
-                                room = chunk
                             add_left(p2)
                             add_right(q2)
-                            room -= 1
                         targets.append(dst)
                 if len(targets) - lo > 1:
                     targets[lo:] = array("i", sorted(targets[lo:]))
                 starts.append(len(targets))
-        pending.popleft()
-        fin += bytes(map(and_, map(fa.__getitem__, lefts), map(fb.__getitem__, rights)))
+        fin += bytes(map(and_, map(fa.__getitem__, islice(lefts, walked)),
+                         map(fb.__getitem__, islice(rights, walked))))
+        del lefts[:walked], rights[:walked]
     del by_right
     cls = Dfa if a.is_deterministic() and b.is_deterministic() else Nfa
     return cls(a.alphabet, n_out, 0, FinalFlags(fin), TransitionIndex(a.alphabet, starts, targets))
@@ -1291,18 +1281,16 @@ def _dfa_product(a: Dfa, b: Dfa, max_states: int) -> Dfa:
 
     record(b.initial)[1][a.initial] = 0
     fa, fb = a.finals.flags, b.finals.flags
-    # The pairs still to walk, in chunks as in ``product``.
+    # The pairs still to walk, stepped through as in ``product``.
     chunk = _TABLE_BLOCK >> 4
-    pending = deque([([a.initial], [b.initial])])
-    add_left, add_right = pending[0][0].append, pending[0][1].append
-    room = chunk - 1
+    lefts, rights = [a.initial], [b.initial]
+    add_left, add_right = lefts.append, rights.append
     n_out = 1
     fin = bytearray()
     blank = array("i", [-1]) * k
     table = array("i")
-    while pending:
-        lefts, rights = pending[0]
-        for p, q in zip(lefts, rights):  # the last chunk grows as it is walked
+    while lefts:
+        for walked, p, q in zip(range(1, chunk + 1), lefts, rights):
             budget.checkpoint()
             rp, row = p * k, len(table)
             table += blank
@@ -1317,17 +1305,12 @@ def _dfa_product(a: Dfa, b: Dfa, max_states: int) -> Dfa:
                         raise budget.BudgetExceededError(f"product exceeds {max_states} states")
                     dst = ids[p2] = n_out
                     n_out += 1
-                    if not room:
-                        tail = ([], [])
-                        pending.append(tail)
-                        add_left, add_right = tail[0].append, tail[1].append
-                        room = chunk
                     add_left(p2)
                     add_right(q2)
-                    room -= 1
                 table[row + c] = dst
-        pending.popleft()
-        fin += bytes(map(and_, map(fa.__getitem__, lefts), map(fb.__getitem__, rights)))
+        fin += bytes(map(and_, map(fa.__getitem__, islice(lefts, walked)),
+                         map(fb.__getitem__, islice(rights, walked))))
+        del lefts[:walked], rights[:walked]
     del at_right
     return Dfa.from_table(a.alphabet, n_out, 0, FinalFlags(fin), table)
 

@@ -664,6 +664,46 @@ class TestPairWalk:
             assert polls >= -(-pairs // (automata._TABLE_BLOCK // k))
         assert joins[-1][0] >= 4  # 63,993 pairs in chunks of 16,384
 
+    @staticmethod
+    def chunks_of(table: array, k: int, chunk: int) -> int:
+        """The chunks of a join whose breadth-first numbering wrote
+        ``table``, each chunk the first ``chunk`` pairs, or fewer, of those
+        numbered but not yet walked.  Once the first ``walked`` pairs are
+        walked, the pairs numbered are 0 up to the highest in their rows."""
+        walked, numbered, chunks = 0, 1, 0
+        while walked < numbered:
+            done, walked = walked, min(walked + chunk, numbered)
+            numbered = max(numbered, max(table[done * k:walked * k]) + 1)
+            chunks += 1
+        return chunks
+
+    def test_polls_once_per_chunk_of_the_numbering(self):
+        # The n=1 witness's only join and seeded partial tables, with chunks
+        # of one pair, of three and of the full block: the join polls once
+        # for each chunk that the numbering of ``pair_walk_by_keys`` gives.
+        joins = []
+        pair_walk = automata._pair_walk
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(automata, "_pair_walk",
+                          lambda *args: joins.append(args) or pair_walk(*args))
+            determinize(glushkov(complement_witness(1), SIGMA_K))
+        assert len(joins) == 1
+        rng = random.Random(3434)
+        for _ in range(40):
+            k = rng.randint(1, 4)
+            left = _partial_dfa(rng, rng.randint(1, 12), k)
+            right = _partial_dfa(rng, rng.randint(1, 12), k)
+            joins.append((left, right, k, budget.DEFAULT_MAX_STATES))
+        for left, right, k, cap in joins:
+            n, table, _ = pair_walk_by_keys(left, right, k, cap)
+            for block in (1, 3 * k, automata._TABLE_BLOCK):
+                want = self.chunks_of(table, k, max(block // k, 1))
+                token = CountingToken()
+                with pytest.MonkeyPatch.context() as patch, budget.active(token):
+                    patch.setattr(automata, "_TABLE_BLOCK", block)
+                    assert pair_walk(left, right, k, cap)[0] == n
+                assert token.polls == want, (block, n)
+
     def test_cancelled_mid_join(self):
         class CancelAtSecondChunk(CancelToken):
             chunks = 0
@@ -1759,7 +1799,8 @@ class TestProductWalks:
 
     def test_walks_past_one_chunk(self):
         # Counters mod 97 and mod 89 on "a", doubling on "b": 8,633 pairs,
-        # so both walks start new chunks of pending pairs while they walk.
+        # so both walks take more than one step of 4,096 pairs, and number
+        # pairs past the step they are walking.
         def counter(n, finals):
             table = array("i", [q for p in range(n) for q in ((p + 1) % n, 2 * p % n)])
             return Dfa.from_table(AB, n, 1, finals, table)
