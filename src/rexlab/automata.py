@@ -65,9 +65,10 @@ grows one row per row found deterministic; otherwise the NFA keeps them in
 a mask store, whose entry masks are read from one bitmap per symbol.  The
 product of two DFAs likewise walks both tables and writes its own; any
 other product walks the slots of both inputs and writes an index, which
-becomes a table when both inputs are deterministic.  Both walks find pair
-``(p, q)``'s number in a dict of right state ``q`` keyed by left state
-``p``, made when a pair first reaches ``q``.  Like the join of
+becomes a table when no slot of it holds two targets, the rule that the
+Glushkov construction and :func:`parse_automaton` keep too.  Both walks
+find pair ``(p, q)``'s number in a dict of right state ``q`` keyed by left
+state ``p``, made when a pair first reaches ``q``.  Like the join of
 :func:`determinize`, they keep only the pairs still to walk, as two flat
 lists of sides: each step walks a chunk from the front, reads its finals
 in one pass and deletes it.
@@ -104,7 +105,7 @@ from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, and_, gt, is_, le, lshift, ne, or_, rshift, sub
+from operator import add, and_, gt, is_, le, lshift, ne, or_, rshift
 from typing import Iterable, Optional
 
 from . import budget
@@ -164,18 +165,38 @@ class AutomatonFormatError(RexlabError):
     """Malformed automaton file."""
 
 
-class _TripleView(Set):
+class _FrozenView(Set):
+    """A read-only set over a store of its own: its hash agrees with the
+    frozenset of the same items and is computed once and kept, and set
+    operators (|, &, -, ^) return plain frozensets."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        # ``Set._hash`` walks every item, so it runs once per object.
+        if self._hash is None:
+            self._hash = Set._hash(self)
+        return self._hash
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({sorted(self)!r})"
+
+
+class _TripleView(_FrozenView):
     """Read-only set of ``(p, symbol, q)`` triples over one transition store.
 
     A store keeps ``alphabet`` and answers ``_slot_targets(slot)``, the
     ascending targets of one slot; ``_slot_edges()``, its ``(slot, q)``
     pairs state by state; ``_check(alphabet, n_states)``, which raises
-    ``ValueError`` unless it fits that automaton; and ``len``.  Equality and
-    hash agree with the frozenset of the same triples; the hash is computed
-    once and kept.  Set operators (|, &, -, ^) return plain frozensets.
+    ``ValueError`` unless it fits that automaton; and ``len``.  Equality
+    agrees with the frozenset of the same triples.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
 
     def __contains__(self, item: object) -> bool:
         try:
@@ -192,19 +213,6 @@ class _TripleView(Set):
         k = len(names)
         for slot, q in self._slot_edges():  # type: ignore[attr-defined]
             yield slot // k, names[slot % k], q
-
-    def __hash__(self) -> int:
-        # ``Set._hash`` walks every triple, so it runs once per store.
-        if self._hash is None:
-            self._hash = Set._hash(self)
-        return self._hash
-
-    @classmethod
-    def _from_iterable(cls, it):
-        return frozenset(it)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({sorted(self)!r})"
 
 
 # Kept for a full lane block only, 16 KB at the default block size: a
@@ -345,16 +353,15 @@ class TransitionMasks(_TripleView):
     construction leaves them: bit ``q`` of ``rows[p] << lows[p]`` is an edge
     from ``p`` to ``q``, on the ``c``-th symbol of ``alphabet`` for the one
     entry mask ``entries[c]`` that holds bit ``q``.  A row is kept relative
-    to its offset ``lows[p]``, so it costs the span of its targets; with
-    ``lows`` omitted every offset is 0.  The entry masks are disjoint, since
-    every state is entered on one symbol only."""
+    to its offset ``lows[p]``, so it costs the span of its targets.  The
+    entry masks are disjoint, since every state is entered on one symbol
+    only."""
 
     __slots__ = ("alphabet", "rows", "entries", "lows")
 
     def __init__(self, alphabet: Alphabet, rows: list[int], entries: list[int],
-                 lows: Optional[list[int]] = None):
-        self.alphabet, self.rows, self.entries = alphabet, rows, entries
-        self.lows = [0] * len(rows) if lows is None else lows
+                 lows: list[int]):
+        self.alphabet, self.rows, self.entries, self.lows = alphabet, rows, entries, lows
         self._hash = None
 
     def __len__(self) -> int:
@@ -402,15 +409,14 @@ class TransitionMasks(_TripleView):
             raise ValueError("transition mask target entered on no symbol")
 
 
-class FinalFlags(Set):
+class FinalFlags(_FrozenView):
     """Read-only set of the final states over one flag byte per state:
     state ``q`` is final when ``flags[q]`` is 1, and any byte but 0 given
-    to the constructor is read as 1.  Equality and hash agree with the
-    frozenset of the same states; two ``FinalFlags`` compare their flags
-    less trailing zeros, and the hash is computed once and kept.  Set
-    operators (|, &, -, ^) return frozensets."""
+    to the constructor is read as 1.  Equality agrees with the frozenset
+    of the same states; two ``FinalFlags`` compare their flags less
+    trailing zeros."""
 
-    __slots__ = ("flags", "_len", "_hash")
+    __slots__ = ("flags", "_len")
 
     def __init__(self, flags: Iterable[int]):
         self.flags = bytes(flags).translate(b"\0" + b"\1" * 255)
@@ -431,18 +437,8 @@ class FinalFlags(Set):
             return self.flags.rstrip(b"\0") == other.flags.rstrip(b"\0")
         return Set.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        # ``Set._hash`` walks every final state, so it runs once per object.
-        if self._hash is None:
-            self._hash = Set._hash(self)
-        return self._hash
-
-    @classmethod
-    def _from_iterable(cls, it):
-        return frozenset(it)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({sorted(self)!r})"
+    # Defining ``__eq__`` clears the inherited hash.
+    __hash__ = _FrozenView.__hash__
 
 
 def _final_flags(states: Iterable[int], n: int) -> FinalFlags:
@@ -454,12 +450,9 @@ def _final_flags(states: Iterable[int], n: int) -> FinalFlags:
 
 
 def _slot_index(alphabet: Alphabet, n_states: int, keys: Iterable[int],
-                stride: int = 0) -> TransitionIndex:
-    """Index of distinct edges coded as ``slot * stride + target``, in any order.
-
-    ``stride`` defaults to ``n_states``; any larger one decodes the same way.
-    """
-    stride = stride or n_states
+                stride: int) -> TransitionIndex:
+    """Index of distinct edges coded as ``slot * stride + target``, in any
+    order, for any ``stride`` of at least ``n_states``."""
     keys = sorted(keys)  # slots in order, and each slot's targets ascending
     counts = [0] * (n_states * len(alphabet) + 1)
     for key in keys:
@@ -527,7 +520,7 @@ class Nfa:
 
     def _store(self, edges: Iterable[tuple[int, int]]) -> _TripleView:
         n = self.n_states
-        return _slot_index(self.alphabet, n, {slot * n + q for slot, q in edges})
+        return _slot_index(self.alphabet, n, {slot * n + q for slot, q in edges}, n)
 
     @property
     def size(self) -> int:
@@ -544,13 +537,13 @@ class Nfa:
         return frozenset(q for p in states for q in self.successors(p, c))
 
     def is_deterministic(self) -> bool:
-        trans = self.transitions
-        if type(trans) is TransitionIndex:
-            # No slot holds more than one target.
-            starts = trans.starts
-            return all(map(le, map(sub, islice(starts, 1, None), starts), repeat(1)))
-        slots = [slot for slot, _ in trans._slot_edges()]
-        return len(set(slots)) == len(slots)
+        """No slot holds two targets; the walk stops at the first that does."""
+        seen: set[int] = set()
+        for slot, _ in self.transitions._slot_edges():
+            if slot in seen:
+                return False
+            seen.add(slot)
+        return True
 
 
 @dataclass(frozen=True)
@@ -584,9 +577,6 @@ class Dfa(Nfa):
     def table(self) -> array:
         """One target per slot, -1 for a missing edge."""
         return self.transitions.table
-
-    def is_deterministic(self) -> bool:
-        return True
 
 
 def accepts(a: Nfa, word: Iterable[str]) -> bool:
@@ -855,7 +845,8 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     if isinstance(a, Dfa):
         return _renumber(a, max_states)
     rows, lows, pairs = _successor_masks(a)
-    finals_mask = sum(1 << q for q in a.finals)
+    # One pass: a sum of ``1 << q`` copies a growing int per final state.
+    finals_mask = int(a.finals.flags[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
     # ``work`` is a stack of parts still to determinise and of ``None``s,
     # each joining the last two results on ``done``.
     done: list[tuple[int, array, bytes]] = []
@@ -1210,7 +1201,8 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
     its finals are read in one pass once it is walked, and then it is
     deleted from the front of both lists.  Two DFAs are walked through
     their tables, any other inputs through their slots.  The table walk
-    reads ``a``'s table only at the symbols ``b`` defines.
+    reads ``a``'s table only at the symbols ``b`` defines.  The slot walk
+    returns a :class:`Dfa` exactly when no slot it wrote holds two pairs.
     """
     _require_same_alphabet(a, b)
     if isinstance(a, Dfa) and isinstance(b, Dfa):
@@ -1231,6 +1223,7 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
     add_left, add_right = lefts.append, rights.append
     n_out = 1
     fin = bytearray()
+    forked = False  # set once a slot holds two pairs
     while lefts:
         for walked, p, q in zip(range(1, chunk + 1), lefts, rights):
             budget.checkpoint()
@@ -1255,12 +1248,13 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
                         targets.append(dst)
                 if len(targets) - lo > 1:
                     targets[lo:] = array("i", sorted(targets[lo:]))
+                    forked = True
                 starts.append(len(targets))
         fin += bytes(map(and_, map(fa.__getitem__, islice(lefts, walked)),
                          map(fb.__getitem__, islice(rights, walked))))
         del lefts[:walked], rights[:walked]
     del by_right
-    cls = Dfa if a.is_deterministic() and b.is_deterministic() else Nfa
+    cls = Nfa if forked else Dfa
     return cls(a.alphabet, n_out, 0, FinalFlags(fin), TransitionIndex(a.alphabet, starts, targets))
 
 

@@ -97,10 +97,6 @@ class PathWord:
             raise ValueError(f"vertex out of range for n={self.n}: {self.indices}")
 
     @property
-    def start_point(self) -> int:
-        return self.indices[0]
-
-    @property
     def end_point(self) -> int:
         return self.indices[-1]
 

@@ -677,7 +677,8 @@ def product_by_pair_codes(a: Nfa, b: Nfa,
     alphabet order and each side's targets in ascending order; the pair
     ``(p, q)`` is coded as ``p * b.n_states + q``.  Two DFAs are walked
     through their tables, any other inputs through their slots.  The table
-    walk reads ``a``'s table only at the symbols ``b`` defines.
+    walk reads ``a``'s table only at the symbols ``b`` defines.  The slot
+    walk's result is a ``Dfa`` exactly when no slot holds two targets.
     """
     _require_same_alphabet(a, b)
     if isinstance(a, Dfa) and isinstance(b, Dfa):
@@ -716,7 +717,7 @@ def product_by_pair_codes(a: Nfa, b: Nfa,
     del ids
     fa, fb = a.finals.flags, b.finals.flags
     finals = FinalFlags(bytes(fa[key // width] & fb[key % width] for key in order))
-    cls = Dfa if a.is_deterministic() and b.is_deterministic() else Nfa
+    cls = Dfa if all(y - x <= 1 for x, y in zip(starts, starts[1:])) else Nfa
     return cls(a.alphabet, len(order), 0, finals, TransitionIndex(a.alphabet, starts, targets))
 
 
@@ -1421,6 +1422,6 @@ def parse_automaton_by_slots(text: str, max_states: int = budget.DEFAULT_MAX_STA
             return Dfa.from_table(alphabet, n_states, initial, finals, table)
         extra.update(slot * n + q for slot, q in enumerate(table) if q >= 0)
         del table
-        return Nfa(alphabet, n_states, initial, finals, _slot_index(alphabet, n, extra))
+        return Nfa(alphabet, n_states, initial, finals, _slot_index(alphabet, n, extra, n))
     except (ValueError, IndexError) as exc:
         raise AutomatonFormatError(str(exc)) from exc

@@ -1160,7 +1160,7 @@ class TestIndexCore:
         (([0b10, 0b01], [0]), [1, 0], AB),      # one offset for 2 states
     ])
     def test_bad_masks_rejected(self, rows, codes, alphabet):
-        rows, lows = rows if isinstance(rows, tuple) else (rows, None)
+        rows, lows = rows if isinstance(rows, tuple) else (rows, [0] * len(rows))
         entries = [sum(1 << q for q, code in enumerate(codes) if code == c)
                    for c in range(len(alphabet))]
         with pytest.raises(ValueError):
@@ -1197,15 +1197,31 @@ class TestIndexCore:
     ])
     def test_bad_entry_masks_rejected(self, entries):
         with pytest.raises(ValueError):
-            Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(AB, [0b10, 0b01], entries))
+            Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(AB, [0b10, 0b01], entries, [0, 0]))
 
     def test_well_formed_masks_accepted_without_slot_arrays(self):
-        masks = TransitionMasks(AB, [0b10, 0b01], [0b10, 0b01])
+        masks = TransitionMasks(AB, [0b10, 0b01], [0b10, 0b01], [0, 0])
         a = Nfa(AB, 2, 0, frozenset([1]), masks)
         assert a.transitions is masks
         assert a.transitions == {(0, "a", 1), (1, "b", 0)} and len(a.transitions) == 2
         assert list(a.successors(0, 0)) == [1] and not a.successors(0, 1)
         assert not hasattr(masks, "starts")  # reading a slot derives nothing
+
+    def test_is_deterministic_stops_at_the_first_fork(self, monkeypatch):
+        # Row 0 enters states 1 and 2, both on "a"; rows 1 and 2 hold four
+        # more edges, which the answer does not need.
+        masks = TransitionMasks(AB, [0b110, 0b110, 0b110], [0b110, 0], [0, 0, 0])
+        a = Nfa(AB, 3, 0, frozenset([1]), masks)
+        reads = []
+        edges = TransitionMasks._slot_edges
+
+        def counted(self):
+            for item in edges(self):
+                reads.append(item)
+                yield item
+        monkeypatch.setattr(TransitionMasks, "_slot_edges", counted)
+        assert a.is_deterministic() is False
+        assert reads == [(0, 1), (0, 2)]
 
 
 class TestRelativeRows:
@@ -1267,7 +1283,7 @@ class TestRelativeRows:
         a = extended_to_nfa(Union(*m_sore_pair(2)), m_alphabet(2))
         b = Nfa(AB, 3, 0, frozenset([2]),
                 frozenset([(0, "a", 1), (0, "b", 1), (1, "b", 2), (2, "a", 0)]))
-        c = Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(AB, [0b10, 0b01], [0b10, 0b01]))
+        c = Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(AB, [0b10, 0b01], [0b10, 0b01], [0, 0]))
         for nfa in (a, b, c):
             assert automata._successor_masks(nfa)[1] == [0] * nfa.n_states
 
@@ -1661,6 +1677,59 @@ class TestProduct:
         loop = Dfa(A, 1, 0, frozenset([0]), frozenset([(0, "a", 0)]))
         p = product(a, loop)
         assert p.transitions == {(0, "a", 1), (0, "a", 2)} and p.finals == {1}
+
+    def test_unforked_product_of_nfas_is_a_dfa(self):
+        # ``a`` forks on "b", which ``b`` never reads, and ``b`` forks only
+        # at state 2, which no pair reaches: the reachable product is the
+        # two-state cycle on "a", a partial function.
+        a = Nfa(AB, 3, 0, frozenset([0]),
+                frozenset([(0, "a", 1), (1, "a", 0), (0, "b", 1), (0, "b", 2)]))
+        b = Nfa(AB, 3, 0, frozenset([0, 1]),
+                frozenset([(0, "a", 1), (1, "a", 0), (2, "a", 0), (2, "a", 1)]))
+        assert not a.is_deterministic() and not b.is_deterministic()
+        p = product(a, b)
+        assert type(p) is Dfa and type(p.transitions) is TransitionTable
+        assert p.table == array("i", [1, -1, 0, -1])
+        as_index = Nfa(AB, p.n_states, p.initial, p.finals, frozenset(p.transitions))
+        assert type(as_index.transitions) is TransitionIndex
+        assert serialize(p) == serialize(as_index)
+
+    def test_forked_product_stays_an_nfa(self):
+        # Pair (0, 0) enters (1, 0) and (2, 0) on "a"; ``b`` is a DFA.
+        a = Nfa(AB, 3, 0, frozenset([1]), frozenset([(0, "a", 1), (0, "a", 2)]))
+        loop = Dfa(AB, 1, 0, frozenset([0]), frozenset([(0, "a", 0)]))
+        for p in (product(a, loop), product(loop, a)):
+            assert type(p) is Nfa and type(p.transitions) is TransitionIndex
+            assert p.transitions == {(0, "a", 1), (0, "a", 2)}
+
+    def test_operands_are_not_asked_whether_deterministic(self, monkeypatch):
+        # Products of tables, indexes, mask stores and combinator indexes
+        # run without ``is_deterministic``; each is a ``Dfa`` exactly when
+        # no slot of it holds two targets, and agrees with the reference.
+        rng = random.Random(3535)
+        operands = []
+        for _ in range(40):
+            r = random_plain_regex(rng, "ab", rng.randint(3, 12))
+            operands += [random_dfa(rng, AB, rng.randint(1, 4)),
+                         random_nfa(rng, AB, rng.randint(1, 4)),
+                         glushkov(r, AB), extended_to_nfa(r, AB)]
+        stores = Counter(type(x.transitions) for x in operands)
+        assert len(stores) == 3 and min(stores.values()) >= 20
+
+        def refuse(self):
+            raise AssertionError("an operand was asked whether it is deterministic")
+        monkeypatch.setattr(Nfa, "is_deterministic", refuse)
+        monkeypatch.setattr(Dfa, "is_deterministic", refuse)
+        kinds = Counter()
+        for a, b in zip(operands, operands[1:] + operands[:1]):
+            p = product(a, b)
+            want = product_by_pair_codes(a, b)
+            heads = {(q, s) for q, s, _ in p.transitions}
+            forked = len(heads) < len(p.transitions)
+            assert type(p) is (Nfa if forked else Dfa) is type(want)
+            assert serialize(p) == serialize(want)
+            kinds[type(a), type(b), type(p)] += 1
+        assert kinds[Nfa, Nfa, Dfa] and kinds[Nfa, Nfa, Nfa]
 
     def test_dense_product_memory(self):
         # x & x, each of its 8,192 pairs the only one to reach its right
