@@ -624,12 +624,10 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
     index = sigma.index
     # codes[q]: alphabet index of the symbol that enters state q; state 0 is
     # never entered, so its code is never read.
-    codes = [0]
-    for name in syms:
-        c = index.get(name)
-        if c is None:
-            raise ValueError(f"symbol {name!r} not in the declared alphabet")
-        codes.append(c)
+    codes = [0, *map(index.get, syms)]
+    if None in codes:
+        name = syms[codes.index(None) - 1]
+        raise ValueError(f"symbol {name!r} not in the declared alphabet")
     rows[0] = first  # at offset 0
     n = len(rows)
     finals = _final_flags(iter_bits((last | 1) if nullable else last), n)  # bit 0: state 0
@@ -1532,8 +1530,9 @@ def equivalent(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> b
     table, every slot of its row reads as -1, and a -1 slot steps to it.
     The states of both DFAs live in one disjoint index space, the smaller
     DFA's states and sink first, so its states are the class roots.  The
-    two sinks start in one class, since both accept nothing, and a slot
-    missing on both sides is skipped before any union-find lookup.  From
+    two sinks start in one class, since both accept nothing.  A slot
+    missing on both sides, and a pair whose right state's parent is its
+    left state, are skipped before any union-find lookup.  From
     the merged initial states, each popped pair merges the classes of its
     successors on every symbol; the languages differ exactly when two
     states of different finality would be merged.  No minimisation is
@@ -1564,6 +1563,8 @@ def equivalent(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> b
                 p2 = sa
             elif q2 < 0:
                 q2 = sb
+            if parent[q2 + off] == p2:
+                continue  # already one class; the finds would say so
             x = p2
             while parent[x] != x:
                 parent[x] = x = parent[parent[x]]

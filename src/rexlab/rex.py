@@ -3,7 +3,11 @@
 Symbols are plain strings (interned by Python); an :class:`Alphabet` is an
 ordered, duplicate-free collection of symbol names.  Expression trees are
 immutable dataclasses, so sharing subtrees is safe everywhere; all measures
-treat an expression as its tree expansion.
+treat an expression as its tree expansion.  ``size``, ``hash`` and the
+position masks behind ``position_sets`` and the Glushkov construction fold
+over distinct nodes, so a shared subtree costs its work once (the position
+masks copy its rows per occurrence); ``iter_postorder`` and
+``subexpressions`` still visit every occurrence.
 """
 
 from __future__ import annotations
@@ -702,8 +706,14 @@ def _position_masks(root: Regex) -> tuple[list, bool, int, int, list[int], list[
     position; an empty row has offset 0.  A subexpression denoting the
     empty language contributes nothing, so the data describe the language
     exactly.  Raises ``ExtendedOperatorError``, then ``ValueError`` on
-    marked symbols; polls the budget once per internal node, each at most
-    n rows of work.
+    marked symbols.
+
+    The data are those of the tree expansion, but, like ``size`` and
+    ``hash``, the walk folds over distinct nodes: an internal node (by
+    identity) that completes a second time is recorded, and each later
+    occurrence is stamped from its record instead of walked again; a node
+    met once is never copied.  The budget is polled once per completed
+    internal node and once per stamp, each at most n rows of work.
     """
     syms: list = []
     rows = [0]
@@ -713,6 +723,12 @@ def _position_masks(root: Regex) -> tuple[list, bool, int, int, list[int], list[
     # holds no follow bits in its rows; an empty Concat clears the rows of
     # its non-empty child to keep that so.
     values: list = []
+    # Per internal node, by identity: None once it has completed, then from
+    # its second completion the record that stamps it.  The record holds its
+    # start, its rows and offsets copied at completion (an ancestor later
+    # adds to or clears the live ones), and its value with first and last
+    # shifted down to bit 1, or None for the empty language.
+    seen: dict[int, Optional[tuple]] = {}
     stack: list[tuple[Regex, int]] = [(root, -1)]
     while stack:
         node, start = stack.pop()
@@ -727,13 +743,27 @@ def _position_masks(root: Regex) -> tuple[list, bool, int, int, list[int], list[
                 values.append((True, 0, 0))
             elif isinstance(node, Empty):
                 values.append(range(len(syms) + 1, len(syms) + 1))
-            elif isinstance(node, (Concat, Union)):
+            elif isinstance(node, (Concat, Union, Star, Plus)):
+                record = seen.get(id(node))
+                if record:
+                    # Stamp: the rows are relative and kept as they are; the
+                    # offsets of non-empty rows move with the start.
+                    budget.checkpoint()
+                    begin, block, offsets, value = record
+                    base = len(syms)
+                    syms += syms[begin:begin + len(block)]
+                    rows += block
+                    d = base - begin
+                    lows += [low and low + d for low in offsets]
+                    values.append(range(base + 1, len(syms) + 1) if value is None else
+                                  (value[0], value[1] << base, value[2] << base))
+                    continue
                 stack.append((node, len(syms)))
-                stack.append((node.right, -1))
-                stack.append((node.left, -1))
-            elif isinstance(node, (Star, Plus)):
-                stack.append((node, len(syms)))
-                stack.append((node.inner, -1))
+                if isinstance(node, (Star, Plus)):
+                    stack.append((node.inner, -1))
+                else:
+                    stack.append((node.right, -1))
+                    stack.append((node.left, -1))
             elif isinstance(node, (Intersect, Negate)):
                 raise ExtendedOperatorError(
                     "position sets are defined for plain regexes only")
@@ -755,11 +785,11 @@ def _position_masks(root: Regex) -> tuple[list, bool, int, int, list[int], list[
                 for x in live:
                     rows[x] = lows[x] = 0
                 values[-1] = range(start + 1, len(syms) + 1)
-                continue
-            n1, f1, l1 = left
-            n2, f2, l2 = right
-            _add_follow(rows, lows, l1, f2)
-            values[-1] = (n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2)
+            else:
+                n1, f1, l1 = left
+                n2, f2, l2 = right
+                _add_follow(rows, lows, l1, f2)
+                values[-1] = (n1 and n2, f1 | f2 if n1 else f1, l1 | l2 if n2 else l2)
         elif isinstance(node, Union):
             right = values.pop()
             left = values[-1]
@@ -776,12 +806,20 @@ def _position_masks(root: Regex) -> tuple[list, bool, int, int, list[int], list[
                 # r* with empty body denotes {eps}; r+ the empty language.
                 if isinstance(node, Star):
                     values[-1] = (True, 0, 0)
-                continue
-            n1, f1, l1 = inner
-            _add_follow(rows, lows, l1, f1)
-            if isinstance(node, Star) and not n1:
-                values[-1] = (True, f1, l1)
-    if any(isinstance(s, MarkedSymbol) for s in syms):
+            else:
+                n1, f1, l1 = inner
+                _add_follow(rows, lows, l1, f1)
+                if isinstance(node, Star) and not n1:
+                    values[-1] = (True, f1, l1)
+        key = id(node)
+        if key in seen:
+            value = values[-1]
+            seen[key] = (start, rows[start + 1:], lows[start + 1:], None
+                         if isinstance(value, range) else
+                         (value[0], value[1] >> start, value[2] >> start))
+        else:
+            seen[key] = None
+    if any(isinstance(s, MarkedSymbol) for s in set(syms)):
         raise ValueError("expression is already marked")
     value = values[0]
     if isinstance(value, range):

@@ -1260,6 +1260,60 @@ class TestRelativeRows:
         sigma = m_alphabet(n)
         self.assert_rows_match(intersect_sores(m_sore_pair(n), sigma), sigma)
 
+    # Shared subtrees: the walk records an internal node at its second
+    # completion and stamps each later occurrence from the record.
+    R = Concat(Star(Union(Sym("a"), Sym("b"))), Sym("a"))
+    NONE = Union(Concat(Sym("a"), EMPTY), Concat(Star(Sym("b")), EMPTY))  # denotes nothing
+    LOOP = Star(Concat(Sym("a"), Sym("b")))
+    PAIR = Concat(LOOP, LOOP)
+    X = Concat(Sym("a"), Union(Sym("b"), Sym("a")))
+
+    @pytest.mark.parametrize("r", [
+        Concat(R, R),
+        Concat(R, Concat(R, R)),
+        Union(Star(R), R),
+        Concat(Union(Star(R), R), Plus(R)),
+        Concat(Plus(R), Concat(Plus(R), Plus(Plus(R)))),
+        # An empty subtree met at several offsets, with and without positions.
+        Concat(Union(Sym("a"), NONE), Concat(Star(Union(NONE, Sym("b"))), Union(NONE, R))),
+        Union(Concat(R, Concat(EMPTY, R)), Concat(Star(R), Union(EMPTY, Concat(R, EMPTY)))),
+        # An empty Concat clears the rows of the recorded LOOP before it recurs.
+        Union(Concat(PAIR, EMPTY), PAIR),
+        Concat(Concat(PAIR, EMPTY), Star(PAIR)),
+        # Star(X) and the Concat above it add follow targets to the recorded
+        # occurrence of X before X recurs.
+        Concat(Concat(Star(X), Star(X)), X),
+        Concat(Concat(Star(X), Plus(X)), Concat(X, Star(X))),
+    ], ids=rex.format_regex)
+    def test_shared_subtrees(self, r):
+        self.assert_rows_match(r, AB)
+
+    @given(st.data())
+    def test_drawn_shared_node(self, data):
+        sigma = data.draw(st.sampled_from([AB, ABC]))
+        r = data.draw(regexes(sigma.names, max_leaves=6))
+        leaves = st.sampled_from([r, r, Sym(sigma.names[-1]), EPSILON, EMPTY])
+        outer = data.draw(st.recursive(leaves, lambda kids: st.one_of(
+            st.builds(Star, kids), st.builds(Plus, kids),
+            st.builds(Concat, kids, kids), st.builds(Union, kids, kids)), max_leaves=8))
+        self.assert_rows_match(outer, sigma)
+
+    def test_doubling_dag_polls_per_distinct_node(self):
+        # r = rr, 16 levels: 65,536 positions over 17 distinct nodes.  A walk
+        # of the tree expansion polls 65,535 times; stamping polls about
+        # four times per level.
+        depth = 16
+        r = Sym("a")
+        for _ in range(depth):
+            r = Concat(r, r)
+        token = CountingToken()
+        with budget.active(token):
+            syms, nullable, first, last, rows, lows = rex._position_masks(r)
+        n = 2 ** depth
+        assert token.polls <= 4 * depth, token.polls
+        assert syms == ["a"] * n and not nullable and first == 2 and last == 1 << n
+        assert rows == [0, *[1] * (n - 1), 0] and lows == [0, *range(2, n + 1), 0]
+
     @pytest.mark.parametrize("r, sigma", [
         (Union(*m_sore_pair(2)), m_alphabet(2)),
         (reduce(Union, unamb_family(1)), SIGMA_L),
