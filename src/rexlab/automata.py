@@ -17,9 +17,10 @@ and -1 for a missing edge.  An NFA keeps a :class:`TransitionIndex`, two
 targets ``targets[starts[s]:starts[s + 1]]``.  A Glushkov NFA keeps a
 :class:`TransitionMasks` instead: the construction's follow masks, one int
 row and one offset per state with bit ``q`` of ``rows[p] << lows[p]`` set
-for each target ``q``, and one entry mask per symbol, the states entered
-on it.  Each store is a read-only set of ``(p, symbol, q)`` triples that
-reads one slot (:meth:`Nfa.successors`) or walks its ``(slot, q)`` edges.
+for each target ``q``, and one entry code per state, the index of the one
+symbol that enters it (-1 for none).  Each store is a read-only set of
+``(p, symbol, q)`` triples that reads one slot (:meth:`Nfa.successors`),
+all ``k`` slots of one state in one call, or its ``(slot, q)`` edges.
 The constructors turn triples, or a store of another kind, into their own
 kind and keep nothing else; the constructions write a table or an index
 directly.  :func:`parse_automaton` streams a file's triples into the DFA
@@ -42,7 +43,8 @@ slices.  A miss is stored only while the memo holds fewer entries than the
 subsets discovered so far, so it never holds more ints than the subset store
 itself.  Glushkov automata are homogeneous (every state is entered on one
 symbol only), so symbol ``c``'s successor set is the union masked by the
-states entered on ``c``.  Other inputs pack symbol ``c``'s targets at bit
+states entered on ``c``, one entry mask per symbol read from the entry
+codes in one pass.  Other inputs pack symbol ``c``'s targets at bit
 offset ``c * n``.  A homogeneous NFA whose non-initial states fall into
 parts with no edge between them, once its walk passes ``n * n`` subsets, is
 determinised part by part and the part DFAs are joined by a product walk
@@ -62,7 +64,7 @@ highest position, and the rows of a sparse NFA take memory in step with its
 edges.  No node copies a follow set.  While no two targets of a row
 share a symbol the rows are written straight into ``Dfa.table``, which
 grows one row per row found deterministic; otherwise the NFA keeps them in
-a mask store, whose entry masks are read from one bitmap per symbol.  The
+a mask store, beside the entry codes the table was written through.  The
 product of two DFAs likewise walks both tables and writes its own; any
 other product walks the slots of both inputs and writes an index, which
 becomes a table when no slot of it holds two targets, the rule that the
@@ -103,7 +105,7 @@ from array import array
 from collections import Counter, deque
 from collections.abc import Set
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, and_, gt, is_, le, lshift, ne, or_, rshift
 from typing import Iterable, Optional
@@ -190,7 +192,8 @@ class _TripleView(_FrozenView):
     """Read-only set of ``(p, symbol, q)`` triples over one transition store.
 
     A store keeps ``alphabet`` and answers ``_slot_targets(slot)``, the
-    ascending targets of one slot; ``_slot_edges()``, its ``(slot, q)``
+    ascending targets of one slot; ``_state_slots(p)``, those of state
+    ``p``'s ``k`` slots in symbol order; ``_slot_edges()``, its ``(slot, q)``
     pairs state by state; ``_check(alphabet, n_states)``, which raises
     ``ValueError`` unless it fits that automaton; and ``len``.  Equality
     agrees with the frozenset of the same triples.
@@ -289,6 +292,10 @@ class TransitionTable(_TripleView):
         table = self.table
         return (table[slot],) if slot < len(table) and table[slot] >= 0 else ()
 
+    def _state_slots(self, p: int):
+        k = len(self.alphabet.names)
+        return [() if q < 0 else (q,) for q in self.table[p * k:p * k + k]]
+
     def _slot_edges(self):
         return ((slot, q) for slot, q in enumerate(self.table) if q >= 0)
 
@@ -326,6 +333,11 @@ class TransitionIndex(_TripleView):
             return ()
         return self.targets[starts[slot]:starts[slot + 1]]
 
+    def _state_slots(self, p: int):
+        k = len(self.alphabet.names)
+        bounds, targets = self.starts[p * k:p * k + k + 1], self.targets
+        return [targets[a:b] if a != b else () for a, b in zip(bounds, islice(bounds, 1, None))]
+
     def _slot_edges(self):
         starts, targets = self.starts, self.targets
         # Only the slots that hold targets are visited, so the walk follows
@@ -351,60 +363,65 @@ class TransitionIndex(_TripleView):
 class TransitionMasks(_TripleView):
     """Triples over a homogeneous NFA's follow masks, as the Glushkov
     construction leaves them: bit ``q`` of ``rows[p] << lows[p]`` is an edge
-    from ``p`` to ``q``, on the ``c``-th symbol of ``alphabet`` for the one
-    entry mask ``entries[c]`` that holds bit ``q``.  A row is kept relative
-    to its offset ``lows[p]``, so it costs the span of its targets.  The
-    entry masks are disjoint, since every state is entered on one symbol
-    only."""
+    from ``p`` to ``q`` on the ``codes[q]``-th symbol of ``alphabet``, the
+    one symbol that enters ``q``.  A state entered on none has code -1 and
+    is no row's target.  A row is kept relative to its offset ``lows[p]``,
+    so it costs the span of its targets."""
 
-    __slots__ = ("alphabet", "rows", "entries", "lows")
+    __slots__ = ("alphabet", "rows", "codes", "lows")
 
-    def __init__(self, alphabet: Alphabet, rows: list[int], entries: list[int],
+    def __init__(self, alphabet: Alphabet, rows: list[int], codes: list[int],
                  lows: list[int]):
-        self.alphabet, self.rows, self.entries, self.lows = alphabet, rows, entries, lows
+        self.alphabet, self.rows, self.codes, self.lows = alphabet, rows, codes, lows
         self._hash = None
 
     def __len__(self) -> int:
         return sum(map(int.bit_count, self.rows))
 
     def _slot_targets(self, slot: int):
-        p, c = divmod(slot, len(self.entries))
+        p, c = divmod(slot, len(self.alphabet.names))
         if p >= len(self.rows):
             return ()
-        return tuple(iter_bits(self.rows[p] << self.lows[p] & self.entries[c]))
+        codes, low = self.codes, self.lows[p]
+        return tuple(q for q in map(low.__add__, iter_bits(self.rows[p])) if codes[q] == c)
+
+    def _state_slots(self, p: int):
+        codes, low = self.codes, self.lows[p]
+        slots: list = [()] * len(self.alphabet.names)  # a list once it has a target
+        for q in iter_bits(self.rows[p]):
+            q += low
+            c = codes[q]
+            if slots[c]:
+                slots[c].append(q)
+            else:
+                slots[c] = [q]
+        return slots
 
     def _slot_edges(self):
-        k = len(self.entries)
-        code = [0] * len(self.rows)
-        for c, sel in enumerate(self.entries):
-            for q in iter_bits(sel):
-                code[q] = c
+        k, codes = len(self.alphabet.names), self.codes
         for p, row, low in zip(count(), self.rows, self.lows):
             for q in iter_bits(row):
                 q += low
-                yield p * k + code[q], q
+                yield p * k + codes[q], q
 
     def _check(self, alphabet: Alphabet, n: int):
-        rows, entries, lows, k = self.rows, self.entries, self.lows, len(alphabet)
+        rows, codes, lows, k = self.rows, self.codes, self.lows, len(alphabet)
         if self.alphabet != alphabet:
             raise ValueError("transition masks alphabet differs from the automaton's")
-        if len(rows) != n or len(entries) != k:
-            raise ValueError(f"transition masks of {len(rows)} rows and {len(entries)} "
-                             f"entry masks do not fit {n} states x {k} symbols")
+        if len(rows) != n or len(codes) != n:
+            raise ValueError(f"transition masks of {len(rows)} rows and {len(codes)} "
+                             f"entry codes do not fit {n} states")
         if len(lows) != n:
             raise ValueError(f"transition masks of {len(lows)} row offsets "
                              f"do not fit {n} states")
         if min(rows) < 0 or min(lows) < 0 or max(map(add, map(int.bit_length, rows), lows)) > n:
             raise ValueError("transition mask target out of range")
-        if min(entries) < 0 or max(entries) >> n:
-            raise ValueError("entry mask state out of range")
-        entered = reduce(or_, entries)
-        if entered.bit_count() != sum(map(int.bit_count, entries)):
-            raise ValueError("entry masks overlap")
-        # Only a state that no entry mask holds can be such a target, state 0
-        # alone in a Glushkov store, so each row is tested against those
-        # states shifted down by its offset, not shifted into place itself.
-        unentered = ((1 << n) - 1) ^ entered
+        if min(codes) < -1 or max(codes) >= k:
+            raise ValueError(f"entry code out of range for {k} symbols")
+        # Only a state of code -1 can be such a target, state 0 alone in a
+        # Glushkov store, so each row is tested against those states shifted
+        # down by its offset, not shifted into place itself.
+        unentered = _flag_mask(bytes(map((-1).__eq__, codes)))
         if any(map(and_, rows, map(rshift, repeat(unentered), lows))):
             raise ValueError("transition mask target entered on no symbol")
 
@@ -439,6 +456,11 @@ class FinalFlags(_FrozenView):
 
     # Defining ``__eq__`` clears the inherited hash.
     __hash__ = _FrozenView.__hash__
+
+
+def _flag_mask(flags: bytes) -> int:
+    """The int with bit ``q`` set where ``flags[q]`` is 1, read in one pass."""
+    return int(flags[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
 
 
 def _final_flags(states: Iterable[int], n: int) -> FinalFlags:
@@ -623,14 +645,17 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
     sigma = _derived_alphabet(syms, alphabet)
     index = sigma.index
     # codes[q]: alphabet index of the symbol that enters state q; state 0 is
-    # never entered, so its code is never read.
-    codes = [0, *map(index.get, syms)]
+    # entered on none.
+    codes = [-1, *map(index.get, syms)]
     if None in codes:
         name = syms[codes.index(None) - 1]
         raise ValueError(f"symbol {name!r} not in the declared alphabet")
     rows[0] = first  # at offset 0
     n = len(rows)
-    finals = _final_flags(iter_bits((last | 1) if nullable else last), n)  # bit 0: state 0
+    # Bit q of the mask, read in one pass as byte q of the flags (the reverse
+    # of ``_flag_mask``); bit 0 is state 0.
+    bits = format((last | 1) if nullable else last, "b")[::-1].encode()
+    finals = FinalFlags(bits.translate(bytes.maketrans(b"01", b"\0\1")).ljust(n, b"\0"))
     k = len(sigma)
     # The table grows by one row per row found deterministic, so an NFA,
     # most often found at row 0, leaves no table of n * k slots behind.
@@ -647,26 +672,9 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
             if table[slot] >= 0:
                 # Two targets of one state share a symbol: an NFA over the masks.
                 del table
-                entries = _entry_masks(codes, k)
-                return Nfa(sigma, n, 0, finals, TransitionMasks(sigma, rows, entries, lows))
+                return Nfa(sigma, n, 0, finals, TransitionMasks(sigma, rows, codes, lows))
             table[slot] = q
     return Dfa.from_table(sigma, n, 0, finals, table)
-
-
-def _entry_masks(codes: list[int], k: int) -> list[int]:
-    """Per symbol, the mask of the states entered on it, state ``q > 0`` on
-    the ``codes[q]``-th of ``k`` symbols.  One pass over the states sets
-    their bits in a bitmap of every state per symbol met, and each bitmap
-    is read as one int."""
-    size = (len(codes) >> 3) + 1
-    bitmaps: list[Optional[bytearray]] = [None] * k
-    for q in range(1, len(codes)):
-        c = codes[q]
-        bitmap = bitmaps[c]
-        if bitmap is None:
-            bitmap = bitmaps[c] = bytearray(size)
-        bitmap[q >> 3] |= 1 << (q & 7)
-    return [0 if bitmap is None else int.from_bytes(bitmap, "little") for bitmap in bitmaps]
 
 
 # ---------------------------------------------------------------------------
@@ -816,9 +824,9 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     ``(shift, mask)`` pair.  The memo stores a miss only while it holds
     fewer entries than there are subsets so far.  The rows are written in
     blocks of ``_TABLE_BLOCK`` slots or more, and a queue holds only the
-    subsets whose rows are still to come.  When the walk ends, each subset's
-    final flag is read into a byte string, the result's finals; the subsets
-    and the memo are released before the blocks are joined.
+    subsets whose rows are still to come.  Each subset's final flag is
+    appended to a byte string, the result's finals, as it is numbered; the
+    subsets and the memo are released before the blocks are joined.
 
     A union of independent parts is determinised as the product of their
     subset automata (Rabin and Scott, 1959).  Once the walk over an NFA of
@@ -843,8 +851,7 @@ def determinize(a: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Dfa:
     if isinstance(a, Dfa):
         return _renumber(a, max_states)
     rows, lows, pairs = _successor_masks(a)
-    # One pass: a sum of ``1 << q`` copies a growing int per final state.
-    finals_mask = int(a.finals.flags[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
+    finals_mask = _flag_mask(a.finals.flags)
     # ``work`` is a stack of parts still to determinise and of ``None``s,
     # each joining the last two results on ``done``.
     done: list[tuple[int, array, bytes]] = []
@@ -880,11 +887,15 @@ def _subset_walk(part: tuple, split_at: int, max_states: int):
     slices = [((1 << width) - 1) << lo for lo in range(0, n, width)]
     memo: dict[int, int] = {}
 
-    # ``ids`` numbers the subsets in discovery order; ``queue`` holds those
-    # whose rows are not written yet.
+    # ``ids`` numbers the subsets in discovery order, keyed by ``t +
+    # t.bit_length()`` for subset ``t``: a bijection, whose hashes spread
+    # where ``hash(1 << q)``, taken modulo 2**61 - 1, has only 61 values.
+    # ``queue`` holds the subsets whose rows are not written yet, and ``fin``
+    # their final flags, appended as they are numbered.
     start = 1 << initial
-    ids: dict[int, int] = {start: 0}
-    queue = deque(ids)
+    ids: dict[int, int] = {start + start.bit_length(): 0}
+    queue = deque([start])
+    fin = bytearray([start & finals_mask != 0])
     # One test per new subset covers both the budget and the split point.
     limit = min(split_at, max_states)
     cap = _TABLE_BLOCK
@@ -921,7 +932,8 @@ def _subset_walk(part: tuple, split_at: int, max_states: int):
             if not t:
                 emit(-1)
                 continue
-            dst = ids.get(t)
+            key = t + t.bit_length()
+            dst = ids.get(key)
             if dst is None:
                 if len(ids) >= limit:
                     if len(ids) >= max_states:
@@ -932,15 +944,15 @@ def _subset_walk(part: tuple, split_at: int, max_states: int):
                         return parts
                     limit = max_states
                 dst = len(ids)
-                ids[t] = dst
+                ids[key] = dst
                 queue.append(t)
+                fin.append(t & finals_mask != 0)
             emit(dst)
     # The subsets go before the caller joins the table, so that it can take
     # their memory.
     n_out = len(ids)
-    fin = bytes(map(bool, map(finals_mask.__and__, ids)))
     del ids, memo, queue
-    return n_out, _joined(blocks), fin
+    return n_out, _joined(blocks), bytes(fin)
 
 
 def _split_parts(part: tuple) -> Optional[list[tuple]]:
@@ -1103,14 +1115,14 @@ def _successor_masks(a: Nfa) -> tuple[list[int], list[int], list[tuple[int, int]
     state ``p`` of ``a``, and per symbol the ``(shift, mask)`` pair that
     cuts its successor set out of an OR of them.
 
-    A mask store hands over its rows, offsets and entry masks as they are;
-    any other store is walked once into rows with offset 0.
+    A mask store hands over its rows and offsets as they are, with its
+    codes' entry masks; any other store is walked once into rows at 0.
     """
     n = a.n_states
     k = len(a.alphabet)
     trans = a.transitions
     if type(trans) is TransitionMasks:
-        return trans.rows, trans.lows, [(0, sel) for sel in trans.entries]
+        return trans.rows, trans.lows, [(0, sel) for sel in _entry_masks(trans.codes, k)]
     edges = list(trans._slot_edges())
 
     # Homogeneous input: every state is entered on one symbol only.
@@ -1125,11 +1137,7 @@ def _successor_masks(a: Nfa) -> tuple[list[int], list[int], list[tuple[int, int]
         elif entered_on[q] != c:
             homogeneous = False
     if homogeneous:
-        into = [0] * k
-        for q, c in enumerate(entered_on):
-            if c >= 0:
-                into[c] |= 1 << q
-        return row, [0] * n, [(0, sel) for sel in into]
+        return row, [0] * n, [(0, sel) for sel in _entry_masks(entered_on, k)]
     # Symbol c's targets go to bit offset c * n instead.
     row = [0] * n
     for slot, q in edges:
@@ -1137,6 +1145,23 @@ def _successor_masks(a: Nfa) -> tuple[list[int], list[int], list[tuple[int, int]
         row[p] |= 1 << (c * n + q)
     full = (1 << n) - 1
     return row, [0] * n, [(c * n, full) for c in range(k)]
+
+
+def _entry_masks(codes: list[int], k: int) -> list[int]:
+    """Per symbol, the mask of the states entered on it: state ``q`` on the
+    ``codes[q]``-th of ``k`` symbols, or on none for code -1.  One pass sets
+    their bits in a bitmap of every state per symbol met, and each bitmap
+    is read as one int."""
+    size = (len(codes) >> 3) + 1
+    bitmaps: list[Optional[bytearray]] = [None] * k
+    for q, c in enumerate(codes):
+        if c < 0:
+            continue
+        bitmap = bitmaps[c]
+        if bitmap is None:
+            bitmap = bitmaps[c] = bytearray(size)
+        bitmap[q >> 3] |= 1 << (q & 7)
+    return [0 if bitmap is None else int.from_bytes(bitmap, "little") for bitmap in bitmaps]
 
 
 def _fill_missing(table: array, target: int) -> array:
@@ -1205,12 +1230,11 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
     _require_same_alphabet(a, b)
     if isinstance(a, Dfa) and isinstance(b, Dfa):
         return _dfa_product(a, b, max_states)
-    k = len(a.alphabet)
     # A right state's dict is made when a pair first reaches it.
     by_right: list[Optional[dict]] = [None] * b.n_states
     by_right[b.initial] = {a.initial: 0}
     starts, targets = array("i", [0]), array("i")
-    succ_a, succ_b = a.successors, b.successors
+    slots_a, slots_b = a.transitions._state_slots, b.transitions._state_slots
     fa, fb = a.finals.flags, b.finals.flags
     # ``lefts`` and ``rights`` hold the sides of the pairs still to walk,
     # and of at most ``chunk`` walked ones, dropped after each step.  A step
@@ -1225,9 +1249,7 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
     while lefts:
         for walked, p, q in zip(range(1, chunk + 1), lefts, rights):
             budget.checkpoint()
-            for c in range(k):
-                pa = succ_a(p, c)
-                pb = succ_b(q, c) if pa else ()
+            for pa, pb in zip(slots_a(p), slots_b(q)):
                 lo = len(targets)
                 for p2 in pa:
                     for q2 in pb:

@@ -34,7 +34,7 @@ from rexlab.automata import (
     serialize,
     shortest_divergence,
 )
-from rexlab import automata, budget, rex
+from rexlab import analysis, automata, budget, rex
 from rexlab.budget import BudgetExceededError, CancelToken
 from rexlab.rex import (
     EMPTY,
@@ -1096,7 +1096,7 @@ class TestIndexCore:
     @pytest.mark.parametrize("store", [
         TransitionTable(AB, [1, -1, 0, 1]),
         TransitionIndex(AB, [0, 1, 1, 1, 2], [1, 0]),
-        TransitionMasks(AB, [0b1, 0b01], [0b10, 0b01], [1, 0]),
+        TransitionMasks(AB, [0b1, 0b01], [1, 0], [1, 0]),
     ], ids=["table", "index", "masks"])
     def test_hash_is_computed_once(self, monkeypatch, store):
         # The hash walks the edges on the first call only, and equals the
@@ -1143,8 +1143,7 @@ class TestIndexCore:
         assert a.successors(0, 0) == array("i", [1]) and not a.successors(0, 1)
 
     # ``codes[q]`` is the code of the symbol that enters state q, as the
-    # Glushkov construction numbers them; a code outside the alphabet enters
-    # q on no symbol.
+    # Glushkov construction numbers them; code -1 enters q on no symbol.
     @pytest.mark.parametrize("rows, codes, alphabet", [
         ([0b10, 0b01], [1, 0], A),         # masks over another alphabet
         ([0b10], [1, 0], AB),              # one row for 2 states
@@ -1152,7 +1151,7 @@ class TestIndexCore:
         ([0b110, 0b01], [1, 0], AB),       # target 2 >= n_states
         ([-1, 0b01], [1, 0], AB),          # a negative row sets every bit
         ([0b10, 0b01], [2, 0], AB),        # code 2 >= 2 symbols
-        ([0b10, 0b01], [1, -1], AB),       # code below 0
+        ([0b10, 0b01], [1, -1], AB),       # state 1, entered on no symbol, a target
         # Rows with offsets, given as (rows, lows): row p holds rows[p] << lows[p].
         (([0b10, 0b01], [-1, 0]), [1, 0], AB),  # a negative offset
         (([0b10, 0b01], [0, 2]), [1, 0], AB),   # offset 2 puts a target at n_states
@@ -1161,46 +1160,46 @@ class TestIndexCore:
     ])
     def test_bad_masks_rejected(self, rows, codes, alphabet):
         rows, lows = rows if isinstance(rows, tuple) else (rows, [0] * len(rows))
-        entries = [sum(1 << q for q, code in enumerate(codes) if code == c)
-                   for c in range(len(alphabet))]
         with pytest.raises(ValueError):
-            Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(alphabet, rows, entries, lows))
+            Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(alphabet, rows, codes, lows))
 
     def test_offsets_out_of_range_refused_as_targets(self):
         # A negative offset and an offset that lifts a target to n_states
         # read as a target out of range; an offset that keeps it in range
         # passes, and the slots read the shifted row.
-        entries = [0b10, 0b01]
+        codes = [1, 0]
         for lows in ([-1, 0], [0, 2], [1, 0]):
             with pytest.raises(ValueError, match="^transition mask target out of range$"):
-                Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(AB, [0b10, 0b01], entries, lows))
-        a = Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(AB, [0b1, 0b01], entries, [1, 0]))
+                Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(AB, [0b10, 0b01], codes, lows))
+        a = Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(AB, [0b1, 0b01], codes, [1, 0]))
         assert a.transitions == {(0, "a", 1), (1, "b", 0)}
         assert list(a.successors(0, 0)) == [1] and not a.successors(0, 1)
 
     def test_target_entered_on_no_symbol_refused_at_any_offset(self):
-        # State 2 is in no entry mask; a row that reaches it through its
-        # offset is refused, and the same row one state lower passes.
-        entries = [0b010, 0b001]
+        # State 2 has code -1; a row that reaches it through its offset is
+        # refused, and the same row one state lower passes.
+        codes = [1, 0, -1]
         for rows, lows in (([0b10, 0, 0b1], [0, 0, 2]), ([0b10, 0b11, 0], [0, 1, 0])):
             with pytest.raises(ValueError, match="^transition mask target entered on no symbol$"):
-                Nfa(AB, 3, 0, frozenset([1]), TransitionMasks(AB, rows, entries, lows))
-        a = Nfa(AB, 3, 0, frozenset([1]), TransitionMasks(AB, [0b10, 0b1, 0], entries, [0, 0, 0]))
+                Nfa(AB, 3, 0, frozenset([1]), TransitionMasks(AB, rows, codes, lows))
+        a = Nfa(AB, 3, 0, frozenset([1]), TransitionMasks(AB, [0b10, 0b1, 0], codes, [0, 0, 0]))
         assert a.transitions == {(0, "a", 1), (1, "b", 0)}
 
+    # ``entries`` are the entry codes, one per state: each is -1 or names
+    # one of the 2 symbols.
     @pytest.mark.parametrize("entries", [
-        [0b01],                            # one entry mask for 2 symbols
-        [0b01, 0b10, 0],                   # three entry masks for 2 symbols
-        [0b11, 0b01],                      # state 0 entered on both symbols
-        [0b101, 0b10],                     # state 2 >= n_states
-        [-1, 0],                           # a negative mask sets every bit
+        [],                                # no entry code for 2 states
+        [1],                               # one entry code for 2 states
+        [1, 0, 0],                         # three entry codes for 2 states
+        [1, 2],                            # code 2 >= 2 symbols
+        [-2, 0],                           # code below -1
     ])
     def test_bad_entry_masks_rejected(self, entries):
         with pytest.raises(ValueError):
             Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(AB, [0b10, 0b01], entries, [0, 0]))
 
     def test_well_formed_masks_accepted_without_slot_arrays(self):
-        masks = TransitionMasks(AB, [0b10, 0b01], [0b10, 0b01], [0, 0])
+        masks = TransitionMasks(AB, [0b10, 0b01], [1, 0], [0, 0])
         a = Nfa(AB, 2, 0, frozenset([1]), masks)
         assert a.transitions is masks
         assert a.transitions == {(0, "a", 1), (1, "b", 0)} and len(a.transitions) == 2
@@ -1210,7 +1209,7 @@ class TestIndexCore:
     def test_is_deterministic_stops_at_the_first_fork(self, monkeypatch):
         # Row 0 enters states 1 and 2, both on "a"; rows 1 and 2 hold four
         # more edges, which the answer does not need.
-        masks = TransitionMasks(AB, [0b110, 0b110, 0b110], [0b110, 0], [0, 0, 0])
+        masks = TransitionMasks(AB, [0b110, 0b110, 0b110], [-1, 0, 0], [0, 0, 0])
         a = Nfa(AB, 3, 0, frozenset([1]), masks)
         reads = []
         edges = TransitionMasks._slot_edges
@@ -1337,7 +1336,7 @@ class TestRelativeRows:
         a = extended_to_nfa(Union(*m_sore_pair(2)), m_alphabet(2))
         b = Nfa(AB, 3, 0, frozenset([2]),
                 frozenset([(0, "a", 1), (0, "b", 1), (1, "b", 2), (2, "a", 0)]))
-        c = Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(AB, [0b10, 0b01], [0b10, 0b01], [0, 0]))
+        c = Nfa(AB, 2, 0, frozenset([1]), TransitionMasks(AB, [0b10, 0b01], [1, 0], [0, 0]))
         for nfa in (a, b, c):
             assert automata._successor_masks(nfa)[1] == [0] * nfa.n_states
 
@@ -1375,13 +1374,14 @@ class TestRelativeRows:
         assert peak < 2.5 * 2**20, peak
 
     @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
-        st.just(k), st.lists(st.integers(0, k - 1), max_size=40))))
+        st.just(k), st.lists(st.integers(-1, k - 1), max_size=40))))
     def test_entry_masks_match_one_state_at_a_time(self, drawn):
         k, entered = drawn
-        codes = [0, *entered]  # state 0 is entered on no symbol
+        codes = [-1, *entered]  # code -1: state 0, and any drawn one, entered on none
         want = [0] * k
-        for q in range(1, len(codes)):
-            want[codes[q]] |= 1 << q
+        for q, c in enumerate(codes):
+            if c >= 0:
+                want[c] |= 1 << q
         assert automata._entry_masks(codes, k) == want
 
 
@@ -1428,10 +1428,10 @@ class TestMaskBackedIndex:
 
     def test_complement_check_reads_only_the_masks(self, monkeypatch):
         # The poly-families check: the naive route's DFA against the Glushkov
-        # NFA of the polynomial complement, whose rows and entry masks the
+        # NFA of the polynomial complement, whose rows and entry codes the
         # subset construction takes as they are, with no walk over its edges.
         walks = []
-        for name in ("_slot_edges", "_slot_targets"):
+        for name in ("_slot_edges", "_slot_targets", "_state_slots"):
             read = getattr(TransitionMasks, name)
             monkeypatch.setattr(TransitionMasks, name, lambda self, *args, read=read:
                                 walks.append(1) or read(self, *args))
@@ -1446,6 +1446,21 @@ class TestMaskBackedIndex:
             assert equivalent(g, naive)
             assert type(g.transitions) is TransitionMasks
         assert masked >= 3 and not walks
+
+    def test_edge_walk_reads_only_the_rows(self, monkeypatch):
+        # Each bit ``iter_bits`` yields in the edge walk is one edge: the
+        # walk reads each state's entry code, not a mask per symbol.
+        g = glushkov(complement_unambiguous(parse("a" * 20, AB), AB), AB)
+        assert type(g.transitions) is TransitionMasks
+        edges = len(g.transitions)
+        bits = []
+
+        def counted(mask):
+            for q in rex.iter_bits(mask):
+                bits.append(q)
+                yield q
+        monkeypatch.setattr(automata, "iter_bits", counted)
+        assert len(list(g.transitions._slot_edges())) == len(bits) == edges
 
     def test_complement_witness_pins(self):
         # SHA-256 digests recorded before the masks were kept.
@@ -1512,6 +1527,10 @@ class TestStoresAgree:
                         q for p2, s2, q in triples if (p2, s2) == (p, s))
                     for q in range(n + 1):
                         assert ((p, s, q) in trans) == ((p, s, q) in triples)
+            for p in range(n):
+                assert list(map(list, trans._state_slots(p))) == [
+                    sorted(q for p2, s2, q in triples if (p2, s2) == (p, s))
+                    for s in sigma.names]
             assert (0, "z", 0) not in trans
             _, want_dfa = subset_construction(
                 Nfa(sigma, n, a.initial, a.finals, triples), budget.DEFAULT_MAX_STATES)
@@ -1529,6 +1548,30 @@ class TestStoresAgree:
                     Dfa(sigma, n, a.initial, a.finals, trans)
             assert not hasattr(a, "index")  # no second copy of the transitions
         assert len(kinds) == 3 and min(kinds.values()) >= 30
+
+    def test_walks_read_each_state_in_one_call(self, monkeypatch):
+        # The product's slot walk reads each side's slots once per pair, and
+        # the analysis walks once per state; none reads one slot at a time.
+        reads = Counter()
+        for store in (TransitionTable, TransitionIndex, TransitionMasks):
+            for name in ("_state_slots", "_slot_targets"):
+                monkeypatch.setattr(store, name, lambda self, x, read=getattr(store, name),
+                                    name=name: reads.update([name]) or read(self, x))
+        rng = random.Random(1717)
+        g = glushkov(parse("(a|b)*a(a|b)b*", AB))
+        nfa, dfa = random_nfa(rng, AB, 5), random_dfa(rng, AB, 4)
+        assert [type(x.transitions) for x in (g, nfa, dfa)] == [
+            TransitionMasks, TransitionIndex, TransitionTable]
+        for a, b in ((g, nfa), (nfa, dfa), (dfa, g), (g, g)):
+            reads.clear()
+            p = product(a, b)
+            assert reads == {"_state_slots": 2 * p.n_states}
+            reads.clear()
+            analysis._predecessors(a)
+            assert reads == {"_state_slots": a.n_states}
+            reads.clear()
+            reached = analysis._reach([a.initial], analysis._successors_on(a, range(2)))
+            assert reads == {"_state_slots": len(reached)}
 
 
 class TestComplement:
