@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Optional, Sequence, Union as TUnion
 from . import budget
 from .automata import (
     Dfa,
-    FinalFlags,
     Nfa,
     _derived_alphabet,
     determinize,
@@ -260,26 +259,33 @@ def _check_word(word: Word, alphabet: Alphabet):
             raise ValueError(f"symbol {s!r} not in alphabet")
 
 
-def _factor_nfa(word: Word, alphabet: Alphabet) -> Nfa:
-    """Sigma* word Sigma* as a (len(word) + 1)-state NFA looping at both ends."""
-    last = len(word)
-    edges = [(p, s, p) for p in (0, last) for s in alphabet.names]
-    edges += [(p, s, p + 1) for p, s in enumerate(word)]
-    return Nfa(alphabet, last + 1, 0, FinalFlags(bytes(last) + b"\1"), edges)
+def _trim(nfa: Nfa) -> tuple[set[int], set[int]]:
+    """``(useful, live)``: the states that reach a final state, closed under
+    predecessors, and those of them reachable from the initial state.  Polls
+    once per state in each walk."""
+    useful = _reach(nfa.finals, _predecessors(nfa).__getitem__)
+    return useful, _reach([nfa.initial], _successors_on(nfa, range(len(nfa.alphabet)))) & useful
 
 
 def covers(r: Regex, word: Sequence[str], alphabet: Optional[Alphabet] = None) -> bool:
     """Does some word of the language contain ``word`` as a factor?
 
-    Decided by emptiness of the product with the factor automaton, which
-    numbers only the pairs it reaches.
+    Decided by reachability: ``word`` is stepped from the live states of
+    :func:`_trim`, keeping only useful ones; polls once per state stepped.
     """
     w = tuple(word)
     # With no symbol at all, emptiness is all that matters: any one will do.
     sigma = alphabet or _derived_alphabet([*symbols_of(r), *w] or ["a"], None)
     nfa = _as_nfa(r, sigma)
     _check_word(w, sigma)
-    return bool(product(nfa, _factor_nfa(w, sigma)).finals)
+    useful, current = _trim(nfa)
+    for s in w:
+        c, nxt = sigma.index[s], set()
+        for p in current:
+            budget.checkpoint()
+            nxt.update(q for q in nfa.successors(p, c) if q in useful)
+        current = nxt
+    return bool(current)
 
 
 @dataclass(frozen=True)
@@ -309,9 +315,9 @@ def word_index(r: Regex, word: Sequence[str],
     the word; a completed cycle counts one repetition.  Any cycle in the
     useful part of that product pumps repetitions (every cycle crosses the
     wrap edge), so the index is infinite exactly when one exists; otherwise
-    the product is acyclic and the answer is the heaviest path.  Starting
-    offsets are chosen nondeterministically, which handles self-overlapping
-    words correctly.  An empty language yields Finite(0) by convention.
+    the product is acyclic and the answer is the heaviest path.  A copy may
+    start at any live state of :func:`_trim`, which handles self-overlapping
+    words.  An empty language yields Finite(0) by convention.
     """
     w = tuple(word)
     if not w:
@@ -319,20 +325,14 @@ def word_index(r: Regex, word: Sequence[str],
     sigma = alphabet or _derived_alphabet([*symbols_of(r), *w], None)
     nfa = _as_nfa(r, sigma)
     _check_word(w, sigma)
-    # The useful states still reach a final state.  They are closed under
-    # predecessors, so a path that ends in one stays inside them.
-    useful = _reach(nfa.finals, _predecessors(nfa).__getitem__)
-    if nfa.initial not in useful:
-        return FINITE(0)  # empty language covers nothing; degenerate by convention
+    useful, live = _trim(nfa)
 
     # Node q * L + pos: state q, next position pos of the word; its edges
     # read w[pos] and enter a node of position 0 when they complete a copy.
     L, codes = len(w), [sigma.index[s] for s in w]
-    reach = _reach([nfa.initial], _successors_on(nfa, range(len(sigma))))
-    starts = [q * L for q in reach if q in useful]
     edges: dict[int, list[int]] = {}
-    indegree = dict.fromkeys(starts, 0)
-    stack = list(starts)
+    indegree = {q * L: 0 for q in live}
+    stack = list(indegree)
     while stack:
         budget.checkpoint()
         node = stack.pop()
@@ -360,7 +360,7 @@ def word_index(r: Regex, word: Sequence[str],
                 ready.append(t)
     if any(indegree.values()):
         return INFINITE  # any cycle inside the useful part pumps
-    return FINITE(max(best.values()))
+    return FINITE(max(best.values(), default=0))
 
 
 # ---------------------------------------------------------------------------

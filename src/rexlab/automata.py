@@ -549,13 +549,13 @@ class Nfa:
         return self.n_states + len(self.transitions)
 
     def successors(self, p: int, c: int):
-        """Targets of state ``p`` on the ``c``-th alphabet symbol, ascending."""
-        return self.transitions._slot_targets(p * len(self.alphabet.names) + c)
+        """Targets of state ``p`` on the ``c``-th symbol, ascending; none when out of range."""
+        if 0 <= p < self.n_states and 0 <= c < len(self.alphabet.names):
+            return self.transitions._slot_targets(p * len(self.alphabet.names) + c)
+        return ()
 
     def step(self, states: frozenset[int], symbol: str) -> frozenset[int]:
-        c = self.alphabet.index.get(symbol)
-        if c is None:
-            return frozenset()
+        c = self.alphabet.index.get(symbol, -1)
         return frozenset(q for p in states for q in self.successors(p, c))
 
     def is_deterministic(self) -> bool:

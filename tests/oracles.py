@@ -26,6 +26,7 @@ from rexlab.automata import (
     _require_same_alphabet,
     _slot_index,
     determinize,
+    product,
 )
 from rexlab.rex import (
     EMPTY,
@@ -1358,6 +1359,22 @@ def word_index_by_toposort(r: Regex, word: Sequence[str],
     candidates = [b for node, b in best.items()
                   if b is not None and node[0] in co]
     return FINITE(max(candidates)) if candidates else FINITE(0)
+
+
+def covers_by_factor_product(r: Regex, word: Sequence[str],
+                             alphabet: Optional[Alphabet] = None) -> bool:
+    """Factor cover as emptiness of the product with ``Sigma* word Sigma*``,
+    a (len(word) + 1)-state NFA looping on every symbol at both ends: the
+    reference for ``analysis.covers``."""
+    w = tuple(word)
+    sigma = alphabet or _derived_alphabet([*symbols_of(r), *w] or ["a"], None)
+    nfa = _as_nfa(r, sigma)
+    _check_word(w, sigma)
+    last = len(w)
+    edges = [(p, s, p) for p in (0, last) for s in sigma.names]
+    edges += [(p, s, p + 1) for p, s in enumerate(w)]
+    factor = Nfa(sigma, last + 1, 0, FinalFlags(bytes(last) + b"\1"), edges)
+    return bool(product(nfa, factor).finals)
 
 
 def parse_automaton_by_slots(text: str, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:

@@ -2,13 +2,14 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rexlab.analysis import (
     FINITE,
     INFINITE,
     _as_nfa,
+    _trim,
     blowup_report,
     covers,
     enumerate_language,
@@ -38,13 +39,13 @@ from rexlab.rex import (
     size,
     subexpressions,
 )
-from rexlab.unambiguous import complement_unambiguous
-from rexlab.witnesses import k_dfa, m_alphabet, rho_encode, z_alphabet, z_dfa
+from rexlab.unambiguous import complement_unambiguous, intersect_sores
+from rexlab.witnesses import k_dfa, m_alphabet, m_sore_pair, rho_encode, z_alphabet, z_dfa
 
 from corpus import random_dfa, random_extended_regex, random_nfa, random_plain_regex
 from conftest import CountingToken, extended_regexes, regexes
-from oracles import (extended_to_nfa_by_triples, length_lex_sorted, mark, path_words,
-                     regex_slice, word_index_by_toposort)
+from oracles import (covers_by_factor_product, extended_to_nfa_by_triples, length_lex_sorted,
+                     mark, path_words, regex_slice, word_index_by_toposort)
 
 A = Alphabet.of("a")
 AB = Alphabet.of("a", "b")
@@ -178,6 +179,37 @@ class TestCovers:
         if seen:
             assert got
         # absence in the slice is inconclusive for long witnesses
+
+    # The first example fails if the stepping keeps states that reach no
+    # final state (the ``a`` of the empty intersection), the second if it
+    # starts from the initial state alone rather than every live state.
+    @settings(max_examples=300)
+    @example(parse("(ab&ac)|b", ABC), ABC, ("a",))
+    @example(parse("ab", AB), AB, ("b",))
+    @given(st.one_of(regexes("ab", max_leaves=8), regexes("abc", max_leaves=8),
+                     extended_regexes("ab", max_leaves=7), extended_regexes("abc", max_leaves=7),
+                     regexes("", max_leaves=4), st.just(EMPTY)),
+           st.sampled_from([AB, ABC, None]),
+           st.lists(st.sampled_from("abc"), max_size=4).map(tuple))
+    def test_matches_factor_product(self, r, sigma, w):
+        got, want = _answers([lambda: covers(r, w, sigma),
+                              lambda: covers_by_factor_product(r, w, sigma)])
+        assert got == want
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_stepping_polls_once_per_state(self, n):
+        # The word's first symbol is stepped from every live state, so the
+        # polls beyond those of the empty word are at least that many.
+        sigma = m_alphabet(n)
+        r = intersect_sores(m_sore_pair(n), sigma)
+        _, live = _trim(_as_nfa(r, sigma))
+        polls = []
+        for w in ((), ("rt(0)", "a(0,0*)")):
+            token = CountingToken()
+            with active(token):
+                assert covers(r, w, sigma)
+            polls.append(token.polls)
+        assert polls[1] - polls[0] >= len(live) > 0
 
 
 class TestWordIndex:

@@ -1549,6 +1549,19 @@ class TestStoresAgree:
             assert not hasattr(a, "index")  # no second copy of the transitions
         assert len(kinds) == 3 and min(kinds.values()) >= 30
 
+    @pytest.mark.parametrize("a", [
+        glushkov(parse("(a|b)*", AB), AB),
+        Nfa(AB, 3, 0, frozenset([2]), [(0, "a", 1), (0, "a", 2), (2, "b", 2)]),
+        glushkov(parse("(a|b)*a", AB), AB),
+    ], ids=["table", "index", "masks"])
+    def test_out_of_range_state_or_symbol_has_no_successors(self, a):
+        # A flat slot number would land in another state's slots.
+        n, k = a.n_states, len(a.alphabet)
+        for p, c in ((-1, 0), (-1, k - 1), (-n, 0), (n, 0), (0, -1), (0, k), (0, 5), (n - 1, k)):
+            assert not a.successors(p, c), (p, c)
+        assert a.step(frozenset([-1, n]), "a") == frozenset()
+        assert a.step(frozenset([-1, 0]), "a") == a.step(frozenset([0]), "a") != frozenset()
+
     def test_walks_read_each_state_in_one_call(self, monkeypatch):
         # The product's slot walk reads each side's slots once per pair, and
         # the analysis walks once per state; none reads one slot at a time.
