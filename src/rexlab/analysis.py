@@ -12,7 +12,6 @@ import re
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence, Union as TUnion
 
 from . import budget
@@ -237,19 +236,18 @@ def _reach(starts: Iterable[int], succ: Callable[[int], Iterable[int]]) -> set[i
 def _successors_on(a: Nfa, codes: Iterable[int]) -> Callable[[int], list[int]]:
     """The successors of a state of ``a`` on the symbols numbered in ``codes``."""
     kept = bytes(map(set(codes).__contains__, range(len(a.alphabet))))
-    slots = a.transitions._state_slots
-    return lambda p: [q for targets in compress(slots(p), kept) for q in targets]
+    edges = a.transitions._state_edges
+    return lambda p: [q for c, q in edges(p) if kept[c]]
 
 
 def _predecessors(a: Nfa) -> list[list[int]]:
     """Each state's predecessors in ``a``, one per edge; polls once per state."""
     preds: list[list[int]] = [[] for _ in range(a.n_states)]
-    slots = a.transitions._state_slots
+    edges = a.transitions._state_edges
     for p in range(a.n_states):
         budget.checkpoint()
-        for targets in slots(p):
-            for q in targets:
-                preds[q].append(p)
+        for _, q in edges(p):
+            preds[q].append(p)
     return preds
 
 

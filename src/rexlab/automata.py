@@ -19,8 +19,8 @@ targets ``targets[starts[s]:starts[s + 1]]``.  A Glushkov NFA keeps a
 row and one offset per state with bit ``q`` of ``rows[p] << lows[p]`` set
 for each target ``q``, and one entry code per state, the index of the one
 symbol that enters it (-1 for none).  Each store is a read-only set of
-``(p, symbol, q)`` triples that reads one slot (:meth:`Nfa.successors`),
-all ``k`` slots of one state in one call, or its ``(slot, q)`` edges.
+``(p, symbol, q)`` triples with two readers: ``_state_edges(p)``, one state's
+``(c, q)`` edges, and ``_slot_edges()``, the ``(slot, q)`` edges of all states.
 The constructors turn triples, or a store of another kind, into their own
 kind and keep nothing else; the constructions write a table or an index
 directly.  :func:`parse_automaton` streams a file's triples into the DFA
@@ -191,12 +191,12 @@ class _FrozenView(Set):
 class _TripleView(_FrozenView):
     """Read-only set of ``(p, symbol, q)`` triples over one transition store.
 
-    A store keeps ``alphabet`` and answers ``_slot_targets(slot)``, the
-    ascending targets of one slot; ``_state_slots(p)``, those of state
-    ``p``'s ``k`` slots in symbol order; ``_slot_edges()``, its ``(slot, q)``
-    pairs state by state; ``_check(alphabet, n_states)``, which raises
-    ``ValueError`` unless it fits that automaton; and ``len``.  Equality
-    agrees with the frozenset of the same triples.
+    A store keeps ``alphabet`` and has two readers: ``_state_edges(p)``,
+    the ``(c, q)`` edges of state ``p >= 0``, targets ascending within each
+    symbol and none for a state it does not hold, and ``_slot_edges()``, all
+    its ``(slot, q)`` pairs state by state.  It also has ``_check(alphabet,
+    n_states)``, which raises ``ValueError`` unless it fits that automaton,
+    and ``len``.  Equality agrees with the frozenset of the same triples.
     """
 
     __slots__ = ()
@@ -209,7 +209,17 @@ class _TripleView(_FrozenView):
             return False
         if c is None or not isinstance(p, int) or p < 0:
             return False
-        return q in self._slot_targets(p * len(self.alphabet) + c)  # type: ignore[attr-defined]
+        return (c, q) in self._state_edges(p)  # type: ignore[attr-defined]
+
+    def _state_slots(self, p: int) -> list:
+        """The targets of state ``p``'s ``k`` slots in symbol order, ascending."""
+        slots: list = [()] * len(self.alphabet.names)  # type: ignore[attr-defined]
+        for c, q in self._state_edges(p):  # type: ignore[attr-defined]
+            if slots[c]:
+                slots[c].append(q)
+            else:
+                slots[c] = [q]
+        return slots
 
     def __iter__(self):
         names = self.alphabet.names  # type: ignore[attr-defined]
@@ -288,13 +298,9 @@ class TransitionTable(_TripleView):
     def __len__(self) -> int:
         return len(self.table) - _lane_scan(self.table, None)[0]
 
-    def _slot_targets(self, slot: int):
-        table = self.table
-        return (table[slot],) if slot < len(table) and table[slot] >= 0 else ()
-
-    def _state_slots(self, p: int):
+    def _state_edges(self, p: int):
         k = len(self.alphabet.names)
-        return [() if q < 0 else (q,) for q in self.table[p * k:p * k + k]]
+        return [(c, q) for c, q in enumerate(self.table[p * k:p * k + k]) if q >= 0]
 
     def _slot_edges(self):
         return ((slot, q) for slot, q in enumerate(self.table) if q >= 0)
@@ -327,16 +333,11 @@ class TransitionIndex(_TripleView):
     def __len__(self) -> int:
         return len(self.targets)
 
-    def _slot_targets(self, slot: int):
-        starts = self.starts
-        if slot + 1 >= len(starts):
-            return ()
-        return self.targets[starts[slot]:starts[slot + 1]]
-
-    def _state_slots(self, p: int):
+    def _state_edges(self, p: int):
         k = len(self.alphabet.names)
         bounds, targets = self.starts[p * k:p * k + k + 1], self.targets
-        return [targets[a:b] if a != b else () for a, b in zip(bounds, islice(bounds, 1, None))]
+        return [(c, q) for c in compress(count(), map(ne, bounds, islice(bounds, 1, None)))
+                for q in targets[bounds[c]:bounds[c + 1]]]
 
     def _slot_edges(self):
         starts, targets = self.starts, self.targets
@@ -378,24 +379,18 @@ class TransitionMasks(_TripleView):
     def __len__(self) -> int:
         return sum(map(int.bit_count, self.rows))
 
-    def _slot_targets(self, slot: int):
-        p, c = divmod(slot, len(self.alphabet.names))
+    def _state_edges(self, p: int):
         if p >= len(self.rows):
-            return ()
-        codes, low = self.codes, self.lows[p]
-        return tuple(q for q in map(low.__add__, iter_bits(self.rows[p])) if codes[q] == c)
-
-    def _state_slots(self, p: int):
-        codes, low = self.codes, self.lows[p]
-        slots: list = [()] * len(self.alphabet.names)  # a list once it has a target
-        for q in iter_bits(self.rows[p]):
-            q += low
-            c = codes[q]
-            if slots[c]:
-                slots[c].append(q)
-            else:
-                slots[c] = [q]
-        return slots
+            return []
+        # Lowest bit first, with no generator resumed per bit.
+        row, codes, base = self.rows[p], self.codes, self.lows[p] - 1
+        edges = []
+        while row:
+            low = row & -row
+            q = base + low.bit_length()
+            edges.append((codes[q], q))
+            row ^= low
+        return edges
 
     def _slot_edges(self):
         k, codes = len(self.alphabet.names), self.codes
@@ -548,10 +543,10 @@ class Nfa:
     def size(self) -> int:
         return self.n_states + len(self.transitions)
 
-    def successors(self, p: int, c: int):
+    def successors(self, p: int, c: int) -> tuple[int, ...]:
         """Targets of state ``p`` on the ``c``-th symbol, ascending; none when out of range."""
-        if 0 <= p < self.n_states and 0 <= c < len(self.alphabet.names):
-            return self.transitions._slot_targets(p * len(self.alphabet.names) + c)
+        if 0 <= p < self.n_states:
+            return tuple(q for d, q in self.transitions._state_edges(p) if d == c)
         return ()
 
     def step(self, states: frozenset[int], symbol: str) -> frozenset[int]:
@@ -681,15 +676,15 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
 # Extended regexes
 # ---------------------------------------------------------------------------
 
-# A combinator value is ``(n_states, initial, finals, edges)``: ``finals`` is a
-# list of states and ``edges`` a list of ints, the edge ``(p, c, q)`` coded as
-# ``p * row + c * stride + q`` with ``row = k * stride``.  Shifting every
-# state by ``d`` adds ``d * (row + 1)`` to each code.
+# A combinator value is ``(n_states, finals, edges)``, its initial state 0:
+# ``finals`` is a list of states and ``edges`` a list of ints, the edge
+# ``(p, c, q)`` coded as ``p * row + c * stride + q`` with ``row = k * stride``.
+# Shifting every state by ``d`` adds ``d * (row + 1)`` to each code.
 
 def _shifted(value: tuple, offset: int, row: int) -> tuple:
-    n, initial, finals, edges = value
+    n, finals, edges = value
     step = offset * (row + 1)
-    return n, initial + offset, [q + offset for q in finals], [e + step for e in edges]
+    return n, [q + offset for q in finals], [e + step for e in edges]
 
 
 def _out_edges(edges: list[int], p: int, row: int) -> list[int]:
@@ -699,48 +694,49 @@ def _out_edges(edges: list[int], p: int, row: int) -> list[int]:
 
 
 def _union(a: tuple, b: tuple, row: int) -> tuple:
-    # Fresh initial state 0 copying both initial states' outgoing edges.
-    na, ia, fa, ea = _shifted(a, 1, row)
-    nb, ib, fb, eb = _shifted(b, 1 + na, row)
+    # Fresh initial state 0 copying both old initial states' outgoing edges.
+    na, fa, ea = _shifted(a, 1, row)
+    nb, fb, eb = _shifted(b, 1 + na, row)
     finals = fa + fb
-    if ia in fa or ib in fb:
+    if 1 in fa or 1 + na in fb:
         finals.append(0)
-    return 1 + na + nb, 0, finals, ea + eb + _out_edges(ea, ia, row) + _out_edges(eb, ib, row)
+    return 1 + na + nb, finals, ea + eb + _out_edges(ea, 1, row) + _out_edges(eb, 1 + na, row)
 
 
 def _concat(a: tuple, b: tuple, row: int) -> tuple:
-    na, ia, fa, ea = a
-    nb, ib, fb, eb = _shifted(b, na, row)
-    b_init_out = _out_edges(eb, ib, row)
+    na, fa, ea = a
+    nb, fb, eb = _shifted(b, na, row)
+    b_init_out = _out_edges(eb, na, row)
     edges = ea + eb + [f * row + t for f in fa for t in b_init_out]
-    return na + nb, ia, fb + fa if ib in fb else fb, edges
+    return na + nb, fb + fa if na in fb else fb, edges
 
 
 def _repeat(a: tuple, at_least_one: bool, row: int) -> tuple:
     # Fresh initial state 0; accepting states loop back through copies of the
     # old initial state's outgoing edges, which some of them may hold already.
-    na, ia, fa, ea = _shifted(a, 1, row)
-    init_out = _out_edges(ea, ia, row)
+    na, fa, ea = _shifted(a, 1, row)
+    init_out = _out_edges(ea, 1, row)
     have = set(ea)
     loops = [e for f in [0, *fa] for t in init_out if (e := f * row + t) not in have]
-    finals = fa + [0] if not at_least_one or ia in fa else fa
-    return na + 1, 0, finals, ea + loops
+    finals = fa + [0] if not at_least_one or 1 in fa else fa
+    return na + 1, finals, ea + loops
 
 
 def _as_value(v, stride: int) -> tuple:
-    """A node value as a combinator value; an automaton is read off its store."""
+    """A node value as a combinator value; an automaton, numbered from 0 by
+    the product or complement that made it, is read off its store."""
     if not isinstance(v, Nfa):
         return v
     edges = [slot * stride + q for slot, q in v.transitions._slot_edges()]
-    return v.n_states, v.initial, list(v.finals), edges
+    return v.n_states, list(v.finals), edges
 
 
 def _as_automaton(v, sigma: Alphabet, stride: int) -> Nfa:
     """A node value as an automaton; a combinator value gets one slot index."""
     if isinstance(v, Nfa):
         return v
-    n, initial, finals, edges = v
-    return Nfa(sigma, n, initial, _final_flags(finals, n), _slot_index(sigma, n, edges, stride))
+    n, finals, edges = v
+    return Nfa(sigma, n, 0, _final_flags(finals, n), _slot_index(sigma, n, edges, stride))
 
 
 def extended_to_nfa(r: Regex, alphabet: Optional[Alphabet] = None,
@@ -775,12 +771,12 @@ def extended_to_nfa(r: Regex, alphabet: Optional[Alphabet] = None,
     for node in iter_postorder(r):
         budget.checkpoint()
         if isinstance(node, (Empty, Epsilon)):
-            value = (1, 0, [0] if isinstance(node, Epsilon) else [], [])
+            value = (1, [0] if isinstance(node, Epsilon) else [], [])
         elif isinstance(node, Sym):
             c = code.get(node.sym)  # type: ignore[arg-type]
             if c is None:
                 raise ValueError(f"symbol {node.sym!r} not in the declared alphabet")
-            value = (2, 0, [1], [c * stride + 1])
+            value = (2, [1], [c * stride + 1])
         elif isinstance(node, Intersect):
             b, a = values.pop(), values.pop()
             value = product(_as_automaton(a, sigma, stride), _as_automaton(b, sigma, stride),
@@ -1230,11 +1226,18 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
     _require_same_alphabet(a, b)
     if isinstance(a, Dfa) and isinstance(b, Dfa):
         return _dfa_product(a, b, max_states)
-    # A right state's dict is made when a pair first reaches it.
-    by_right: list[Optional[dict]] = [None] * b.n_states
-    by_right[b.initial] = {a.initial: 0}
-    starts, targets = array("i", [0]), array("i")
+    # Right state ``q``'s record, made when a pair first reaches it, is its
+    # slots and the dict of its pairs' numbers by left state, so each right
+    # state is read once; a left state is read once per pair.
+    by_right: list[Optional[tuple]] = [None] * b.n_states
     slots_a, slots_b = a.transitions._state_slots, b.transitions._state_slots
+
+    def record(q: int) -> tuple:
+        by_right[q] = rec = (slots_b(q), {})
+        return rec
+
+    record(b.initial)[1][a.initial] = 0
+    starts, targets = array("i", [0]), array("i")
     fa, fb = a.finals.flags, b.finals.flags
     # ``lefts`` and ``rights`` hold the sides of the pairs still to walk,
     # and of at most ``chunk`` walked ones, dropped after each step.  A step
@@ -1249,13 +1252,11 @@ def product(a: Nfa, b: Nfa, max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
     while lefts:
         for walked, p, q in zip(range(1, chunk + 1), lefts, rights):
             budget.checkpoint()
-            for pa, pb in zip(slots_a(p), slots_b(q)):
+            for pa, pb in zip(slots_a(p), by_right[q][0]):
                 lo = len(targets)
                 for p2 in pa:
                     for q2 in pb:
-                        ids = by_right[q2]
-                        if ids is None:
-                            ids = by_right[q2] = {}
+                        ids = (by_right[q2] or record(q2))[1]
                         dst = ids.get(p2)
                         if dst is None:
                             if n_out >= max_states:

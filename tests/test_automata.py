@@ -1140,7 +1140,7 @@ class TestIndexCore:
     def test_well_formed_index_accepted(self):
         a = Nfa(AB, 2, 0, frozenset([1]), TransitionIndex(AB, [0, 1, 1, 1, 2], [1, 0]))
         assert a.transitions == {(0, "a", 1), (1, "b", 0)}
-        assert a.successors(0, 0) == array("i", [1]) and not a.successors(0, 1)
+        assert a.successors(0, 0) == (1,) and not a.successors(0, 1)
 
     # ``codes[q]`` is the code of the symbol that enters state q, as the
     # Glushkov construction numbers them; code -1 enters q on no symbol.
@@ -1431,7 +1431,7 @@ class TestMaskBackedIndex:
         # NFA of the polynomial complement, whose rows and entry codes the
         # subset construction takes as they are, with no walk over its edges.
         walks = []
-        for name in ("_slot_edges", "_slot_targets", "_state_slots"):
+        for name in ("_slot_edges", "_state_edges"):
             read = getattr(TransitionMasks, name)
             monkeypatch.setattr(TransitionMasks, name, lambda self, *args, read=read:
                                 walks.append(1) or read(self, *args))
@@ -1527,6 +1527,12 @@ class TestStoresAgree:
                         q for p2, s2, q in triples if (p2, s2) == (p, s))
                     for q in range(n + 1):
                         assert ((p, s, q) in trans) == ((p, s, q) in triples)
+            for p in range(n + 1):
+                edges = list(trans._state_edges(p))
+                assert sorted(edges) == sorted((code[s], q) for p2, s, q in triples if p2 == p)
+                # A stable sort by symbol keeps each symbol's targets in the
+                # order read, which must already be ascending.
+                assert sorted(edges, key=operator.itemgetter(0)) == sorted(edges)
             for p in range(n):
                 assert list(map(list, trans._state_slots(p))) == [
                     sorted(q for p2, s2, q in triples if (p2, s2) == (p, s))
@@ -1562,29 +1568,51 @@ class TestStoresAgree:
         assert a.step(frozenset([-1, n]), "a") == frozenset()
         assert a.step(frozenset([-1, 0]), "a") == a.step(frozenset([0]), "a") != frozenset()
 
+    @staticmethod
+    def product_pairs(a, b):
+        """The reachable pairs of ``a`` and ``b``, read off their triples."""
+        ta, tb = frozenset(a.transitions), frozenset(b.transitions)
+        seen = {(a.initial, b.initial)}
+        stack = list(seen)
+        while stack:
+            p, q = stack.pop()
+            for pair in {(p2, q2) for p1, s, p2 in ta if p1 == p
+                         for q1, s2, q2 in tb if (q1, s2) == (q, s)} - seen:
+                seen.add(pair)
+                stack.append(pair)
+        return seen
+
     def test_walks_read_each_state_in_one_call(self, monkeypatch):
-        # The product's slot walk reads each side's slots once per pair, and
-        # the analysis walks once per state; none reads one slot at a time.
+        # The product's slot walk reads a left state's edges once per pair
+        # and a right state's once; the analysis walks read each state's
+        # edges once and never group them by symbol.
         reads = Counter()
         for store in (TransitionTable, TransitionIndex, TransitionMasks):
-            for name in ("_state_slots", "_slot_targets"):
-                monkeypatch.setattr(store, name, lambda self, x, read=getattr(store, name),
-                                    name=name: reads.update([name]) or read(self, x))
+            for name in ("_state_edges", "_state_slots"):
+                read = getattr(store, name)
+                monkeypatch.setattr(store, name, lambda self, p, read=read, name=name:
+                                    reads.update([(name, id(self), p)]) or read(self, p))
         rng = random.Random(1717)
         g = glushkov(parse("(a|b)*a(a|b)b*", AB))
         nfa, dfa = random_nfa(rng, AB, 5), random_dfa(rng, AB, 4)
         assert [type(x.transitions) for x in (g, nfa, dfa)] == [
             TransitionMasks, TransitionIndex, TransitionTable]
         for a, b in ((g, nfa), (nfa, dfa), (dfa, g), (g, g)):
+            pairs = self.product_pairs(a, b)
+            sa, sb = id(a.transitions), id(b.transitions)
+            # A left state once per pair, a right state once.
+            rights = {q for _, q in pairs}
+            want = Counter((sa, p) for p, _ in pairs) + Counter((sb, q) for q in rights)
             reads.clear()
-            p = product(a, b)
-            assert reads == {"_state_slots": 2 * p.n_states}
+            assert product(a, b).n_states == len(pairs)
+            assert reads == Counter({(name, *key): n for key, n in want.items()
+                                     for name in ("_state_edges", "_state_slots")})
             reads.clear()
             analysis._predecessors(a)
-            assert reads == {"_state_slots": a.n_states}
+            assert reads == Counter(("_state_edges", sa, p) for p in range(a.n_states))
             reads.clear()
             reached = analysis._reach([a.initial], analysis._successors_on(a, range(2)))
-            assert reads == {"_state_slots": len(reached)}
+            assert reads == Counter(("_state_edges", sa, p) for p in reached)
 
 
 class TestComplement:
@@ -2471,7 +2499,7 @@ class TestSerialization:
         d = parse_automaton(head + "trans: 0 a 1\ntrans: 0 b 1\ntrans: 1 a 1\n")
         nfa = parse_automaton(head + "trans: 0 a 1\ntrans: 0 a 0\n")
         assert isinstance(d, Dfa) and d.transitions == {(0, "a", 1), (0, "b", 1), (1, "a", 1)}
-        assert type(nfa) is Nfa and nfa.successors(0, 0) == array("i", [0, 1])
+        assert type(nfa) is Nfa and nfa.successors(0, 0) == (0, 1)
 
     @pytest.mark.parametrize("body, message", [
         # A format error on any line comes before every range or symbol error.
