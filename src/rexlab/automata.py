@@ -26,10 +26,10 @@ kind and keep nothing else; the constructions write a table or an index
 directly.  :func:`parse_automaton` streams a file's triples into the DFA
 constructor and, when two of them share a slot, into the NFA constructor.
 
-The extended-regex combinators of :func:`extended_to_nfa` pass int edge
-lists from node to node, an edge ``(p, c, q)`` coded as one int so that
-renumbering the states is one addition per edge, and write one index for an
-operand of a product or a subset construction and for the result.
+:func:`extended_to_nfa` writes each edge once, in the numbering of one
+pre-order walk, to one int list: ``(p, c, q)`` is one int, so moving a span
+of states is one addition per edge.  An operand of a product or a subset
+construction, and the result, is cut from the end of the list into an index.
 
 Subset construction takes one successor int per NFA state: the rows of a
 mask store shifted by their offsets, for any other store an OR over its
@@ -127,6 +127,7 @@ from .rex import (
     Sym,
     Union,
     _position_masks,
+    children,
     iter_bits,
     iter_postorder,
     sconcat,
@@ -585,6 +586,11 @@ class Dfa(Nfa):
             table[slot] = q
         return TransitionTable(self.alphabet, table)
 
+    def successors(self, p: int, c: int) -> tuple[int, ...]:
+        k = len(self.alphabet.names)
+        q = self.table[p * k + c] if 0 <= p < self.n_states and 0 <= c < k else -1
+        return (q,) if q >= 0 else ()
+
     @classmethod
     def from_table(cls, alphabet: Alphabet, n_states: int, initial: int,
                    finals: Iterable[int], table: Iterable[int]) -> "Dfa":
@@ -676,69 +682,6 @@ def glushkov(r: Regex, alphabet: Optional[Alphabet] = None) -> Nfa:
 # Extended regexes
 # ---------------------------------------------------------------------------
 
-# A combinator value is ``(n_states, finals, edges)``, its initial state 0:
-# ``finals`` is a list of states and ``edges`` a list of ints, the edge
-# ``(p, c, q)`` coded as ``p * row + c * stride + q`` with ``row = k * stride``.
-# Shifting every state by ``d`` adds ``d * (row + 1)`` to each code.
-
-def _shifted(value: tuple, offset: int, row: int) -> tuple:
-    n, finals, edges = value
-    step = offset * (row + 1)
-    return n, [q + offset for q in finals], [e + step for e in edges]
-
-
-def _out_edges(edges: list[int], p: int, row: int) -> list[int]:
-    """The edges leaving ``p`` with their source taken off: ``c * stride + q``."""
-    lo = p * row
-    return [e - lo for e in edges if lo <= e < lo + row]
-
-
-def _union(a: tuple, b: tuple, row: int) -> tuple:
-    # Fresh initial state 0 copying both old initial states' outgoing edges.
-    na, fa, ea = _shifted(a, 1, row)
-    nb, fb, eb = _shifted(b, 1 + na, row)
-    finals = fa + fb
-    if 1 in fa or 1 + na in fb:
-        finals.append(0)
-    return 1 + na + nb, finals, ea + eb + _out_edges(ea, 1, row) + _out_edges(eb, 1 + na, row)
-
-
-def _concat(a: tuple, b: tuple, row: int) -> tuple:
-    na, fa, ea = a
-    nb, fb, eb = _shifted(b, na, row)
-    b_init_out = _out_edges(eb, na, row)
-    edges = ea + eb + [f * row + t for f in fa for t in b_init_out]
-    return na + nb, fb + fa if na in fb else fb, edges
-
-
-def _repeat(a: tuple, at_least_one: bool, row: int) -> tuple:
-    # Fresh initial state 0; accepting states loop back through copies of the
-    # old initial state's outgoing edges, which some of them may hold already.
-    na, fa, ea = _shifted(a, 1, row)
-    init_out = _out_edges(ea, 1, row)
-    have = set(ea)
-    loops = [e for f in [0, *fa] for t in init_out if (e := f * row + t) not in have]
-    finals = fa + [0] if not at_least_one or 1 in fa else fa
-    return na + 1, finals, ea + loops
-
-
-def _as_value(v, stride: int) -> tuple:
-    """A node value as a combinator value; an automaton, numbered from 0 by
-    the product or complement that made it, is read off its store."""
-    if not isinstance(v, Nfa):
-        return v
-    edges = [slot * stride + q for slot, q in v.transitions._slot_edges()]
-    return v.n_states, list(v.finals), edges
-
-
-def _as_automaton(v, sigma: Alphabet, stride: int) -> Nfa:
-    """A node value as an automaton; a combinator value gets one slot index."""
-    if isinstance(v, Nfa):
-        return v
-    n, finals, edges = v
-    return Nfa(sigma, n, 0, _final_flags(finals, n), _slot_index(sigma, n, edges, stride))
-
-
 def extended_to_nfa(r: Regex, alphabet: Optional[Alphabet] = None,
                     max_states: int = budget.DEFAULT_MAX_STATES) -> Nfa:
     """Compile a full extended regex to an NFA.
@@ -749,10 +692,16 @@ def extended_to_nfa(r: Regex, alphabet: Optional[Alphabet] = None,
     below 2^size.  Negation requires a declared alphabet, since the complement
     is taken relative to it.
 
-    The combinators work on int edge lists and build no automaton: an
-    :class:`Nfa` is built only for an operand of an intersection or a
-    negation, and for the result, each with one slot index.  Every node's
-    state count is checked against ``max_states``.  The oracles of
+    One iterative walk numbers the states in pre-order: a ``Union``, ``Star``
+    or ``Plus`` takes a fresh initial state before its operands, a symbol two
+    states, ``%e`` and ``%0`` one each.  Each edge is written once, in its
+    final numbering, to one int list.  A node's value is its finals, its
+    initial state's edges and whether it is nullable, so no combinator scans
+    or copies an edge list.  An operand of an intersection or a negation, and
+    the result, is cut from the end of the list into an :class:`Nfa`
+    numbered from 0; the product or complement then takes the operand's
+    place.  Every node's state count is checked against ``max_states``, and
+    the budget is polled once per node in post-order.  The oracles of
     :mod:`rexlab.analysis` and the CLI's ``to-nfa`` and ``complement``
     compile a plain expression by :func:`glushkov` instead.
     """
@@ -762,41 +711,91 @@ def extended_to_nfa(r: Regex, alphabet: Optional[Alphabet] = None,
         alphabet = _derived_alphabet(symbols_of(r), None)
     sigma = alphabet
     code = sigma.index
-    # Before its check a node has at most 2 * max_states + 1 states (a union
-    # of two checked operands), so every state fits below the stride.
+    # The edge (p, c, q) is the int p * row + c * stride + q, so moving both
+    # ends down by o subtracts o * (row + 1).  Codes are decoded, or compared,
+    # only within a node's states moved down to 0, at most 2 * max_states + 1
+    # of them before its check (a union of two checked operands).
     stride = 2 * max(max_states, 0) + 2
     row = len(sigma) * stride
-
+    edges: list[int] = []
+    # Per finished node: an automaton, or (finals, the initial state's edges
+    # as c * stride + q, nullable), of states o..n-1 and edges from mark on.
     values: list = []
-    for node in iter_postorder(r):
+    n = 0
+
+    def cut(o: int, mark: int) -> Nfa:
+        nonlocal n
+        m, n = n - o, o
+        keys = [e - o * (row + 1) for e in edges[mark:]]
+        del edges[mark:]
+        finals = _final_flags([q - o for q in values.pop()[0]], m)
+        return Nfa(sigma, m, 0, finals, _slot_index(sigma, m, keys, stride))
+
+    # (node, whole, None) to meet, (node, whole, (o, mark)) to finish; a whole
+    # node, the root or an operand of a product or complement, is cut.
+    stack: list = [(r, True, None)]
+    while stack:
+        node, whole, at = stack.pop()
+        if at is None:
+            at = n, len(edges)
+            kids = children(node)
+            if kids:
+                stack.append((node, whole, at))
+                n += isinstance(node, (Union, Star, Plus))
+                cut_kids = isinstance(node, (Intersect, Negate))
+                stack += [(kid, cut_kids, None) for kid in reversed(kids)]
+                continue
         budget.checkpoint()
-        if isinstance(node, (Empty, Epsilon)):
-            value = (1, [0] if isinstance(node, Epsilon) else [], [])
-        elif isinstance(node, Sym):
+        o, mark = at
+        if isinstance(node, Sym):
             c = code.get(node.sym)  # type: ignore[arg-type]
             if c is None:
                 raise ValueError(f"symbol {node.sym!r} not in the declared alphabet")
-            value = (2, [1], [c * stride + 1])
+            n += 2
+            edges.append(o * row + c * stride + o + 1)
+            value = ([o + 1], [c * stride + o + 1], False)
+        elif isinstance(node, (Concat, Union)):
+            (fa, ia, na), (fb, ib, nb) = values[-2:]
+            del values[-2:]
+            if isinstance(node, Union):
+                edges += [o * row + t for t in ia + ib]
+                value = (fa + fb + [o] if na or nb else fa + fb, ia + ib, na or nb)
+            else:
+                edges += [f * row + t for f in fa for t in ib]
+                value = (fb + fa if nb else fb, ia + ib if na else ia, na and nb)
+        elif isinstance(node, (Star, Plus)):
+            # Each final state loops back through copies of the initial
+            # state's edges, which the body's own edges may hold already.
+            finals, init, nullable = values.pop()
+            have = set(edges[mark:])
+            edges += [e for f in [o, *finals] for t in init if (e := f * row + t) not in have]
+            nullable = nullable or isinstance(node, Star)
+            value = (finals + [o] if nullable else finals, init, nullable)
+        elif isinstance(node, (Empty, Epsilon)):
+            n += 1
+            value = ([o], [], True) if isinstance(node, Epsilon) else ([], [], False)
         elif isinstance(node, Intersect):
             b, a = values.pop(), values.pop()
-            value = product(_as_automaton(a, sigma, stride), _as_automaton(b, sigma, stride),
-                            max_states=max_states)
+            value = product(a, b, max_states=max_states)
         elif isinstance(node, Negate):
-            inner = _as_automaton(values.pop(), sigma, stride)
             # Minimising first keeps nested negations feasible at desk scale.
-            value = complement_dfa(minimize(determinize(inner, max_states=max_states)))
-        elif isinstance(node, (Concat, Union)):
-            b, a = _as_value(values.pop(), stride), _as_value(values.pop(), stride)
-            value = (_concat if isinstance(node, Concat) else _union)(a, b, row)
-        elif isinstance(node, (Star, Plus)):
-            value = _repeat(_as_value(values.pop(), stride), isinstance(node, Plus), row)
+            value = complement_dfa(minimize(determinize(values.pop(), max_states=max_states)))
         else:  # pragma: no cover
             raise TypeError(f"unknown node {node!r}")
-        if (value.n_states if isinstance(value, Nfa) else value[0]) > max_states:
+        automaton = isinstance(value, Nfa)
+        if (value.n_states if automaton else n - o) > max_states:
             raise budget.BudgetExceededError(
                 f"intermediate automaton exceeds {max_states} states")
+        if automaton and not whole:
+            # The product or complement takes the place of its operands.
+            trans, n = value.transitions, o + value.n_states
+            edges += [slot * stride + q + o * (row + 1) for slot, q in trans._slot_edges()]
+            value = ([q + o for q in value.finals],
+                     [c * stride + q + o for c, q in trans._state_edges(0)], 0 in value.finals)
         values.append(value)
-    return _as_automaton(values[0], sigma, stride)
+        if whole and not automaton:
+            values.append(cut(o, mark))
+    return values[0]
 
 
 # ---------------------------------------------------------------------------

@@ -254,10 +254,69 @@ class TestExtended:
     @settings(max_examples=200)
     @given(extended_regexes("ab", max_leaves=7), st.sampled_from([AB, ABC, A, None]),
            st.sampled_from([1, 2, 3, 5, 8, budget.DEFAULT_MAX_STATES]))
+    # A product or complement placed past state 0, as a Union's right operand.
+    @example(Union(Sym("a"), Intersect(Star(Sym("a")), Star(Union(Sym("a"), Sym("b"))))),
+             AB, budget.DEFAULT_MAX_STATES)
+    @example(Union(Concat(Sym("a"), Sym("b")), Negate(Sym("a"))), AB, budget.DEFAULT_MAX_STATES)
+    # A product or complement as the body of a Star or Plus.
+    @example(Star(Intersect(Sym("a"), Union(Sym("a"), Sym("b")))), AB, budget.DEFAULT_MAX_STATES)
+    @example(Plus(Negate(Concat(Sym("a"), Sym("b")))), AB, budget.DEFAULT_MAX_STATES)
+    # A complement at the root is returned as the Dfa it is.
+    @example(Negate(Concat(Sym("a"), Star(Sym("b")))), AB, budget.DEFAULT_MAX_STATES)
+    # max_states equal to an operand's size, then one below it.
+    @example(Intersect(Star(Sym("a")), Sym("a")), AB, 3)
+    @example(Intersect(Star(Sym("a")), Sym("a")), AB, 2)
+    @example(Union(Sym("b"), Negate(Sym("b"))), AB, 6)
+    @example(Star(Negate(Sym("b"))), AB, 3)
     def test_matches_triple_combinators_on_every_node(self, r, sigma, max_states):
         # Plus, %e and %0 leaves, marked symbols and nested negations.
         want = _compiled(extended_to_nfa_by_triples, r, sigma, max_states)
         assert _compiled(extended_to_nfa, r, sigma, max_states) == want
+
+    def test_pinned_star_over_a_product(self):
+        # b(C60 & (a|b)*)*, C60 the polynomial complement of a^60: the
+        # product is placed at state 3, past the b and the Star's fresh
+        # state, and as the Star's body loops back through its own initial
+        # edges.  Digest pinned from the combinators that shifted and
+        # rescanned every operand's edges.
+        c60 = complement_unambiguous(parse("a" * 60, AB), AB)
+        r = Concat(Sym("b"), Star(Intersect(c60, Star(Union(Sym("a"), Sym("b"))))))
+        nfa = extended_to_nfa(r, AB)
+        assert nfa.n_states == 2018
+        assert hashlib.sha256(serialize(nfa).encode()).hexdigest() == (
+            "2f7fbc7de6a8a8b93213a55a77fc8ed909303ec9ac97a7d4202e52b2e98974ab")
+
+    def test_deep_chains(self):
+        # The walk keeps its own stack, so depth costs no Python frames.
+        r = Sym("a")
+        for _ in range(9_999):
+            r = Concat(Sym("a"), r)  # a(a(...a)) of depth 10,000
+        assert equivalent(extended_to_nfa(r, A), glushkov(r, A))
+        operands = [Star(Sym("a")), Star(Union(Sym("a"), Sym("b")))]
+        r = operands[0]
+        for i in range(2_000):
+            r = Intersect(r, operands[i % 2])  # left-nested, a* in all
+        nfa = extended_to_nfa(r, AB)
+        assert equivalent(nfa, glushkov(Star(Sym("a")), AB))
+        assert not equivalent(nfa, glushkov(Star(Union(Sym("a"), Sym("b"))), AB))
+
+    @pytest.mark.parametrize("text", ["a", "%e", "(a|b)*a(%e|b)+", "((ab)*|%0)(a|%e)*b"])
+    def test_polls_once_per_node(self, text):
+        r = parse(text, AB)
+        counter = CountingToken()
+        with budget.active(counter):
+            extended_to_nfa(r, AB)
+        assert counter.polls == sum(1 for _ in rex.iter_postorder(r))
+
+    def test_polynomial_complement_through_products(self):
+        # C40 = complement_unambiguous(a^40) partitions the words with a^40:
+        # their union is every word and their product is empty.
+        r = parse("a" * 40, AB)
+        c40 = complement_unambiguous(r, AB)
+        union, meet = extended_to_nfa(Union(c40, r), AB), extended_to_nfa(Intersect(c40, r), AB)
+        assert equivalent(union, glushkov(parse("(a|b)*", AB), AB))
+        assert equivalent(meet, glushkov(EMPTY, AB))
+        assert not equivalent(union, glushkov(parse("a*", AB), AB))
 
 
 def _compiled(compile_, r, sigma, max_states):
@@ -2429,6 +2488,17 @@ class TestAccepts:
     def test_unknown_symbol(self):
         with pytest.raises(ValueError):
             accepts(glushkov(parse("a", A)), "b")
+
+    def test_dfa_reads_one_slot(self, monkeypatch):
+        # A DFA step reads its one table slot, not the state's k-slot row,
+        # and answers as the row walk does, out of range included.
+        d = z_dfa(5)
+        cells = [(p, c) for p in range(-1, d.n_states + 1) for c in range(-1, len(d.alphabet) + 1)]
+        want = [Nfa.successors(d, p, c) for p, c in cells]
+        monkeypatch.setattr(TransitionTable, "_state_edges", None)
+        assert [d.successors(p, c) for p, c in cells] == want
+        assert accepts(d, ["a(0,2)", "a(2,2)", "a(2,1)"])
+        assert not accepts(d, ["a(0,2)", "a(1,2)"])
 
 
 class TestSerialization:
