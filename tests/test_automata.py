@@ -1078,12 +1078,9 @@ class TestLaneScan:
         specials = st.sampled_from(self.specials(n))
         slot = st.integers(-2**31, 2**31 - 1) | st.integers(-1, 3) | specials
         table = array("i", data.draw(st.lists(slot, max_size=120)))
-        lo = data.draw(st.integers(0, len(table)))
-        hi = data.draw(st.integers(lo, len(table)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(automata, "_TABLE_BLOCK", block)
             assert automata._lane_scan(table, n) == lane_scan_by_slots(table, n)
-            assert automata._lane_scan(table, n, lo, hi) == lane_scan_by_slots(table[lo:hi], n)
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_fill_missing_searches_negative_lanes(self, monkeypatch, block):
@@ -1100,6 +1097,30 @@ class TestLaneScan:
             want = array("i", [9 if t < 0 else t for t in table])
             before = array("i", table)
             assert automata._fill_missing(table, 9) == want and table == before
+            # Every slot missing, and only the last one.
+            table = array("i", [-1]) * length
+            assert automata._fill_missing(table, 9) == array("i", [9]) * length
+            table = array("i", [rng.randrange(5) for _ in range(length - 1)] + [-1])
+            want = table[:-1] + array("i", [9])
+            assert automata._fill_missing(table, 9) == want and table[-1] == -1
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_fill_polls_once_per_block(self, monkeypatch, block):
+        # One poll per ``_TABLE_BLOCK`` slots, whether the table has missing
+        # slots (and is copied) or none (and is shared).
+        monkeypatch.setattr(automata, "_TABLE_BLOCK", block)
+        rng = random.Random(block)
+        for length in (0, 1, block - 1, block, 2 * block + 1, 100):
+            full = array("i", [rng.randrange(5) for _ in range(length)])
+            partial = array("i", full)
+            for at in rng.sample(range(length), min(length, 2)):
+                partial[at] = -1
+            for table in (full, partial):
+                token = CountingToken()
+                with budget.active(token):
+                    out = automata._fill_missing(table, 9)
+                assert token.polls == -(-length // block)
+                assert (out is table) == (table is full or not length)
 
 
 class TestIndexCore:
@@ -1507,19 +1528,25 @@ class TestMaskBackedIndex:
         assert masked >= 3 and not walks
 
     def test_edge_walk_reads_only_the_rows(self, monkeypatch):
-        # Each bit ``iter_bits`` yields in the edge walk is one edge: the
-        # walk reads each state's entry code, not a mask per symbol.
+        # The edge walk reads one entry code per edge, its target's, and
+        # builds no mask per symbol.
         g = glushkov(complement_unambiguous(parse("a" * 20, AB), AB), AB)
-        assert type(g.transitions) is TransitionMasks
-        edges = len(g.transitions)
-        bits = []
+        m = g.transitions
+        assert type(m) is TransitionMasks
+        want = list(m._slot_edges())
+        reads = []
 
-        def counted(mask):
-            for q in rex.iter_bits(mask):
-                bits.append(q)
-                yield q
-        monkeypatch.setattr(automata, "iter_bits", counted)
-        assert len(list(g.transitions._slot_edges())) == len(bits) == edges
+        class CountedCodes(list):
+            def __getitem__(self, q):
+                reads.append(q)
+                return super().__getitem__(q)
+
+        def refused(*args):
+            raise AssertionError("entry masks built for the edge walk")
+        monkeypatch.setattr(automata, "_entry_masks", refused)
+        store = TransitionMasks(AB, m.rows, CountedCodes(m.codes), m.lows)
+        assert list(store._slot_edges()) == want and len(want) == len(m)
+        assert reads == [q for _, q in want]
 
     def test_complement_witness_pins(self):
         # SHA-256 digests recorded before the masks were kept.
